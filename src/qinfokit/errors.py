@@ -96,7 +96,7 @@ class Infeasible(ToolkitError):
 
 
 class NumericalBreakdown(ToolkitError):
-    """Newton system condition number exceeded the safe limit."""
+    """SDP iterate lost positivity, or the iterates diverged."""
 
 
 class SingularA(ToolkitError):

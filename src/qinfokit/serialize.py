@@ -69,10 +69,13 @@ def vector_to_doc(v) -> list:
 
 
 def _pair_to_complex(obj, where: str) -> complex:
-    if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, (int, float)) for x in obj)):
-        raise FormatError(f"{where}: complex scalar must be [re, im]")
-    return complex(float(obj[0]), float(obj[1]))
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        re, im = obj
+        # bool subclasses int, but JSON true/false are not numbers.
+        if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+                and not isinstance(re, bool) and not isinstance(im, bool)):
+            return complex(float(re), float(im))
+    raise FormatError(f"{where}: complex scalar must be [re, im]")
 
 
 def matrix_from_doc(obj, where: str) -> np.ndarray:
@@ -179,23 +182,6 @@ def error_list_from_doc(doc: dict, where: str = "errors"):
             raise FormatError(f"{where}: probs length mismatch")
         probs = [float(p) for p in probs]
     return ops, probs
-
-
-def graph_to_doc(g: Graph) -> dict:
-    return {
-        "kind": "graph",
-        "vertices": g.vertices,
-        "edges": sorted([list(e) for e in g.edges]),
-    }
-
-
-def graph_from_doc(doc: dict, where: str = "graph") -> Graph:
-    vertices = _need(doc, "vertices", where)
-    edges = _need(doc, "edges", where)
-    try:
-        return Graph(int(vertices), frozenset(tuple(e) for e in edges))
-    except Exception as exc:
-        raise FormatError(f"{where}: {exc}") from exc
 
 
 def graph_from_edge_list(text: str) -> Graph:

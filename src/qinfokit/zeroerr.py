@@ -26,11 +26,9 @@ from . import matkit, sdpcore
 from .channels import Channel, is_tp
 from .errors import (
     DimensionError,
-    Infeasible,
     NotFeasibleWitness,
     NotStochastic,
     NotTracePreserving,
-    NumericalBreakdown,
     SolverFailure,
     TooLarge,
 )
@@ -336,30 +334,6 @@ def _full_basis(n: int) -> list[np.ndarray]:
     return out
 
 
-def _solve_ladder(problem, tol: float):
-    """Solve at the requested tolerance, backing off when the Schur system
-    degenerates first (common at the very degenerate theta optima); every
-    accepted solution is verified optimal at its own tolerance."""
-    last_exc = None
-    t = tol
-    while t <= 1e-6 + 1e-18:
-        try:
-            sol = sdpcore.solve(problem, tol=t)
-        except (NumericalBreakdown, Infeasible) as exc:
-            last_exc = exc
-            t *= 10.0
-            continue
-        if sol.status == "optimal":
-            return sol
-        last_exc = SolverFailure(
-            f"status {sol.status} at tol {t:g} "
-            f"(last iterate {sol.history[-1] if sol.history else None})",
-            solution=sol,
-        )
-        t *= 10.0
-    raise SolverFailure(f"theta solve failed: {last_exc}", solution=None)
-
-
 def theta_tilde(s: OperatorSystem, dc: int | None = None,
                 tol: float = 1e-8) -> ThetaResult:
     """Entanglement-assisted Lovasz number of the operator system.
@@ -369,8 +343,8 @@ def theta_tilde(s: OperatorSystem, dc: int | None = None,
     primal kept for gap diagnostics.
     """
     primal_prob, dual_prob = theta_tilde_problems(s, dc)
-    sol_p = _solve_ladder(primal_prob, tol)
-    sol_d = _solve_ladder(dual_prob, tol)
+    sol_p = sdpcore.solve(primal_prob, tol=tol)
+    sol_d = sdpcore.solve(dual_prob, tol=tol)
     # The max program's objective bounds theta from below; the min
     # program (solved as max of -lambda) bounds it from above.
     value_lower = sol_p.primal

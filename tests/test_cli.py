@@ -233,6 +233,16 @@ def test_missing_field_exits_2(tmp_path, capsys):
     assert "rho" in err
 
 
+def test_boolean_scalar_exits_2(tmp_path, capsys):
+    # JSON true/false are not numbers, although Python bool subclasses int.
+    doc = {"kind": "state", "dims": [2],
+           "rho": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    path = write_doc(tmp_path / "bad.json", doc)
+    code, _, err = run_cli(capsys, "schmidt", str(path))
+    assert code == 2
+    assert "rho[0][0]" in err
+
+
 def test_analysis_failure_exits_1(tmp_path, capsys):
     # Uncorrectable error set: recovery synthesis fails with a
     # machine-readable reason.

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,16 @@ from qinfokit.errors import DimensionError
 def odd_cycle_theta(n: int) -> float:
     # Closed form for the Lovasz number of an odd cycle.
     return n * math.cos(math.pi / n) / (1.0 + math.cos(math.pi / n))
+
+
+def brute_force_alpha(n: int, edges) -> int:
+    edge_set = {frozenset(e) for e in edges}
+    for r in range(n, 0, -1):
+        for subset in itertools.combinations(range(n), r):
+            if not any(frozenset(p) in edge_set
+                       for p in itertools.combinations(subset, 2)):
+                return r
+    return 0
 
 
 def test_scalar_bound_problem():
@@ -31,10 +42,10 @@ def test_lovasz_theta_complete_graph():
 
 
 def test_lovasz_theta_odd_cycles_closed_form():
-    for n in (5, 7):
+    for n in (5, 7, 9, 11):
         edges = [(i, (i + 1) % n) for i in range(n)]
         got = sdpcore.lovasz_theta(n, edges)
-        assert got == pytest.approx(odd_cycle_theta(n), abs=1e-5)
+        assert got == pytest.approx(odd_cycle_theta(n), abs=1e-6)
 
 
 def test_empty_graph_theta_is_n():
@@ -129,17 +140,52 @@ def test_infeasible_problem_raises():
         sdpcore.solve(prob)
 
 
-def test_singular_schur_raises_breakdown():
-    from qinfokit.errors import NumericalBreakdown
+def test_redundant_constraints():
+    from qinfokit.errors import Infeasible
 
-    # Duplicated constraints make the Schur complement singular at the
-    # first iteration.
-    prob = sdpcore.SDPProblem(
+    # Consistent duplicates (Tr X = 1 twice) make the Schur complement
+    # singular; the truncated eigen-solve drops the null direction.
+    dup = sdpcore.SDPProblem(
         (2,), (np.eye(2),),
         (((np.eye(2),), 1.0), ((np.eye(2),), 1.0)),
     )
-    with pytest.raises(NumericalBreakdown):
-        sdpcore.solve(prob)
+    sol = sdpcore.solve(dup)
+    assert sol.status == "optimal"
+    assert sol.primal == pytest.approx(1.0, abs=1e-6)
+    # Inconsistent duplicates (Tr X = 1 and Tr X = 2) admit no X.
+    clash = sdpcore.SDPProblem(
+        (2,), (np.eye(2),),
+        (((np.eye(2),), 1.0), ((np.eye(2),), 2.0)),
+    )
+    with pytest.raises(Infeasible):
+        sdpcore.solve(clash)
+
+
+def test_max_iter_raises_solver_failure():
+    from qinfokit.errors import SolverFailure
+
+    prob = sdpcore.lovasz_theta_problem(5, [(i, (i + 1) % 5) for i in range(5)])
+    with pytest.raises(SolverFailure) as info:
+        sdpcore.solve(prob, max_iter=2)
+    assert info.value.solution.status == "max_iter"
+    assert info.value.solution.iterations == 2
+
+
+def test_lovasz_theta_every_small_graph_is_alpha():
+    # Every graph on at most 4 vertices is perfect, so theta = alpha. The
+    # sweep includes P4 (theta 2) and edges {01, 02} (theta 3).
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            got = sdpcore.lovasz_theta(n, edges)
+            assert got == pytest.approx(brute_force_alpha(n, edges), abs=1e-6), edges
+
+
+def test_lovasz_theta_even_cycles():
+    for n in (4, 8, 10):
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        assert sdpcore.lovasz_theta(n, edges) == pytest.approx(n / 2, abs=1e-6)
 
 
 def test_export_sdpa_format():

@@ -220,6 +220,30 @@ def test_weak_duality_inside_theta_solve():
             assert rec["primal"] <= rec["dual"] + 1e-8
 
 
+# The ten non-empty 4-vertex graphs up to isomorphism, one labelling each.
+FOUR_VERTEX_GRAPHS = {
+    "K2+2K1": [(0, 3)],
+    "2K2": [(0, 1), (2, 3)],
+    "P3+K1": [(0, 1), (0, 3)],
+    "P4": [(0, 1), (0, 2), (1, 3)],
+    "K13": [(0, 1), (0, 2), (0, 3)],
+    "K3+K1": [(0, 1), (0, 3), (1, 3)],
+    "C4": [(0, 1), (0, 2), (1, 3), (2, 3)],
+    "paw": [(0, 1), (0, 2), (0, 3), (1, 2)],
+    "diamond": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+    "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_VERTEX_GRAPHS))
+def test_theta_four_vertex_graphs_equal_alpha(name):
+    # theta~(S_G) = theta(G) (Duan-Severini-Winter), and theta = alpha on
+    # perfect graphs, which every 4-vertex graph is.
+    g = zeroerr.Graph(4, frozenset(FOUR_VERTEX_GRAPHS[name]))
+    r = zeroerr.theta_tilde(zeroerr.graph_op_system(g))
+    assert r.value == pytest.approx(brute_force_independence(g), abs=1e-6)
+
+
 # --- witness evaluation -----------------------------------------------------------
 
 def test_witness_zero_gives_one():
