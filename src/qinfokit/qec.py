@@ -3,7 +3,8 @@ code corpus.
 
 Codes are carried as isometries W (physical_dim x logical_dim), never as
 full projectors, so Shor-scale checks cost O(m^2 n^2 k) with k the logical
-dimension: every heavy product is an (n x n) @ (n x k).
+dimension: every heavy product has an n x (multiple of k) factor, and no
+two n x n matrices are ever multiplied.
 """
 
 from __future__ import annotations
@@ -71,27 +72,23 @@ def _family_scale(ops, n: int) -> float:
     """Tr[sum E_i^dag E_i] / n: 1 for a Kraus family of a channel, m for a
     list of m raw unitaries; dividing by it makes either convention yield
     the proof's trace-one alpha matrix."""
-    total = sum(float(np.real(np.trace(dagger(e) @ e))) for e in ops)
+    total = sum(float(np.vdot(e, e).real) for e in ops)  # Tr E^dag E
     return total / n
 
 
-def kl_check(code: Code, errors, tol: float = 1e-8) -> KLReport:
-    """Check P E_i^dag E_j P = alpha_ij P on the code space.
-
-    alpha_ij = Tr[W^dag E_i^dag E_j W] / logical_dim after the error list
-    is normalized into a trace-preserving family (raw unitary lists get
-    uniform weights); the residual is
-    max_ij || W^dag E_i^dag E_j W - alpha_ij I ||.
-    """
-    ops = _error_list(errors)
+def _code_images(code: Code, ops) -> np.ndarray:
+    """E_i W for the normalized error family, stacked as m x n x k."""
     w = code.isometry
-    n, k = code.physical_dim, code.logical_dim
+    n = code.physical_dim
     for e in ops:
         if e.shape != (n, n):
             raise DimensionError(f"error operator {e.shape} != ({n}, {n})")
     scale = _family_scale(ops, n)
-    ews = [e @ w / math.sqrt(scale) for e in ops]  # n x k each
-    m = len(ops)
+    return np.stack([e @ w / math.sqrt(scale) for e in ops])
+
+
+def _kl_report(ews: np.ndarray, tol: float) -> KLReport:
+    m, _, k = ews.shape
     alpha = np.zeros((m, m), dtype=complex)
     max_resid = 0.0
     eye = np.eye(k)
@@ -104,6 +101,17 @@ def kl_check(code: Code, errors, tol: float = 1e-8) -> KLReport:
     return KLReport(max_resid <= tol, alpha, max_resid)
 
 
+def kl_check(code: Code, errors, tol: float = 1e-8) -> KLReport:
+    """Check P E_i^dag E_j P = alpha_ij P on the code space.
+
+    alpha_ij = Tr[W^dag E_i^dag E_j W] / logical_dim after the error list
+    is normalized into a trace-preserving family (raw unitary lists get
+    uniform weights); the residual is
+    max_ij || W^dag E_i^dag E_j W - alpha_ij I ||.
+    """
+    return _kl_report(_code_images(code, _error_list(errors)), tol)
+
+
 def build_recovery(code: Code, errors, tol: float = 1e-8) -> Channel:
     """Recovery channel from the constructive correctability proof.
 
@@ -112,16 +120,14 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Channel:
     d_ii > 0, and returns the trace-preserving channel with Kraus
     {V_i^dag} plus the completion Q = I - sum V_i V_i^dag.
     """
-    ops = _error_list(errors)
-    report = kl_check(code, ops, tol=tol)
+    ews = _code_images(code, _error_list(errors))
+    report = _kl_report(ews, tol)
     if not report.passes:
         raise KLViolated(
             f"correctability residual {report.max_residual:.3e} > {tol:.1e}"
         )
     w = code.isometry
     n = code.physical_dim
-    scale = _family_scale(ops, n)
-    ops = [e / math.sqrt(scale) for e in ops]
     # Descending eigenvalue order with a deterministic phase fix keeps the
     # branch layout reproducible under degeneracies.
     vals, vecs = np.linalg.eigh((report.alpha + dagger(report.alpha)) / 2.0)
@@ -132,17 +138,15 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Channel:
         if np.abs(vecs[pivot, c]) > 0:
             vecs[:, c] *= np.abs(vecs[pivot, c]) / vecs[pivot, c]
     u = dagger(vecs)  # rows satisfy U alpha U^dag = diag(vals)
-    kraus = []
-    proj_acc = np.zeros((n, n), dtype=complex)
-    for i in range(len(ops)):
-        dii = float(np.real(vals[i]))
-        if dii <= BRANCH_CUTOFF:
-            continue
-        fi_w = sum(np.conj(u[i, j]) * (ops[j] @ w) for j in range(len(ops)))
-        vi = (fi_w @ dagger(w)) / math.sqrt(dii)  # F_i P / sqrt(d_ii)
-        kraus.append(dagger(vi))
-        proj_acc += vi @ dagger(vi)
-    q = np.eye(n) - proj_acc
+    keep = vals > BRANCH_CUTOFF
+    # F_i W / sqrt(d_ii) = V_i W on every kept branch, m' x n x k.
+    vws = np.tensordot(np.conj(u[keep]), ews, axes=1)
+    vws /= np.sqrt(vals[keep])[:, None, None]
+    # V_i^dag = P F_i^dag / sqrt(d_ii) = W (V_i W)^dag.
+    kraus = [w @ dagger(vw) for vw in vws]
+    # sum V_i V_i^dag = sum (V_i W)(V_i W)^dag as one n x (m' k) product.
+    vw_cols = vws.transpose(1, 0, 2).reshape(n, -1)
+    q = np.eye(n) - vw_cols @ dagger(vw_cols)
     kraus.append((q + dagger(q)) / 2.0)
     return Channel(n, n, tuple(kraus))
 
@@ -193,13 +197,16 @@ def verify_recovery(recovery: Channel, noise, code: Code,
         if e.shape != (n, n):
             raise DimensionError("noise must act on the physical space")
 
-    # Columns reachable by (recovery o noise) from the code space.
-    ew = [e @ w for e in noise_kraus]  # n x k
-    rew = [r @ g for g in ew for r in recovery.kraus]  # n x k each
-    stack = np.hstack([w] + rew)
+    # Columns reachable by (recovery o noise) from the code space: one
+    # n x (m k) product per recovery Kraus operator.
+    ew = np.hstack([e @ w for e in noise_kraus])  # n x (m k)
+    stack = np.hstack([w] + [r @ ew for r in recovery.kraus])
     basis = matkit.orthonormal_basis(stack)  # n x r
     w_c = dagger(basis) @ w  # r x k
-    comp = [dagger(basis) @ g for g in rew]  # r x k each
+    # Each k-column block of comp is one composed Kraus operator R_a E_b,
+    # compressed to r x k.
+    comp = dagger(basis) @ stack[:, k:]
+    blocks = comp.reshape(len(comp), -1, k)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -208,9 +215,8 @@ def verify_recovery(recovery: Channel, noise, code: Code,
         rho = g @ dagger(g)
         rho /= np.real(np.trace(rho))
         sigma = w_c @ rho @ dagger(w_c)
-        out = np.zeros_like(sigma)
-        for c in comp:
-            out += c @ rho @ dagger(c)
+        # sum_c C_c rho C_c^dag over all blocks in one product.
+        out = (blocks @ rho).reshape(comp.shape) @ dagger(comp)
         worst = max(worst, matkit.norm(out - sigma, "trace"))
     return worst
 

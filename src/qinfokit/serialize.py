@@ -4,12 +4,23 @@ Conventions: every complex scalar is a two-element array [re, im];
 matrices are row-major nested arrays; dimensions are always explicit.
 Canonical output sorts keys and prints every real with %.17g, so
 serialize -> parse -> serialize is byte-identical.
+
+Dense matrices and vectors are validated and converted in bulk: a few
+whole-array passes check that rows are arrays of equal length, that every
+entry is a two-element array and that every scalar is a JSON number, and
+one conversion builds the complex array. Only when a check fails does the
+per-entry walk run, and it alone names the offending entry as
+``where[i][j]``, so diagnostics cost nothing on well-formed input.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from collections.abc import Iterable, Sized
+from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -54,18 +65,37 @@ def canonical_dumps(doc) -> str:
     return render(doc) + "\n"
 
 
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector while a JSON-shaped tree is built.
+
+    Such a tree holds no reference cycles, so the collector can free
+    nothing in it; left on, it re-walks the growing tree of millions of
+    lists many times while a large document is parsed or built.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def matrix_to_doc(m) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in m]
+    with _gc_paused():
+        return np.stack([m.real, m.imag], -1).tolist()
 
 
 def vector_to_doc(v) -> list:
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    return np.stack([v.real, v.imag], -1).tolist()
+
+
+# JSON numbers parse to exactly these types; bool (true/false) is excluded
+# although it subclasses int.
+_REALS = {int, float}
 
 
 def _pair_to_complex(obj, where: str) -> complex:
@@ -74,8 +104,33 @@ def _pair_to_complex(obj, where: str) -> complex:
         # bool subclasses int, but JSON true/false are not numbers.
         if (isinstance(re, (int, float)) and isinstance(im, (int, float))
                 and not isinstance(re, bool) and not isinstance(im, bool)):
-            return complex(float(re), float(im))
+            try:
+                return complex(float(re), float(im))
+            except OverflowError:
+                raise FormatError(f"{where}: real out of range") from None
     raise FormatError(f"{where}: complex scalar must be [re, im]")
+
+
+def _bulk_pairs(rows: list, count: int) -> np.ndarray | None:
+    """The ``count`` [re, im] pairs held in a list of lists, as one flat
+    complex array; None when any pair is not two JSON numbers, so that the
+    caller's per-entry walk can name it.
+
+    Each check is one C-level pass over an iterator: no intermediate list
+    is built, so a large document's peak memory stays that of its tree.
+    """
+    def pairs():
+        return chain.from_iterable(rows)
+
+    if set(map(type, pairs())) != {list} or set(map(len, pairs())) != {2}:
+        return None
+    if not set(map(type, chain.from_iterable(pairs()))) <= _REALS:
+        return None
+    try:
+        reals = np.fromiter(chain.from_iterable(pairs()), float, 2 * count)
+    except OverflowError:  # an integer beyond float range
+        return None
+    return reals.view(complex)
 
 
 def matrix_from_doc(obj, where: str) -> np.ndarray:
@@ -83,8 +138,14 @@ def matrix_from_doc(obj, where: str) -> np.ndarray:
         raise FormatError(f"{where}: matrix must be a nested array")
     rows = len(obj)
     cols = len(obj[0])
+    if set(map(type, obj)) == {list} and set(map(len, obj)) == {cols}:
+        flat = _bulk_pairs(obj, rows * cols)
+        if flat is not None:
+            return flat.reshape(rows, cols)
     out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(obj):
+        if not isinstance(row, Sized):
+            raise FormatError(f"{where}[{i}]: matrix row must be an array")
         if len(row) != cols:
             raise FormatError(f"{where}: ragged matrix at row {i}")
         for j, z in enumerate(row):
@@ -95,6 +156,9 @@ def matrix_from_doc(obj, where: str) -> np.ndarray:
 def vector_from_doc(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise FormatError(f"{where}: vector must be a non-empty array")
+    flat = _bulk_pairs([obj], len(obj))
+    if flat is not None:
+        return flat
     return np.array([_pair_to_complex(z, f"{where}[{k}]")
                      for k, z in enumerate(obj)])
 
@@ -103,6 +167,13 @@ def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise FormatError(f"{where}: missing field {key!r}")
     return doc[key]
+
+
+def _need_int(doc: dict, key: str, where: str) -> int:
+    value = _need(doc, key, where)
+    if type(value) is not int:
+        raise FormatError(f"{where}: {key} must be an integer")
+    return value
 
 
 def state_to_doc(state) -> dict:
@@ -142,8 +213,8 @@ def channel_to_doc(ch: Channel, probs=None) -> dict:
 
 
 def channel_from_doc(doc: dict, where: str = "channel") -> Channel:
-    din = _need(doc, "din", where)
-    dout = _need(doc, "dout", where)
+    din = _need_int(doc, "din", where)
+    dout = _need_int(doc, "dout", where)
     kraus_doc = _need(doc, "kraus", where)
     if not isinstance(kraus_doc, list) or not kraus_doc:
         raise FormatError(f"{where}: kraus must be a non-empty array")
@@ -151,7 +222,7 @@ def channel_from_doc(doc: dict, where: str = "channel") -> Channel:
         matrix_from_doc(k, f"{where}.kraus[{i}]")
         for i, k in enumerate(kraus_doc)
     )
-    return Channel(int(din), int(dout), kraus)
+    return Channel(din, dout, kraus)
 
 
 def code_to_doc(code: Code) -> dict:
@@ -165,8 +236,8 @@ def code_to_doc(code: Code) -> dict:
 
 def code_from_doc(doc: dict, where: str = "code") -> Code:
     return Code(
-        int(_need(doc, "physical_dim", where)),
-        int(_need(doc, "logical_dim", where)),
+        _need_int(doc, "physical_dim", where),
+        _need_int(doc, "logical_dim", where),
         matrix_from_doc(_need(doc, "isometry", where), f"{where}.isometry"),
     )
 
@@ -174,13 +245,20 @@ def code_from_doc(doc: dict, where: str = "code") -> Code:
 def error_list_from_doc(doc: dict, where: str = "errors"):
     """Kraus-style error list; probabilities optional."""
     ops_doc = _need(doc, "kraus", where)
+    if not isinstance(ops_doc, Iterable):
+        raise FormatError(f"{where}: kraus must be an array")
     ops = [matrix_from_doc(k, f"{where}.kraus[{i}]")
            for i, k in enumerate(ops_doc)]
     probs = doc.get("probs")
     if probs is not None:
-        if len(probs) != len(ops):
+        if isinstance(probs, Sized) and len(probs) != len(ops):
             raise FormatError(f"{where}: probs length mismatch")
-        probs = [float(p) for p in probs]
+        if not isinstance(probs, list) or not set(map(type, probs)) <= _REALS:
+            raise FormatError(f"{where}: probs must be an array of numbers")
+        try:
+            probs = [float(p) for p in probs]
+        except OverflowError:
+            raise FormatError(f"{where}: probs out of range") from None
     return ops, probs
 
 
@@ -212,9 +290,12 @@ def graph_from_edge_list(text: str) -> Graph:
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    try:
+        with _gc_paused():
+            doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qinfokit import cli, qec, serialize
 from qinfokit.channels import Channel
@@ -63,6 +65,42 @@ def test_channel_doc_roundtrip(tmp_path):
     assert all(
         np.linalg.norm(a - b) <= 1e-15 for a, b in zip(back.kraus, ch.kraus)
     )
+
+
+_EDGE_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 1e300, -1e300]),
+)
+
+
+def _as_walked(rows):
+    # Tuple pairs are accepted only by the per-entry walk, so parsing this
+    # copy runs the reference path on the same numbers.
+    return [[tuple(z) for z in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4)), data=st.data())
+def test_dense_parse_roundtrip_exact(tmp_path, shape, data):
+    reals = data.draw(st.lists(_EDGE_REALS, min_size=2 * shape[0] * shape[1],
+                               max_size=2 * shape[0] * shape[1]))
+    m = np.array(reals).view(complex).reshape(shape)
+    doc = {"m": serialize.matrix_to_doc(m), "v": serialize.vector_to_doc(m[0])}
+    text = serialize.canonical_dumps(doc)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    back = serialize.load_document(str(path))
+    mat = serialize.matrix_from_doc(back["m"], "m")
+    vec = serialize.vector_from_doc(back["v"], "v")
+    assert np.array_equal(mat, m) and np.array_equal(vec, m[0])
+    again = {"m": serialize.matrix_to_doc(mat), "v": serialize.vector_to_doc(vec)}
+    assert serialize.canonical_dumps(again) == text
+    # The bulk path agrees bit for bit with the walk, signed zeros included.
+    walked = serialize.matrix_from_doc(_as_walked(doc["m"]), "m")
+    assert serialize.matrix_from_doc(doc["m"], "m").tobytes() == walked.tobytes()
+    walked_vec = serialize.vector_from_doc(_as_walked([doc["v"]])[0], "v")
+    assert serialize.vector_from_doc(doc["v"], "v").tobytes() == walked_vec.tobytes()
 
 
 def test_graph_edge_list_parsing():
@@ -226,6 +264,14 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_non_utf8_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind": "\xff"}')
+    code, _, err = run_cli(capsys, "schmidt", str(path))
+    assert code == 2
+    assert "input error" in err
+
+
 def test_missing_field_exits_2(tmp_path, capsys):
     path = write_doc(tmp_path / "bad.json", {"kind": "state", "dims": [2]})
     code, _, err = run_cli(capsys, "schmidt", str(path))
@@ -241,6 +287,94 @@ def test_boolean_scalar_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "schmidt", str(path))
     assert code == 2
     assert "rho[0][0]" in err
+
+
+_P = [0, 0]
+
+
+@pytest.mark.parametrize("rho, message", [
+    # A JSON string scalar.
+    ([[[1, 0], _P], [["1.5", 0], _P]], "state.rho[1][0]: complex scalar must be [re, im]"),
+    # true among numbers.
+    ([[[1, 0], _P], [_P, [0, True]]], "state.rho[1][1]: complex scalar must be [re, im]"),
+    ([[[1, 0], None], [_P, _P]], "state.rho[0][1]: complex scalar must be [re, im]"),
+    ([[[1, 0], _P], [_P]], "state.rho: ragged matrix at row 1"),
+    # Same scalar count as a valid 2 x 2 matrix, wrong pair lengths.
+    ([[[1, 0, 0], [0]], [_P, _P]], "state.rho[0][0]: complex scalar must be [re, im]"),
+    # Nesting one level too shallow, then one too deep.
+    ([[1, 0], [0, 0]], "state.rho[0][0]: complex scalar must be [re, im]"),
+    ([[[1, 0], _P], [_P, [_P, _P]]], "state.rho[1][1]: complex scalar must be [re, im]"),
+    # A row that is not an array.
+    ([[[1, 0], _P], 5], "state.rho[1]: matrix row must be an array"),
+    # An integer beyond float range.
+    ([[[1, 0], _P], [_P, [0, 10 ** 400]]], "state.rho[1][1]: real out of range"),
+])
+def test_malformed_matrix_exits_2_with_location(tmp_path, capsys, rho, message):
+    path = write_doc(tmp_path / "bad.json", {"kind": "state", "dims": [2], "rho": rho})
+    code, _, err = run_cli(capsys, "schmidt", str(path))
+    assert code == 2
+    assert err == f"input error: {message}\n"
+
+
+def test_malformed_vector_exits_2_with_location(tmp_path, capsys):
+    path = write_doc(tmp_path / "bad.json", {
+        "kind": "state", "dims": [2], "vec": [[1, 0], [0, None]]})
+    code, _, err = run_cli(capsys, "schmidt", str(path))
+    assert code == 2
+    assert err == "input error: state.vec[1]: complex scalar must be [re, im]\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("din", "x"), ("dout", 2.5), ("din", True),
+])
+def test_non_integer_channel_dimension_exits_2(tmp_path, capsys, field, value):
+    doc = serialize.channel_to_doc(Channel(2, 2, (np.eye(2, dtype=complex),)))
+    doc[field] = value
+    path = write_doc(tmp_path / "bad.json", doc)
+    code, _, err = run_cli(capsys, "channel", "analyze", path)
+    assert code == 2
+    assert err == f"input error: channel: {field} must be an integer\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("physical_dim", "x"), ("logical_dim", [2]),
+])
+def test_non_integer_code_dimension_exits_2(tmp_path, capsys, field, value):
+    w = np.zeros((8, 2))
+    w[0, 0] = w[7, 1] = 1.0
+    doc = serialize.code_to_doc(qec.Code(8, 2, w))
+    doc[field] = value
+    cpath = write_doc(tmp_path / "code.json", doc)
+    epath = write_doc(tmp_path / "err.json", serialize.channel_to_doc(
+        Channel(8, 8, (np.eye(8, dtype=complex),))))
+    code, _, err = run_cli(capsys, "qec", "check", cpath, epath)
+    assert code == 2
+    assert err == f"input error: code: {field} must be an integer\n"
+
+
+@pytest.mark.parametrize("probs", [["abc"], ["0.5"], [None], "x", 5, [10 ** 400]])
+def test_non_numeric_probs_exit_2(tmp_path, capsys, probs):
+    w = np.zeros((8, 2))
+    w[0, 0] = w[7, 1] = 1.0
+    cpath = write_doc(tmp_path / "code.json", serialize.code_to_doc(qec.Code(8, 2, w)))
+    doc = serialize.channel_to_doc(Channel(8, 8, (np.eye(8, dtype=complex),)))
+    doc["probs"] = probs
+    epath = write_doc(tmp_path / "err.json", doc)
+    code, _, err = run_cli(capsys, "qec", "recover", cpath, epath)
+    assert code == 2
+    assert err.startswith("input error: errors: probs ")
+
+
+@pytest.mark.parametrize("kraus", [5, None])
+def test_non_array_error_list_exits_2(tmp_path, capsys, kraus):
+    w = np.zeros((8, 2))
+    w[0, 0] = w[7, 1] = 1.0
+    cpath = write_doc(tmp_path / "code.json", serialize.code_to_doc(qec.Code(8, 2, w)))
+    epath = write_doc(tmp_path / "err.json", {"kind": "channel", "din": 8,
+                                              "dout": 8, "kraus": kraus})
+    code, _, err = run_cli(capsys, "qec", "check", cpath, epath)
+    assert code == 2
+    assert err == "input error: errors: kraus must be an array\n"
 
 
 def test_analysis_failure_exits_1(tmp_path, capsys):

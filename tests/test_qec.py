@@ -98,6 +98,30 @@ def test_verify_recovery_detects_outside_noise():
     assert dev > 0.1
 
 
+def test_verify_recovery_matches_direct_evaluation():
+    # Reference: apply noise then recovery as full 8 x 8 channels to the
+    # same sampled logical states, without the reachable-subspace
+    # compression. The noise is not correctable, so deviations are O(1).
+    code = repetition_code()
+    rec = qec.build_recovery(code, bit_flips())
+    xx = qec.pauli_on(3, 0, "X") @ qec.pauli_on(3, 1, "X")
+    noise = qec.noise_channel([np.eye(8), xx, qec.pauli_on(3, 2, "Y")],
+                              [0.5, 0.3, 0.2])
+    w = code.isometry
+    rng = np.random.default_rng(7)
+    want = 0.0
+    for _ in range(6):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rho = g @ dagger(g)
+        rho /= np.real(np.trace(rho))
+        sigma = w @ rho @ dagger(w)
+        diff = rec(noise(sigma)) - sigma
+        want = max(want, float(np.abs(np.linalg.eigvalsh(diff)).sum()))
+    got = qec.verify_recovery(rec, noise, code, samples=6, seed=7)
+    assert want > 0.1
+    assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_verify_recovery_identity_noise():
     code = repetition_code()
     rec = qec.build_recovery(code, bit_flips())
