@@ -34,7 +34,7 @@ chain = [
     ("diagonal matrices", zeroerr.graph_op_system(zeroerr.empty_graph(3))),
     ("tridiagonal matrices",
      zeroerr.graph_op_system(zeroerr.Graph(3, frozenset({(0, 1), (1, 2)})))),
-    ("all of M_3", zeroerr.operator_system(3, zeroerr._full_basis(3))),
+    ("all of M_3", zeroerr.graph_op_system(zeroerr.complete_graph(3))),
 ]
 for name, system in chain:
     print(f"  {name:22s}: theta = {zeroerr.theta_tilde(system).value:.6f}")

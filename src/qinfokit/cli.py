@@ -139,15 +139,9 @@ def _cmd_werner(args) -> dict:
 
 def _cmd_theta(args) -> dict:
     if args.input.endswith(".json"):
-        doc = serialize.load_document(args.input)
-        basis_doc = doc.get("basis")
-        if not isinstance(basis_doc, list) or "dim" not in doc:
-            raise FormatError(f"{args.input}: system document needs dim and basis")
-        spanning = [
-            serialize.matrix_from_doc(b, f"basis[{i}]")
-            for i, b in enumerate(basis_doc)
-        ]
-        system = zeroerr.operator_system(int(doc["dim"]), spanning)
+        dim, spanning = serialize.system_from_doc(
+            serialize.load_document(args.input))
+        system = zeroerr.operator_system(dim, spanning)
         source = "system"
     else:
         with open(args.input, "r", encoding="utf-8") as fh:

@@ -13,21 +13,22 @@ with the dual
 
 so weak duality reads primal <= dual. The algorithm is primal-dual
 path-following with Nesterov-Todd scaling and a predictor-corrector step
-(the corrector recentres at sigma * mu without a second-order term). The
-Schur complement is formed densely and solved by a truncated symmetric
-eigendecomposition: eigen-directions below 1e-14 of the largest
-eigenvalue are dropped, so redundant constraints need no special
-handling and conditioning alone never stops a solve (problem sizes here
-stay in the hundreds). A solve either ends optimal or raises.
+(the corrector recentres at sigma * mu without a second-order term).
 
-Complex Hermitian data is embedded blockwise as real symmetric matrices of
-twice the size via H -> [[Re H, -Im H], [Im H, Re H]] scaled by 1/2, which
-preserves objective values and inner products exactly; solutions are
-mapped back before being returned.
+A block is iterated as complex Hermitian matrices when its data has an
+imaginary part, else as real symmetric ones. The Schur complement is
+formed in packed Hermitian coordinates (where the trace inner product is
+the dot product) and factored once per iteration: by Cholesky when its
+pivots put it inside SCHUR_COND_LIMIT, else by a symmetric eigensolve
+that drops eigen-directions below 1e-14 of the largest, so redundant
+constraints need no special handling and conditioning alone never stops
+a solve. A solve either ends optimal or raises. Only the SDPA export
+embeds complex blocks as real ones of twice the size (``_embed``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -99,80 +100,106 @@ class SDPSolution:
 
 def _embed(h: np.ndarray) -> np.ndarray:
     """Real symmetric image of a Hermitian matrix, scaled so that
-    <embed(A), embed(X)> = <A, X> for Hermitian A, X."""
+    <embed(A), 2 embed(X)> = <A, X> for Hermitian A, X."""
     re, im = np.real(h), np.imag(h)
     return 0.5 * np.block([[re, -im], [im, re]])
 
 
-def _unembed(y: np.ndarray) -> np.ndarray:
-    """Left inverse of the (unscaled) embedding on symmetric matrices."""
-    n = y.shape[0] // 2
-    a11, a12 = y[:n, :n], y[:n, n:]
-    a21, a22 = y[n:, :n], y[n:, n:]
-    return 0.5 * (a11 + a22) + 0.5j * (a21 - a12)
+def _complex_blocks(prob: SDPProblem) -> list:
+    """Per block: does its objective or a constraint have an imaginary part?"""
+    return [
+        any(np.linalg.norm(np.imag(mat)) > 1e-14
+            for mat in [prob.objective[k]] + [ops[k] for ops, _ in prob.constraints])
+        for k in range(len(prob.block_sizes))
+    ]
 
 
-class _RealForm:
-    """Realified copy of an SDPProblem plus the back-maps."""
-
-    def __init__(self, prob: SDPProblem):
-        self.prob = prob
-        self.complex_block = []
-        for b, n in enumerate(prob.block_sizes):
-            mats = [prob.objective[b]] + [ops[b] for ops, _ in prob.constraints]
-            is_cplx = any(np.linalg.norm(np.imag(m)) > 1e-14 for m in mats)
-            self.complex_block.append(is_cplx)
-        self.sizes = tuple(
-            2 * n if c else n
-            for n, c in zip(prob.block_sizes, self.complex_block)
-        )
-        self.c_blocks = [
-            _embed(c) if cplx else np.real(c).copy()
-            for c, cplx in zip(prob.objective, self.complex_block)
-        ]
-        self.a_ops = []
-        self.b = np.array([rhs for _, rhs in prob.constraints])
-        for ops, _ in prob.constraints:
-            self.a_ops.append([
-                _embed(a) if cplx else np.real(a).copy()
-                for a, cplx in zip(ops, self.complex_block)
-            ])
-
-    def back(self, blocks):
-        # _unembed projects onto the embedded structure, so any
-        # antisymmetric drift in the real iterate is averaged away.
-        return tuple(
-            _unembed(x) if cplx else x.astype(complex)
-            for x, cplx in zip(blocks, self.complex_block)
-        )
+@functools.lru_cache(maxsize=64)
+def _upper(n: int) -> tuple:
+    return np.triu_indices(n, 1)
 
 
-def _nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """W > 0 with W Z W = X (the Nesterov-Todd scaling point)."""
+def _pack(h: np.ndarray, cplx: bool) -> np.ndarray:
+    """Real coordinates of Hermitian matrices h[..., n, n] in which the
+    trace inner product is the dot product: the diagonal, then sqrt(2) Re
+    and (complex blocks only) sqrt(2) Im of the strict upper triangle."""
+    i, j = _upper(h.shape[-1])
+    upper = math.sqrt(2.0) * h[..., i, j]
+    parts = [np.diagonal(h, axis1=-2, axis2=-1).real, upper.real]
+    return np.concatenate(parts + [upper.imag] if cplx else parts, axis=-1)
+
+
+def _unpack(v: np.ndarray, n: int, cplx: bool) -> np.ndarray:
+    """The Hermitian n x n matrix whose packed coordinates are v."""
+    i, j = _upper(n)
+    upper = (v[n:n + len(i)] + 1j * v[n + len(i):] if cplx else v[n:]) / math.sqrt(2.0)
+    h = np.zeros((n, n), dtype=upper.dtype)
+    h[i, j] = upper
+    h[j, i] = h[i, j].conj()
+    h[np.arange(n), np.arange(n)] = v[:n]
+    return h
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2.0
+
+
+def _chol(x: np.ndarray) -> np.ndarray:
     try:
-        lx = np.linalg.cholesky(x)
+        return np.linalg.cholesky(x)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"iterate lost positivity: {exc}") from exc
-    mid = lx.T @ z @ lx
-    vals, vecs = np.linalg.eigh((mid + mid.T) / 2.0)
-    vals = np.clip(vals, 1e-300, None)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-    w = lx @ inv_sqrt @ lx.T
-    return (w + w.T) / 2.0
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha dx >= 0 (inf if dx >= 0)."""
-    try:
-        lx = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"iterate lost positivity: {exc}") from exc
-    s = np.linalg.solve(lx, dx)
-    s = np.linalg.solve(lx, s.T).T
-    lam = float(np.linalg.eigvalsh((s + s.T) / 2.0)[0])
+def _nt_scaling(lx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """R with W = R R^H the Nesterov-Todd scaling point (W Z W = X):
+    W = L (L^H Z L)^(-1/2) L^H for X = L L^H, so R = L V diag(lam^(-1/4))
+    from the eigendecomposition V diag(lam) V^H of L^H Z L."""
+    vals, vecs = np.linalg.eigh(_herm(lx.conj().T @ z @ lx))
+    return lx @ (vecs / np.clip(vals, 1e-300, None) ** 0.25)
+
+
+def _max_step(lx: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha dx >= 0 (inf if dx >= 0), x = lx lx^H."""
+    s = np.linalg.solve(lx, dx)                 # L^-1 dX
+    s = np.linalg.solve(lx, s.conj().T)         # L^-1 dX L^-H
+    lam = float(np.linalg.eigvalsh(_herm(s))[0])
     if lam >= -1e-14:
         return math.inf
     return -1.0 / lam
+
+
+def _triangular_solve(t: np.ndarray, r: np.ndarray, lower: bool) -> np.ndarray:
+    """t^-1 r for triangular t by blocked substitution (numpy has no
+    triangular solver, and a general solve would refactor t)."""
+    x = np.empty_like(r)
+    starts = range(0, t.shape[0], 64)
+    for s in starts if lower else reversed(starts):
+        blk, done = slice(s, s + 64), slice(0, s) if lower else slice(s + 64, None)
+        x[blk] = np.linalg.solve(t[blk, blk], r[blk] - t[blk, done] @ x[done])
+    return x
+
+
+def _schur_solver(schur: np.ndarray):
+    """(solve, path) for the Schur system M dy = rhs (rhs columns).
+
+    Cholesky when its pivots put M inside SCHUR_COND_LIMIT; otherwise a
+    truncated eigendecomposition that drops the eigen-directions below
+    1/SCHUR_COND_LIMIT of the largest (a redundant constraint makes M
+    singular, and Cholesky may still succeed on it with a tiny pivot).
+    """
+    try:
+        chol = np.linalg.cholesky(schur)
+        piv = np.diag(chol)
+        if not piv.size or (piv.min() / piv.max()) ** 2 > 1.0 / SCHUR_COND_LIMIT:
+            return (lambda rhs: _triangular_solve(
+                chol.T, _triangular_solve(chol, rhs, True), False)), "cholesky"
+    except np.linalg.LinAlgError:
+        pass
+    vals, vecs = np.linalg.eigh(schur)
+    keep = vals > vals[-1] / SCHUR_COND_LIMIT
+    vals, vecs = vals[keep], vecs[:, keep]
+    return (lambda rhs: vecs @ ((vecs.T @ rhs) / vals[:, None])), "eig"
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -180,10 +207,13 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
           ) -> SDPSolution:
     """Interior-point solve of the standard-form problem.
 
-    Predictor-corrector without a second-order term; the Schur system is
-    solved on its eigen-directions above 1e-14 of the largest, with no
-    condition-number stop. Deterministic: identical inputs produce
-    identical iterates. Returns only an optimal solution. Raises
+    Complex blocks are iterated natively (see the module docstring). The
+    predictor and corrector directions share one factorization of the
+    Schur complement per iteration. Each ``history`` record holds the
+    residuals, mu, sigma, the step lengths and the Schur path
+    (``"cholesky"`` or ``"eig"``; None on the final record, which takes no
+    step). Deterministic: identical inputs produce identical
+    iterates. Returns only an optimal solution. Raises
     Infeasible when the primal residual stalls above 1e-6 for 30
     consecutive iterations (or the iterates diverge with the residual
     stuck), NumericalBreakdown when an iterate loses positivity or the
@@ -192,39 +222,36 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
     iterates are checked for explicitly, so numpy's transient overflow
     warnings are silenced here.
     """
-    rf = _RealForm(problem)
-    sizes = rf.sizes
-    nb = len(sizes)
+    sizes = problem.block_sizes
     m = problem.m
-    b = rf.b
-    c_blocks = rf.c_blocks
-    a_flat = np.stack([
-        np.concatenate([rf.a_ops[i][k].reshape(-1) for k in range(nb)])
-        for i in range(m)
-    ]) if m else np.zeros((0, sum(n * n for n in sizes)))
+    cplx = _complex_blocks(problem)
+    b = np.array([rhs for _, rhs in problem.constraints])
+    c_blocks = [c if cp else c.real.copy()
+                for c, cp in zip(problem.objective, cplx)]
+    a_dense = []
+    for k, (n, cp) in enumerate(zip(sizes, cplx)):
+        stack = np.array([ops[k] for ops, _ in problem.constraints]).reshape(m, n, n)
+        a_dense.append(stack if cp else stack.real.copy())
+    a_packed = np.concatenate(
+        [_pack(a, cp) for a, cp in zip(a_dense, cplx)], axis=1)
+    bounds = np.cumsum([0] + [n * n if cp else n * (n + 1) // 2
+                              for n, cp in zip(sizes, cplx)])
 
     def apply_a(blocks):
-        if m == 0:
-            return np.zeros(0)
-        v = np.concatenate([blk.reshape(-1) for blk in blocks])
-        return a_flat @ v
+        # W Rd W is Hermitian only up to rounding of order |W|^2; one
+        # triangle of it alone stalled tight solves, so symmetrize first.
+        return a_packed @ np.concatenate(
+            [_pack(_herm(blk), cp) for blk, cp in zip(blocks, cplx)])
 
     def apply_at(y):
-        out = []
-        offset = 0
-        for n in sizes:
-            seg = a_flat[:, offset:offset + n * n]
-            out.append((y @ seg).reshape(n, n) if m else np.zeros((n, n)))
-            offset += n * n
-        return out
+        v = y @ a_packed
+        return [_unpack(v[lo:hi], n, cp)
+                for lo, hi, n, cp in zip(bounds, bounds[1:], sizes, cplx)]
 
-    eta = max(
-        10.0,
-        float(np.max(np.abs(b))) if m else 0.0,
-        max(float(np.linalg.norm(c)) for c in c_blocks),
-    )
-    x = [eta * np.eye(n) for n in sizes]
-    z = [eta * np.eye(n) for n in sizes]
+    eta = max(10.0, float(np.max(np.abs(b))) if m else 0.0,
+              max(float(np.linalg.norm(c)) for c in c_blocks))
+    x = [eta * np.eye(n, dtype=c.dtype) for n, c in zip(sizes, c_blocks)]
+    z = [xb.copy() for xb in x]
     y = np.zeros(m)
     total_dim = sum(sizes)
     bnorm = 1.0 + float(np.linalg.norm(b))
@@ -236,26 +263,24 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
-        pval = sum(float(np.sum(cb * xb)) for cb, xb in zip(c_blocks, x))
+        pval = sum(np.vdot(cb, xb).real for cb, xb in zip(c_blocks, x))
         dval = float(b @ y)
         rp = b - apply_a(x)
-        at_y = apply_at(y)
-        rd = [cb - ab + zb for cb, ab, zb in zip(c_blocks, at_y, z)]
-        mu = sum(float(np.sum(xb * zb)) for xb, zb in zip(x, z)) / total_dim
+        rd = [cb - ab + zb for cb, ab, zb in zip(c_blocks, apply_at(y), z)]
+        mu = sum(np.vdot(xb, zb).real for xb, zb in zip(x, z)) / total_dim
         pinf = float(np.linalg.norm(rp)) / bnorm
         dinf = math.sqrt(sum(float(np.linalg.norm(r)) ** 2 for r in rd)) / cnorm
         relgap = abs(dval - pval) / (1.0 + abs(pval) + abs(dval))
-        history.append({
-            "iter": it, "primal": pval, "dual": dval,
-            "pinf": pinf, "dinf": dinf, "mu": mu,
-        })
+        record = {
+            "iter": it, "primal": float(pval), "dual": dval,
+            "pinf": pinf, "dinf": dinf, "mu": float(mu), "sigma": None,
+            "step_primal": None, "step_dual": None, "schur": None,
+        }
+        history.append(record)
         if pinf <= tol and dinf <= tol and relgap <= tol:
             status = "optimal"
             break
-        finite = all(
-            math.isfinite(v) for v in (pval, dval, pinf, dinf, mu)
-        )
-        if not finite:
+        if not all(math.isfinite(v) for v in (pval, dval, pinf, dinf, mu)):
             # Divergence while the primal residual never came down is the
             # usual numerical signature of an infeasible problem.
             if best_pinf > STALL_RESIDUAL:
@@ -264,101 +289,75 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
                     f"{best_pinf:.3e} after {it} iterations"
                 )
             raise NumericalBreakdown(f"iterates diverged at iteration {it}")
-        if pinf > STALL_RESIDUAL:
-            if pinf >= best_pinf * (1.0 - 1e-3):
-                stall += 1
-            else:
-                stall = 0
-        else:
-            stall = 0
+        stalled = pinf > STALL_RESIDUAL and pinf >= best_pinf * (1.0 - 1e-3)
+        stall = stall + 1 if stalled else 0
         best_pinf = min(best_pinf, pinf)
         if stall >= STALL_LIMIT:
             raise Infeasible(
                 f"primal residual stalled at {pinf:.3e} after {it} iterations"
             )
 
-        w = [_nt_scaling(xb, zb) for xb, zb in zip(x, z)]
+        lx, lz = [_chol(xb) for xb in x], [_chol(zb) for zb in z]
+        r = [_nt_scaling(lb, zb) for lb, zb in zip(lx, z)]
+        w = [_herm(rb @ rb.conj().T) for rb in r]
         z_inv = []
         for zb in z:
             vals, vecs = np.linalg.eigh(zb)
-            z_inv.append((vecs / np.clip(vals, 1e-300, None)) @ vecs.T)
+            z_inv.append((vecs / np.clip(vals, 1e-300, None)) @ vecs.conj().T)
 
-        # Schur complement M_ij = sum_b <A_i, W A_j W>.
-        schur = np.zeros((m, m))
-        waw_flat = []
-        offset = 0
-        for k, n in enumerate(sizes):
-            seg = a_flat[:, offset:offset + n * n].reshape(m, n, n)
-            waw = w[k] @ seg @ w[k]
-            waw_flat.append(waw.reshape(m, n * n))
-            offset += n * n
-        if m:
-            schur = sum(
-                a_flat[:, o:o + blk.shape[1]] @ blk.T
-                for o, blk in zip(
-                    np.cumsum([0] + [n * n for n in sizes[:-1]]), waw_flat)
-            )
-            schur = (schur + schur.T) / 2.0
-            svals, svecs = np.linalg.eigh(schur)
-            keep = svals > svals[-1] / SCHUR_COND_LIMIT
-            svals, svecs = svals[keep], svecs[:, keep]
+        # Schur complement M_ij = sum_b <A_i, W A_j W> = <B_i, B_j> with
+        # B_j = R^H A_j R: one Gram product over the packed coordinates.
+        rar = np.concatenate(
+            [_pack(rb.conj().T @ a @ rb, cp) for rb, a, cp in zip(r, a_dense, cplx)],
+            axis=1)
+        schur_solve, path = _schur_solver(rar @ rar.T)
 
-        def schur_solve(rhs):
-            if m == 0:
-                return np.zeros(0)
-            return svecs @ ((svecs.T @ rhs) / svals)
+        # The corrector's right-hand side is the predictor's plus
+        # sigma mu A(Z^-1), so one solve with two columns serves both.
+        rhs_aff = apply_a([wb @ rdb @ wb - xb for wb, rdb, xb in zip(w, rd, x)]) - rp
+        dy_aff, dy_cen = schur_solve(np.stack([rhs_aff, apply_a(z_inv)], axis=1)).T
 
-        def direction(rc_blocks):
-            rhs = apply_a([
-                rc + wb @ rdb @ wb
-                for rc, wb, rdb in zip(rc_blocks, w, rd)
-            ]) - rp
-            dy = schur_solve(rhs)
-            at_dy = apply_at(dy)
-            dz = [ady - rdb for ady, rdb in zip(at_dy, rd)]
-            dx = [
-                rc - wb @ dzb @ wb
-                for rc, wb, dzb in zip(rc_blocks, w, dz)
-            ]
-            dx = [(d + d.T) / 2.0 for d in dx]
-            dz = [(d + d.T) / 2.0 for d in dz]
-            return dx, dy, dz
+        def direction(rc_blocks, dy):
+            dz = [_herm(ady - rdb) for ady, rdb in zip(apply_at(dy), rd)]
+            dx = [_herm(rc - wb @ dzb @ wb)
+                  for rc, wb, dzb in zip(rc_blocks, w, dz)]
+            return dx, dz
+
+        def max_steps(dx, dz):
+            return (min(_max_step(lb, d) for lb, d in zip(lx, dx)),
+                    min(_max_step(lb, d) for lb, d in zip(lz, dz)))
 
         # Predictor (affine scaling).
-        rc_aff = [-xb for xb in x]
-        dx_a, dy_a, dz_a = direction(rc_aff)
-        ap = min([1.0] + [_max_step(xb, d) for xb, d in zip(x, dx_a)])
-        ad = min([1.0] + [_max_step(zb, d) for zb, d in zip(z, dz_a)])
+        dx_a, dz_a = direction([-xb for xb in x], dy_aff)
+        ap, ad = (min(1.0, step) for step in max_steps(dx_a, dz_a))
         mu_aff = sum(
-            float(np.sum((xb + ap * dxb) * (zb + ad * dzb)))
+            np.vdot(xb + ap * dxb, zb + ad * dzb).real
             for xb, dxb, zb, dzb in zip(x, dx_a, z, dz_a)
         ) / total_dim
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-8)) if mu > 0 else 0.1
 
         # Corrector: recentre at sigma * mu.
-        rc = [sigma * mu * zib - xb for xb, zib in zip(x, z_inv)]
-        dx, dy, dz = direction(rc)
-        ap = min([1.0] + [0.98 * _max_step(xb, d) for xb, d in zip(x, dx)])
-        ad = min([1.0] + [0.98 * _max_step(zb, d) for zb, d in zip(z, dz)])
+        dy = dy_aff + sigma * mu * dy_cen
+        dx, dz = direction(
+            [sigma * mu * zib - xb for xb, zib in zip(x, z_inv)], dy)
+        step_x, step_z = max_steps(dx, dz)
+        ap, ad = min(1.0, 0.98 * step_x), min(1.0, 0.98 * step_z)
         if not (np.isfinite(ap) and np.isfinite(ad)) or min(ap, ad) <= 1e-12:
             # Vanishing step: back off further from the boundary.
-            ap = min([1.0] + [0.9 * _max_step(xb, d) for xb, d in zip(x, dx)])
-            ad = min([1.0] + [0.9 * _max_step(zb, d) for zb, d in zip(z, dz)])
+            ap, ad = min(1.0, 0.9 * step_x), min(1.0, 0.9 * step_z)
         x = [xb + ap * dxb for xb, dxb in zip(x, dx)]
         z = [zb + ad * dzb for zb, dzb in zip(z, dz)]
         y = y + ad * dy
+        record.update(sigma=float(sigma), step_primal=float(ap),
+                      step_dual=float(ad), schur=path)
 
-    pval = sum(float(np.sum(cb * xb)) for cb, xb in zip(c_blocks, x))
+    pval = sum(np.vdot(cb, xb).real for cb, xb in zip(c_blocks, x))
     dval = float(b @ y)
     sol = SDPSolution(
-        primal=pval,
-        dual=dval,
-        x_blocks=rf.back(x),
-        y=y.copy(),
-        z_blocks=rf.back(z),
-        gap=dval - pval,
-        iterations=it,
-        status=status,
+        primal=float(pval), dual=dval,
+        x_blocks=tuple(xb.astype(complex) for xb in x), y=y.copy(),
+        z_blocks=tuple(zb.astype(complex) for zb in z),
+        gap=dval - float(pval), iterations=it, status=status,
         history=tuple(history),
     )
     if status != "optimal":
@@ -377,15 +376,16 @@ def export_sdpa(problem: SDPProblem) -> str:
     F_i = A_i and c = b; complex blocks are exported in their real
     embedding. Reals are printed as %.16e.
     """
-    rf = _RealForm(problem)
-    lines = []
-    lines.append(f"{problem.m}")
-    lines.append(f"{len(rf.sizes)}")
-    lines.append(" ".join(str(n) for n in rf.sizes))
-    lines.append(" ".join("%.16e" % v for v in rf.b))
+    cplx = _complex_blocks(problem)
+    lines = [
+        f"{problem.m}", f"{len(cplx)}",
+        " ".join(str(2 * n if cp else n) for n, cp in zip(problem.block_sizes, cplx)),
+        " ".join("%.16e" % rhs for _, rhs in problem.constraints),
+    ]
 
     def emit(mat_no, blocks):
-        for blk_no, mat in enumerate(blocks, start=1):
+        for blk_no, (mat, cp) in enumerate(zip(blocks, cplx), start=1):
+            mat = _embed(mat) if cp else np.real(mat)
             n = mat.shape[0]
             for i in range(n):
                 for j in range(i, n):
@@ -395,9 +395,9 @@ def export_sdpa(problem: SDPProblem) -> str:
                             f"{mat_no} {blk_no} {i + 1} {j + 1} " + "%.16e" % v
                         )
 
-    emit(0, rf.c_blocks)
-    for i in range(problem.m):
-        emit(i + 1, rf.a_ops[i])
+    emit(0, problem.objective)
+    for i, (ops, _) in enumerate(problem.constraints, start=1):
+        emit(i, ops)
     return "\n".join(lines) + "\n"
 
 

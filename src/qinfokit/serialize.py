@@ -225,6 +225,26 @@ def channel_from_doc(doc: dict, where: str = "channel") -> Channel:
     return Channel(din, dout, kraus)
 
 
+def system_from_doc(doc: dict, where: str = "system") -> tuple:
+    """(dim, spanning matrices) of an operator-system document."""
+    dim = _need_int(doc, "dim", where)
+    if dim <= 0:
+        raise FormatError(f"{where}: dim must be positive")
+    basis_doc = _need(doc, "basis", where)
+    if not isinstance(basis_doc, list) or not basis_doc:
+        raise FormatError(f"{where}: basis must be a non-empty array")
+    spanning = [
+        matrix_from_doc(b, f"{where}.basis[{i}]")
+        for i, b in enumerate(basis_doc)
+    ]
+    for i, mat in enumerate(spanning):
+        if mat.shape != (dim, dim):
+            raise FormatError(
+                f"{where}.basis[{i}]: {mat.shape[0]}x{mat.shape[1]} matrix, "
+                f"dim is {dim}")
+    return dim, spanning
+
+
 def code_to_doc(code: Code) -> dict:
     return {
         "kind": "code",

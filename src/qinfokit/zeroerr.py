@@ -267,11 +267,31 @@ def _phi_projector(n: int, dc: int) -> np.ndarray:
     return np.outer(phi, np.conj(phi))
 
 
+def _unit_hermitian_basis(n: int) -> np.ndarray:
+    """Canonical HS-orthonormal Hermitian basis of M_n, stacked: E_ii,
+    then (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2 for i < j."""
+    i, j = np.triu_indices(n, 1)
+    k = np.arange(len(i))
+    out = np.zeros((n * n, n, n), dtype=complex)
+    out[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    out[n + k, i, j] = out[n + k, j, i] = 1.0 / math.sqrt(2.0)
+    out[n + len(k) + k, i, j] = 1j / math.sqrt(2.0)
+    out[n + len(k) + k, j, i] = -1j / math.sqrt(2.0)
+    return out
+
+
+def _kron_all(ts: list, n: int, hs: np.ndarray) -> np.ndarray:
+    """np.kron(t, h) for every n x n t in ts and h in hs (t-major), stacked."""
+    d = hs.shape[1]
+    prod = np.einsum("pij,qab->pqiajb", np.reshape(ts, (len(ts), n, n)), hs)
+    return prod.reshape(len(ts) * len(hs), n * d, n * d)
+
+
 def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
     """(primal SDPProblem, dual SDPProblem) for the theta of S."""
     n = s.dim
     dc = n if dc is None else int(dc)
-    herm_dc = _hermitian_basis(_full_basis(dc))
+    herm_dc = _unit_hermitian_basis(dc)
     phi_proj = _phi_projector(n, dc)
 
     # Primal: variable W = I (x) rho + M'; the feasible span is
@@ -287,51 +307,31 @@ def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
             traceless.append(h / nrm)
     traceless = _hermitian_basis(traceless)
     cons = [((np.eye(n * dc, dtype=complex),), float(n))]
-    for t in traceless:
-        for h in herm_dc:
-            cons.append(((np.kron(t, h),), 0.0))
+    cons += [((op,), 0.0) for op in _kron_all(traceless, n, herm_dc)]
     primal = sdpcore.SDPProblem((n * dc,), (phi_proj,), tuple(cons))
 
     # Dual: min lambda with Y = X1 + PhiPhi in S (x) M_dc,
     # X2 = lambda I - Tr_A[Y] >= 0, lambda carried as a 1x1 block.
-    perp_herm = _hermitian_basis(s.perp_basis())
+    perp_ops = _kron_all(_hermitian_basis(s.perp_basis()), n, herm_dc)
+    perp_rhs = -np.einsum("kij,ij->k", perp_ops.conj(), phi_proj).real
     tr_a_phi = matkit.partial_trace(phi_proj, (n, dc), {1})
-    cons_d = []
-    for t in perp_herm:
-        for h in herm_dc:
-            op = np.kron(t, h)
-            rhs = -float(np.real(matkit.hs_inner(op, phi_proj)))
-            cons_d.append((
-                (op, np.zeros((dc, dc)), np.zeros((1, 1))),
-                rhs,
-            ))
-    for h in herm_dc:
+    zero_dc, zero_1 = np.zeros((dc, dc)), np.zeros((1, 1))
+    cons_d = [
+        ((op, zero_dc, zero_1), float(rhs))
+        for op, rhs in zip(perp_ops, perp_rhs)
+    ]
+    for h, op in zip(herm_dc, _kron_all([np.eye(n)], n, herm_dc)):
         cons_d.append((
-            (
-                np.kron(np.eye(n, dtype=complex), h),
-                h,
-                -np.real(np.trace(h)) * np.ones((1, 1)),
-            ),
+            (op, h, -np.real(np.trace(h)) * np.ones((1, 1))),
             -float(np.real(matkit.hs_inner(h, tr_a_phi))),
         ))
     zero_big = np.zeros((n * dc, n * dc))
-    zero_dc = np.zeros((dc, dc))
     dual = sdpcore.SDPProblem(
         (n * dc, dc, 1),
         (zero_big, zero_dc, -np.ones((1, 1))),
         tuple(cons_d),
     )
     return primal, dual
-
-
-def _full_basis(n: int) -> list[np.ndarray]:
-    out = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            out.append(e)
-    return out
 
 
 def theta_tilde(s: OperatorSystem, dc: int | None = None,

@@ -127,7 +127,7 @@ def test_criterion_06_theta_sdp():
     for n in (2, 3):
         t1 = time.time()
         r = zeroerr.theta_tilde(
-            zeroerr.operator_system(n, zeroerr._full_basis(n))
+            zeroerr.graph_op_system(zeroerr.complete_graph(n))
         )
         worst_solve = max(worst_solve, time.time() - t1)
         ok &= abs(r.value - 1.0) <= 1e-4 and abs(r.gap) <= 1e-6

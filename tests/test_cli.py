@@ -150,6 +150,25 @@ def test_theta_complete_graph_command(tmp_path, capsys):
     assert rep["theta"] == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", "x", "system: dim must be an integer"),
+    ("dim", None, "system: dim must be an integer"),
+    ("dim", 1.5, "system: dim must be an integer"),
+    ("dim", True, "system: dim must be an integer"),
+    ("dim", 0, "system: dim must be positive"),
+    ("dim", -1, "system: dim must be positive"),
+    ("dim", 3, "system.basis[0]: 2x2 matrix, dim is 3"),
+    ("basis", [], "system: basis must be a non-empty array"),
+])
+def test_malformed_theta_system_exits_2(tmp_path, capsys, field, value, message):
+    doc = {"dim": 2, "basis": [serialize.matrix_to_doc(np.eye(2))]}
+    doc[field] = value
+    path = write_doc(tmp_path / "system.json", doc)
+    code, _, err = run_cli(capsys, "theta", path)
+    assert code == 2
+    assert err == f"input error: {message}\n"
+
+
 def test_qec_check_and_recover_commands(tmp_path, capsys):
     w = np.zeros((8, 2))
     w[0, 0] = w[7, 1] = 1.0

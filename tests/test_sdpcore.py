@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinfokit import sdpcore
 from qinfokit.errors import DimensionError
@@ -84,28 +86,70 @@ def test_deterministic_across_runs():
 
 
 def test_hermitian_embedding_roundtrip():
-    # Random diagonal Hermitian SDP: the real-embedded solve must
-    # reproduce the plain real solve. A vanishing imaginary entry forces
-    # the embedded code path without changing the optimum.
+    # A genuinely complex objective C = U diag(d) U^dag (U a complex
+    # unitary) under Tr X = 1: the optimum is max d, attained at the
+    # projector onto U's column for it.
     rng = np.random.default_rng(90)
     for _ in range(5):
         d = rng.standard_normal(3)
-        c_complex = np.diag(d).astype(complex)
-        c_complex[0, 1] = 1e-30j
-        c_complex[1, 0] = -1e-30j
-        cons = (((np.eye(3),), 1.0),)
-        embedded = sdpcore.solve(
-            sdpcore.SDPProblem((3,), (c_complex,), cons), tol=1e-9
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        u, _ = np.linalg.qr(g)
+        c = u @ np.diag(d) @ u.conj().T
+        assert np.linalg.norm(c.imag) > 1e-3
+        sol = sdpcore.solve(
+            sdpcore.SDPProblem((3,), (c,), (((np.eye(3),), 1.0),)), tol=1e-9
         )
-        plain = sdpcore.solve(
-            sdpcore.SDPProblem((3,), (np.diag(d),), cons), tol=1e-9
-        )
-        assert embedded.status == plain.status == "optimal"
-        assert abs(embedded.primal - plain.primal) <= 1e-8
-        assert embedded.primal == pytest.approx(float(np.max(d)), abs=1e-6)
-        x = embedded.x_blocks[0]
+        assert sol.status == "optimal"
+        assert sol.primal == pytest.approx(float(np.max(d)), abs=1e-7)
+        x = sol.x_blocks[0]
         assert np.linalg.norm(x - x.conj().T) <= 1e-10
         assert abs(np.trace(x).real - 1.0) <= 1e-7
+        top = u[:, np.argmax(d)]
+        assert np.vdot(top, x @ top).real == pytest.approx(1.0, abs=1e-6)
+
+
+def random_feasible_complex_sdp(seed: int, n: int, k: int):
+    # Strictly feasible on both sides, so the optimum is attained with no
+    # duality gap: b = A(X0) for X0 > 0 and C = A^T(y0) - Z0 for Z0 > 0.
+    # Tr X = 1 among the constraints keeps the feasible set bounded.
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return (g + g.conj().T) / 2.0
+
+    def pos():
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.eye(n) + g @ g.conj().T / n
+
+    ops = [np.eye(n)] + [herm() for _ in range(k)]
+    x0 = pos()
+    x0 /= np.trace(x0).real
+    y0 = rng.standard_normal(len(ops))
+    c = sum(yi * a for yi, a in zip(y0, ops)) - pos()
+    cons = tuple(((a,), float(np.vdot(a, x0).real)) for a in ops)
+    return c, cons
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+       k=st.integers(0, 4))
+def test_native_complex_solve_matches_real_embedding(seed, n, k):
+    c, cons = random_feasible_complex_sdp(seed, n, k)
+    native = sdpcore.solve(sdpcore.SDPProblem((n,), (c,), cons), tol=1e-9)
+    embedded = sdpcore.solve(sdpcore.SDPProblem(
+        (2 * n,), (sdpcore._embed(c),),
+        tuple(((sdpcore._embed(a),), rhs) for (a,), rhs in cons),
+    ), tol=1e-9)
+    scale = 1.0 + abs(embedded.primal)
+    assert abs(native.primal - embedded.primal) <= 1e-6 * scale
+    assert abs(native.dual - embedded.dual) <= 1e-6 * scale
+    # Weak duality at the returned point and along the near-feasible
+    # iterates.
+    assert native.primal <= native.dual + 1e-8 * scale
+    for rec in native.history:
+        if rec["pinf"] <= 1e-9 and rec["dinf"] <= 1e-9:
+            assert rec["primal"] <= rec["dual"] + 1e-8 * scale
 
 
 def test_solve_complex_rank_one_objective():
@@ -152,6 +196,10 @@ def test_redundant_constraints():
     sol = sdpcore.solve(dup)
     assert sol.status == "optimal"
     assert sol.primal == pytest.approx(1.0, abs=1e-6)
+    # Cholesky may succeed on the singular matrix with a tiny pivot; the
+    # pivot test sends every iteration to the eigensolve.
+    assert [rec["schur"] for rec in sol.history[:-1]] == \
+        ["eig"] * (sol.iterations - 1)
     # Inconsistent duplicates (Tr X = 1 and Tr X = 2) admit no X.
     clash = sdpcore.SDPProblem(
         (2,), (np.eye(2),),
@@ -159,6 +207,20 @@ def test_redundant_constraints():
     )
     with pytest.raises(Infeasible):
         sdpcore.solve(clash)
+
+
+def test_history_records_each_step():
+    sol = sdpcore.solve(
+        sdpcore.lovasz_theta_problem(5, [(i, (i + 1) % 5) for i in range(5)]))
+    *steps, last = sol.history
+    assert steps and all(rec["schur"] == "cholesky" for rec in steps)
+    for rec in steps:
+        assert 0.0 < rec["sigma"] <= 1.0
+        assert 0.0 < rec["step_primal"] <= 1.0
+        assert 0.0 < rec["step_dual"] <= 1.0
+    # The final record is the convergence check: no step is taken.
+    assert (last["sigma"], last["step_primal"], last["step_dual"],
+            last["schur"]) == (None, None, None, None)
 
 
 def test_max_iter_raises_solver_failure():

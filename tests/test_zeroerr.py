@@ -133,7 +133,7 @@ def test_verify_independent_states():
     assert zeroerr.verify_independent_states(s, [e[:, 0], e[:, 2]])
     assert not zeroerr.verify_independent_states(s, [e[:, 0], e[:, 1]])
     # Against S = M_n only a single state passes.
-    full = zeroerr.operator_system(2, zeroerr._full_basis(2))
+    full = zeroerr.graph_op_system(zeroerr.complete_graph(2))
     v = np.eye(2)
     assert zeroerr.verify_independent_states(full, [v[:, 0]])
     assert not zeroerr.verify_independent_states(full, [v[:, 0], v[:, 1]])
@@ -158,7 +158,7 @@ def test_alpha_of_graph_system_matches_graph():
 
 def test_theta_full_matrix_algebra():
     for n in (2, 3):
-        s = zeroerr.operator_system(n, zeroerr._full_basis(n))
+        s = zeroerr.graph_op_system(zeroerr.complete_graph(n))
         r = zeroerr.theta_tilde(s)
         assert r.value == pytest.approx(1.0, abs=1e-4)
         assert r.gap <= 1e-6 * (1 + abs(r.value))
@@ -182,7 +182,7 @@ def test_theta_c5_matches_classical_lovasz():
 def test_theta_monotone_under_inclusion():
     diag3 = zeroerr.graph_op_system(zeroerr.empty_graph(3))
     p3 = zeroerr.graph_op_system(zeroerr.Graph(3, frozenset({(0, 1), (1, 2)})))
-    full = zeroerr.operator_system(3, zeroerr._full_basis(3))
+    full = zeroerr.graph_op_system(zeroerr.complete_graph(3))
     t_diag = zeroerr.theta_tilde(diag3).value
     t_p3 = zeroerr.theta_tilde(p3).value
     t_full = zeroerr.theta_tilde(full).value
@@ -247,7 +247,7 @@ def test_theta_four_vertex_graphs_equal_alpha(name):
 # --- witness evaluation -----------------------------------------------------------
 
 def test_witness_zero_gives_one():
-    s = zeroerr.operator_system(3, zeroerr._full_basis(3))
+    s = zeroerr.graph_op_system(zeroerr.complete_graph(3))
     assert zeroerr.theta_lower_from_witness(s, np.zeros((3, 3))) == pytest.approx(1.0)
 
 
