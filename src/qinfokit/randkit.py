@@ -35,8 +35,10 @@ def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-random unitary via complex Ginibre + QR.
 
     The columns of Q are multiplied by the phases of R's diagonal, which
-    corrects the non-uniformity of plain QR. This is the only sampling
-    recipe used in the package.
+    corrects the non-uniformity of plain QR (Mezzadri, Notices AMS 2007).
+    ``haar_unitary_batch`` computes the same unitary for many draws at
+    once by Gram-Schmidt; a single matrix stays on LAPACK QR, which is
+    faster at batch size one.
     """
     if d < 1:
         raise DimensionError("haar_unitary needs d >= 1")
@@ -48,13 +50,34 @@ def haar_unitary(d: int, rng) -> np.ndarray:
     return q
 
 
-def haar_unitary_batch(d: int, count: int, rng) -> np.ndarray:
-    """Stacked Haar unitaries of shape (count, d, d); same recipe as above."""
-    z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+def haar_unitary_batch(d: int, count: int, rng, cols: int | None = None
+                       ) -> np.ndarray:
+    """Stacked Haar unitaries of shape (count, d, d), or with ``cols=r``
+    Haar isometries of shape (count, d, r): the first r columns of one.
+
+    Same recipe as ``haar_unitary``, computed over the whole batch by
+    classical Gram-Schmidt applied twice ("twice is enough"). Its R factor
+    has a real positive diagonal, so by uniqueness of that QR factor the
+    result is the phase-corrected Q of LAPACK QR on the same Ginibre draws
+    (real parts drawn first, then imaginary, each as (count, d, cols)).
+    Columns are laid out (cols, d, count), so every step is one array
+    operation over the batch; the result is a transposed view of that.
+    """
+    cols = d if cols is None else int(cols)
+    if d < 1 or not 1 <= cols <= d:
+        raise DimensionError("haar_unitary_batch needs d >= 1 and 1 <= cols <= d")
+    shape = (count, d, cols)
+    z = np.empty((cols, d, count), dtype=complex)
+    z.real = rng.standard_normal(shape).transpose(2, 1, 0)
+    z.imag = rng.standard_normal(shape).transpose(2, 1, 0)
+    for j in range(cols):
+        v = z[j]
+        for _ in range(2 if j else 0):
+            coef = [np.einsum("an,an->n", z[k].conj(), v) for k in range(j)]
+            for k, c in enumerate(coef):
+                v -= z[k] * c
+        v /= np.linalg.norm(v, axis=0)
+    return z.transpose(2, 1, 0)
 
 
 def random_pure(dims, rng) -> PureState:
@@ -100,6 +123,8 @@ class MatrixDistribution:
     kind 'random_psd_bounded': uniform spectrum on a clipped interval
     around mu in a fresh Haar basis; mean mu * I.
     kind 'custom': finite support with weights; mean whatever it is.
+    A drawn support matrix is rebuilt from the eigendecomposition of
+    its Hermitian part, so it matches the input to rounding.
     """
 
     kind: str
@@ -122,6 +147,8 @@ class MatrixDistribution:
 
     @staticmethod
     def random_psd_bounded(dim: int, mu: float) -> "MatrixDistribution":
+        if dim < 1:
+            raise DimensionError("dim must be >= 1")
         if not (0.0 < mu < 1.0):
             raise DomainError("mu must be strictly inside (0, 1)")
         return MatrixDistribution("random_psd_bounded", dim, mu)
@@ -152,32 +179,43 @@ class MatrixDistribution:
         m = self.mean()
         return bool(np.linalg.norm(m - self.mu * np.eye(self.dim)) <= tol)
 
-    def sample_batch(self, count: int, rng) -> np.ndarray:
-        """(count, dim, dim) stack of i.i.d. samples."""
+    def sample_factors(self, count: int, rng) -> tuple:
+        """Factors (frames, weights) of ``count`` i.i.d. samples,
+        X_i = F_i diag(w_i) F_i^dag with F_i of shape (dim, r).
+
+        frames is (count, dim, r) and weights (count, r). frames is None
+        when every F_i is the identity (the full-rank projector), so no
+        Haar draw is made and each X_i is diag(w_i).
+        """
         d = self.dim
         if self.kind == "bernoulli_projector":
-            p = self.mu * d / self.rank
-            on = rng.random(count) < p
+            on = rng.random(count) < self.mu * d / self.rank
+            weights = np.repeat(on.astype(float)[:, None], self.rank, axis=1)
             if self.rank == d:
-                out = np.zeros((count, d, d), dtype=complex)
-                out[on] = np.eye(d)
-                return out
-            us = haar_unitary_batch(d, count, rng)
-            proj = np.zeros((d, d), dtype=complex)
-            proj[: self.rank, : self.rank] = np.eye(self.rank)
-            out = us @ proj @ np.conj(np.swapaxes(us, -1, -2))
-            out[~on] = 0.0
-            return out
+                return None, weights
+            return haar_unitary_batch(d, count, rng, cols=self.rank), weights
         if self.kind == "random_psd_bounded":
             lo = max(0.0, 2.0 * self.mu - 1.0)
             hi = min(1.0, 2.0 * self.mu)
-            eigs = rng.uniform(lo, hi, size=(count, d))
-            us = haar_unitary_batch(d, count, rng)
-            return (us * eigs[:, None, :]) @ np.conj(np.swapaxes(us, -1, -2))
+            weights = rng.uniform(lo, hi, size=(count, d))
+            return haar_unitary_batch(d, count, rng), weights
         if self.kind == "custom":
             idx = rng.choice(len(self.support), size=count, p=self.weights)
-            return np.stack(self.support)[idx]
+            sup = np.stack(self.support)
+            vals, vecs = np.linalg.eigh((sup + np.conj(np.swapaxes(sup, -1, -2))) / 2.0)
+            return vecs[idx], vals[idx]
         raise ValueError(f"unknown distribution kind {self.kind!r}")
+
+    def sample_batch(self, count: int, rng) -> np.ndarray:
+        """(count, dim, dim) stack of i.i.d. samples: the product of
+        ``sample_factors``."""
+        frames, weights = self.sample_factors(count, rng)
+        if frames is None:
+            out = np.zeros((count, self.dim, self.dim), dtype=complex)
+            idx = np.arange(self.dim)
+            out[:, idx, idx] = weights
+            return out
+        return (frames * weights[:, None, :]) @ np.conj(np.swapaxes(frames, -1, -2))
 
     def sample(self, rng) -> np.ndarray:
         return self.sample_batch(1, rng)[0]
@@ -195,6 +233,8 @@ def matrix_markov_check(dist: MatrixDistribution, a: np.ndarray,
 
     A must be positive definite; M is the distribution mean.
     """
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     a = matkit.asmatrix(a)
     vals = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
     if vals.min() <= 0:
@@ -220,6 +260,39 @@ def binary_divergence(alpha: float, mu: float) -> float:
     return val
 
 
+def _gram_means(frames: np.ndarray, weights: np.ndarray, n: int
+                ) -> np.ndarray:
+    """(take, d, d) means of consecutive runs of n factored samples.
+
+    A trial's mean sum_i F_i diag(w_i) F_i^dag / n is a Gram product over
+    its n samples, one per frame column, so the (take n, d, d) stack of
+    samples is never formed. Each product reads a strided view of the
+    frames; one (d, n r) product would first need a copy of all of them.
+    """
+    count, d, r = frames.shape
+    f = frames.reshape(count // n, n, d, r)
+    w = weights.reshape(count // n, n, 1, r)
+    total = 0
+    for j in range(r):
+        col = f[..., j]
+        # (conj(F) w)^T F is the conjugate of this column's share of the sum.
+        total = total + np.swapaxes(np.conj(col) * w[..., j], 1, 2) @ col
+    return np.conj(total) / n
+
+
+def _trial_spectra(dist: MatrixDistribution, n: int, take: int, rng
+                   ) -> np.ndarray:
+    """(take, d) eigenvalues of the means of ``take`` trials of n samples.
+
+    With identity frames the means are diagonal and their eigenvalues are
+    the averaged weights, so no matrix is formed at all.
+    """
+    frames, weights = dist.sample_factors(take * n, rng)
+    if frames is None:
+        return weights.reshape(take, n, dist.dim).mean(axis=1)
+    return np.linalg.eigvalsh(_gram_means(frames, weights, n))
+
+
 def tail_bound_experiment(dist: MatrixDistribution, n: int, alpha: float,
                           trials: int, rng) -> dict:
     """Ahlswede-Winter tail experiment for the empirical mean of n samples.
@@ -228,28 +301,27 @@ def tail_bound_experiment(dist: MatrixDistribution, n: int, alpha: float,
     for alpha < mu it is the lower-tail event (not >=). Both are bounded
     by d * exp(-n * D(alpha || mu)). Requires E[X] = mu * I.
     """
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     if not dist.is_isotropic():
         raise MeanNotIsotropic("tail bound needs an isotropic mean")
     mu = dist.mu
     if alpha == mu:
         raise DomainError("alpha must differ from mu")
     d = dist.dim
-    target = alpha * np.eye(d)
+    bound = d * math.exp(-n * binary_divergence(alpha, mu))
     hits = 0
     # Sample in chunks to keep memory under control at large trial counts.
-    chunk = max(1, min(trials, 200_000 // max(1, n)))
+    chunk = max(1, min(trials, 200_000 // n))
     done = 0
     while done < trials:
         take = min(chunk, trials - done)
-        xs = dist.sample_batch(take * n, rng).reshape(take, n, d, d)
-        means = xs.mean(axis=1)
-        if alpha > mu:
-            bad = _not_leq(means, target)
-        else:
-            bad = _not_leq(-means, -target)
-        hits += int(np.sum(bad))
+        vals = _trial_spectra(dist, n, take, rng)
+        gaps = alpha - vals if alpha > mu else vals - alpha
+        hits += int(np.sum(gaps.min(axis=1) < -PSD_DECISION_TOL))
         done += take
-    bound = d * math.exp(-n * binary_divergence(alpha, mu))
     return {
         "empirical_prob": hits / trials,
         "aw_bound": bound,

@@ -40,24 +40,66 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-def canonical_dumps(doc) -> str:
-    """Deterministic JSON text: sorted keys, %.17g reals."""
+class _RealTexts(dict):
+    """float -> canonical text; each distinct value is formatted once."""
 
-    def render(obj):
-        if isinstance(obj, dict):
-            items = sorted(obj.items())
-            inner = ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items)
-            return "{" + inner + "}"
-        if isinstance(obj, (list, tuple)):
-            return "[" + ",".join(render(v) for v in obj) + "]"
-        if isinstance(obj, bool):
+    def __missing__(self, x: float) -> str:
+        text = self[x] = _fmt_float(x)
+        return text
+
+
+def _float_pairs(seq) -> list | None:
+    """The reals of a non-empty run of [re, im] float pairs (a matrix row
+    or a vector), flattened; None for anything else."""
+    if not seq or set(map(type, seq)) != {list} or set(map(len, seq)) != {2}:
+        return None
+    flat = list(chain.from_iterable(seq))
+    return flat if set(map(type, flat)) == {float} else None
+
+
+def canonical_dumps(doc) -> str:
+    """Deterministic JSON text: sorted keys, %.17g reals.
+
+    JSON scalars are dispatched on their exact type; containers and any
+    other type (numpy scalars, subclasses of the JSON types) go through
+    ``isinstance`` checks. A run of [re, im] float pairs is written by one
+    formatting call, and each distinct real is formatted once per call,
+    which matters for dense matrices with few distinct entries (Paulis,
+    projectors).
+    """
+    reals = _RealTexts()
+
+    def render_dict(obj) -> str:
+        items = sorted(obj.items())
+        return "{" + ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items) + "}"
+
+    def render_list(obj) -> str:
+        flat = _float_pairs(obj)
+        if flat is None:
+            return "[" + ",".join(map(render, obj)) + "]"
+        template = "[" + ",".join(["[%s,%s]"] * len(obj)) + "]"
+        return template % tuple(map(reals.__getitem__, flat))
+
+    def render(obj) -> str:
+        kind = type(obj)
+        if kind is float:
+            return reals[obj]
+        if kind is int:
+            return str(obj)
+        if kind is str:
+            return json.dumps(obj)
+        if kind is bool:
             return "true" if obj else "false"
+        if obj is None:
+            return "null"
+        if isinstance(obj, dict):
+            return render_dict(obj)
+        if isinstance(obj, (list, tuple)):
+            return render_list(obj)
         if isinstance(obj, (int, np.integer)):
             return str(int(obj))
         if isinstance(obj, (float, np.floating)):
-            return _fmt_float(float(obj))
-        if obj is None:
-            return "null"
+            return reals[float(obj)]
         if isinstance(obj, str):
             return json.dumps(obj)
         raise FormatError(f"cannot serialize {type(obj).__name__}")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qinfokit import cli, qec, serialize
 from qinfokit.channels import Channel
+from qinfokit.errors import FormatError
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,86 @@ def test_canonical_roundtrip_byte_identical():
     text = serialize.canonical_dumps(doc)
     again = serialize.canonical_dumps(json.loads(text))
     assert text == again
+
+
+def _reference_dumps(doc):
+    """The original value-by-value renderer, kept as the oracle."""
+
+    def render(obj):
+        if isinstance(obj, dict):
+            items = sorted(obj.items())
+            inner = ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items)
+            return "{" + inner + "}"
+        if isinstance(obj, (list, tuple)):
+            return "[" + ",".join(render(v) for v in obj) + "]"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return serialize._fmt_float(float(obj))
+        if obj is None:
+            return "null"
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        raise FormatError(f"cannot serialize {type(obj).__name__}")
+
+    return render(doc) + "\n"
+
+
+class _Float(float):
+    pass
+
+
+_SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e300]),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.floats(allow_nan=False).map(np.float64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.integers(-2 ** 31, 2 ** 31).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+    st.just(np.bool_(True)),
+    st.just(1j),
+)
+_PAIRS = st.one_of(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]), min_size=2, max_size=2),
+    st.lists(_SCALARS, min_size=1, max_size=3),
+)
+# Runs of [re, im] pairs, as in matrix rows, with the odd non-pair entry.
+_ROWS = st.lists(_PAIRS, min_size=1, max_size=5)
+_DOCS = st.recursive(
+    st.one_of(_SCALARS, _PAIRS, _ROWS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def _outcome(dumps, doc):
+    try:
+        return dumps(doc)
+    except FormatError as exc:
+        return ("FormatError", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_DOCS)
+def test_canonical_dumps_matches_reference_renderer(doc):
+    assert _outcome(serialize.canonical_dumps, doc) == _outcome(_reference_dumps, doc)
+
+
+def test_canonical_dumps_dense_matrices_match_reference_renderer():
+    rng = np.random.default_rng(139)
+    for m in (qec.one_paulis(3)[5], rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))):
+        doc = {"kind": "channel", "kraus": [serialize.matrix_to_doc(m)], "din": 8}
+        assert serialize.canonical_dumps(doc) == _reference_dumps(doc)
 
 
 def test_state_doc_roundtrip(tmp_path):
@@ -412,6 +493,23 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
     assert code == 1
     rep = json.loads(err)
     assert rep["error"] == "KLViolated"
+
+
+@pytest.mark.parametrize("option, value, reason", [
+    ("--trials", "0", "trials must be >= 1"),
+    ("--trials", "-1", "trials must be >= 1"),
+    ("--n", "0", "n must be >= 1"),
+    ("--n", "-3", "n must be >= 1"),
+    ("--alpha", "1.5", "alpha must be in [0, 1]"),
+])
+def test_tailbound_domain_errors_exit_1(capsys, option, value, reason):
+    argv = {"--n": "50", "--alpha": "0.7", "--trials": "100", option: value}
+    code, out, err = run_cli(
+        capsys, "--json", "tailbound", "--dist", "psd", "--d", "2",
+        *[token for pair in argv.items() for token in pair],
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "DomainError", "reason": reason}
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -6,6 +6,7 @@ from scipy import stats as scipy_stats
 
 from qinfokit import randkit, states
 from qinfokit.errors import (
+    DimensionError,
     DomainError,
     MeanNotIsotropic,
     NotHermitian,
@@ -29,6 +30,39 @@ def test_haar_unitary_is_unitary():
         assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-12
     u1 = randkit.haar_unitary(1, rng)
     assert abs(abs(u1[0, 0]) - 1.0) <= 1e-12
+
+
+def _lapack_haar(d, count, rng, cols):
+    """Phase-corrected LAPACK QR on the draws haar_unitary_batch makes."""
+    z = (rng.standard_normal((count, d, cols))
+         + 1j * rng.standard_normal((count, d, cols)))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_haar_batch_matches_lapack_qr(d):
+    for cols in sorted({1, max(1, d // 2), d}):
+        got = randkit.haar_unitary_batch(d, 500, np.random.default_rng(d), cols=cols)
+        want = _lapack_haar(d, 500, np.random.default_rng(d), cols)
+        assert got.shape == (500, d, cols)
+        assert np.abs(got - want).max() <= 1e-12
+    full = randkit.haar_unitary_batch(d, 50, np.random.default_rng(7))
+    assert np.abs(full - _lapack_haar(d, 50, np.random.default_rng(7), d)).max() <= 1e-12
+
+
+def test_haar_batch_orthonormal_at_scale():
+    us = randkit.haar_unitary_batch(4, 50_000, np.random.default_rng(119))
+    gram = np.conj(np.swapaxes(us, -1, -2)) @ us
+    assert np.abs(gram - np.eye(4)).max() <= 1e-13
+
+
+def test_haar_batch_rejects_bad_columns():
+    rng = np.random.default_rng(0)
+    for d, cols in ((0, None), (3, 0), (3, 4)):
+        with pytest.raises(DimensionError):
+            randkit.haar_unitary_batch(d, 5, rng, cols=cols)
 
 
 def test_haar_mean_projector_depolarizes():
@@ -147,6 +181,25 @@ def test_tail_bound_lower_tail():
     assert rep["empirical_prob"] <= rep["aw_bound"] + 3 * sigma
 
 
+@pytest.mark.parametrize("n, trials", [(0, 10), (-3, 10), (10, 0), (10, -1)])
+def test_tail_bound_rejects_empty_experiments(n, trials):
+    dist = randkit.MatrixDistribution.bernoulli_projector(2, 0.5)
+    with pytest.raises(DomainError):
+        randkit.tail_bound_experiment(dist, n, 0.7, trials, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+def test_psd_bounded_rejects_empty_dimension(dim):
+    with pytest.raises(DimensionError):
+        randkit.MatrixDistribution.random_psd_bounded(dim, 0.5)
+
+
+def test_matrix_markov_rejects_zero_trials():
+    dist = randkit.MatrixDistribution.bernoulli_projector(2, 0.5)
+    with pytest.raises(DomainError):
+        randkit.matrix_markov_check(dist, np.eye(2), 0, np.random.default_rng(0))
+
+
 def test_tail_bound_needs_isotropic_mean():
     mats = [np.diag([1.0, 0.0]), np.zeros((2, 2))]
     dist = randkit.MatrixDistribution.custom(mats, [0.5, 0.5])
@@ -154,13 +207,54 @@ def test_tail_bound_needs_isotropic_mean():
         randkit.tail_bound_experiment(dist, 10, 0.7, 10, np.random.default_rng(0))
 
 
-def test_psd_bounded_distribution_isotropic():
-    rng = np.random.default_rng(132)
-    dist = randkit.MatrixDistribution.random_psd_bounded(3, 0.4)
-    xs = dist.sample_batch(2000, rng)
+_FACTORED = {
+    "bernoulli": randkit.MatrixDistribution.bernoulli_projector(3, 0.5),
+    "projector-1": randkit.MatrixDistribution.bernoulli_projector(3, 0.3, rank=1),
+    "projector-2": randkit.MatrixDistribution.bernoulli_projector(4, 0.4, rank=2),
+    "psd": randkit.MatrixDistribution.random_psd_bounded(3, 0.7),
+    "custom": randkit.MatrixDistribution.custom(
+        [np.diag([1.0, 0.0]), np.array([[0.5, 0.5j], [-0.5j, 0.5]]), np.zeros((2, 2))],
+        [0.3, 0.5, 0.2],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FACTORED))
+def test_fused_trial_means_match_explicit_means(name):
+    dist = _FACTORED[name]
+    d, n, take = dist.dim, 7, 30
+    explicit = dist.sample_batch(take * n, np.random.default_rng(150)).reshape(
+        take, n, d, d).mean(axis=1)
+    frames, weights = dist.sample_factors(take * n, np.random.default_rng(150))
+    if frames is None:
+        fused = np.eye(d) * weights.reshape(take, n, d).mean(axis=1)[:, None, :]
+    else:
+        fused = randkit._gram_means(frames, weights, n)
+    assert np.abs(fused - explicit).max() <= 1e-13
+    spectra = randkit._trial_spectra(dist, n, take, np.random.default_rng(150))
+    want = np.linalg.eigvalsh(explicit)
+    assert np.abs(np.sort(spectra, axis=1) - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_projector_samples_are_projectors(rank):
+    dist = randkit.MatrixDistribution.bernoulli_projector(3, 0.1 * rank, rank)
+    xs = dist.sample_batch(2000, np.random.default_rng(151))
     vals = np.linalg.eigvalsh(xs)
-    assert vals.min() >= -1e-10 and vals.max() <= 1.0 + 1e-10
-    assert np.linalg.norm(xs.mean(axis=0) - 0.4 * np.eye(3)) <= 0.05
+    assert np.abs(vals * (1.0 - vals)).max() <= 1e-12
+    ranks = np.rint(vals.sum(axis=1))
+    assert set(ranks.tolist()) <= {0.0, float(rank)}
+    assert np.abs(xs - np.conj(np.swapaxes(xs, -1, -2))).max() <= 1e-14
+
+
+def test_psd_bounded_distribution_isotropic():
+    for mu, lo, hi in ((0.4, 0.0, 0.8), (0.7, 0.4, 1.0)):
+        rng = np.random.default_rng(132)
+        dist = randkit.MatrixDistribution.random_psd_bounded(3, mu)
+        xs = dist.sample_batch(2000, rng)
+        vals = np.linalg.eigvalsh(xs)
+        assert vals.min() >= lo - 1e-12 and vals.max() <= hi + 1e-12
+        assert np.linalg.norm(xs.mean(axis=0) - mu * np.eye(3)) <= 0.05
 
 
 # --- Golden-Thompson ---------------------------------------------------------------
