@@ -19,7 +19,8 @@ print("graph operator system dimension:", len(s))
 result = zeroerr.theta_tilde(s)
 print(f"theta(S_C5) = {result.value:.8f}"
       f"  (classical Lovasz value {np.sqrt(5):.8f})")
-print(f"certificate gap: {result.gap:.2e}")
+print(f"value enclosure [{result.primal:.10f}, {result.dual:.10f}], "
+      f"width {result.gap:.2e}")
 
 classical = sdpcore.lovasz_theta(5, [(i, (i + 1) % 5) for i in range(5)])
 print(f"independent classical SDP gives {classical:.8f}")

@@ -15,6 +15,7 @@ perturbs existing outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 
@@ -248,7 +249,10 @@ def _cmd_tailbound(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged, so in-process callers of ``run`` share it)."""
     parser = argparse.ArgumentParser(
         prog="qinfokit",
         description="Batch analyses for finite-dimensional quantum information",

@@ -24,6 +24,11 @@ that drops eigen-directions below 1e-14 of the largest, so redundant
 constraints need no special handling and conditioning alone never stops
 a solve. A solve either ends optimal or raises. Only the SDPA export
 embeds complex blocks as real ones of twice the size (``_embed``).
+
+``value_enclosure`` turns one solve's primal and dual iterates into an
+interval [lower, upper] that holds the optimal value, for problems whose
+constraints fix the trace, so a program needs no second solve of its
+dual to be certified.
 """
 
 from __future__ import annotations
@@ -34,11 +39,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, Infeasible, NumericalBreakdown, SolverFailure
+from .errors import (
+    DimensionError,
+    Infeasible,
+    NumericalBreakdown,
+    SolverFailure,
+    ToolkitError,
+)
 
 SCHUR_COND_LIMIT = 1e14
 STALL_LIMIT = 30
 STALL_RESIDUAL = 1e-6
+# Widest value enclosure, relative to 1 + |upper end|, that the theta
+# functions accept as the optimum.
+ENCLOSURE_REL_WIDTH = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,6 +67,8 @@ class SDPProblem:
     objective: tuple
     constraints: tuple
 
+    _stacks: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.block_sizes)
         if any(n <= 0 for n in sizes):
@@ -60,23 +76,22 @@ class SDPProblem:
         obj = tuple(np.asarray(c, dtype=complex) for c in self.objective)
         if len(obj) != len(sizes):
             raise DimensionError("objective needs one matrix per block")
-        cons = []
-        for ops, rhs in self.constraints:
-            ops = tuple(np.asarray(a, dtype=complex) for a in ops)
-            if len(ops) != len(sizes):
-                raise DimensionError("constraint needs one matrix per block")
-            for a, n in zip(ops, sizes):
-                if a.shape != (n, n):
-                    raise DimensionError(f"constraint block {a.shape} != ({n},{n})")
-                if np.linalg.norm(a - a.conj().T) > 1e-10 * (1 + np.linalg.norm(a)):
-                    raise DimensionError("constraint operators must be Hermitian")
-            cons.append((ops, float(rhs)))
+        cons = tuple(self.constraints)
+        if any(len(ops) != len(sizes) for ops, _ in cons):
+            raise DimensionError("constraint needs one matrix per block")
+        # One (m, n, n) stack per block, checked as a whole; the public
+        # constraint tuples are views into it.
+        stacks = tuple(_constraint_stack([ops[k] for ops, _ in cons], n)
+                       for k, n in enumerate(sizes))
         for c, n in zip(obj, sizes):
             if c.shape != (n, n):
                 raise DimensionError(f"objective block {c.shape} != ({n},{n})")
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(cons))
+        object.__setattr__(self, "constraints", tuple(
+            (tuple(stack[i] for stack in stacks), float(rhs))
+            for i, (_, rhs) in enumerate(cons)))
+        object.__setattr__(self, "_stacks", stacks)
 
     @property
     def m(self) -> int:
@@ -105,12 +120,41 @@ def _embed(h: np.ndarray) -> np.ndarray:
     return 0.5 * np.block([[re, -im], [im, re]])
 
 
+def _constraint_stack(mats: list, n: int) -> np.ndarray:
+    """The (m, n, n) complex stack of one block's constraint operators.
+
+    Raises DimensionError for an operator that is not n x n, or not
+    Hermitian: |A - A^H|_F > 1e-10 (1 + |A|_F), per operator.
+    """
+    for a in mats:
+        if np.shape(a) != (n, n):
+            raise DimensionError(f"constraint block {np.shape(a)} != ({n},{n})")
+    stack = np.empty((len(mats), n, n), dtype=complex)
+    # Filled and checked 32 operators at a time, while they are in cache;
+    # on real views, |A - A^H|_F^2 = |Re A - Re A^T|_F^2 + |Im A + Im A^T|_F^2.
+    for lo in range(0, len(mats), 32):
+        chunk = stack[lo:lo + 32]
+        np.stack(mats[lo:lo + 32], out=chunk)
+        parts = chunk.view(float).reshape(*chunk.shape, 2)
+        re, im = parts[..., 0], parts[..., 1]
+        skew = _sq_norms(re - re.transpose(0, 2, 1)) + _sq_norms(im + im.transpose(0, 2, 1))
+        if np.any(skew > (1e-10 * (1 + np.sqrt(_sq_norms(parts)))) ** 2):
+            raise DimensionError("constraint operators must be Hermitian")
+    return stack
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each x[k] (x real and C-contiguous)."""
+    flat = x.reshape(len(x), -1)
+    return np.einsum("ki,ki->k", flat, flat)
+
+
 def _complex_blocks(prob: SDPProblem) -> list:
     """Per block: does its objective or a constraint have an imaginary part?"""
     return [
-        any(np.linalg.norm(np.imag(mat)) > 1e-14
-            for mat in [prob.objective[k]] + [ops[k] for ops, _ in prob.constraints])
-        for k in range(len(prob.block_sizes))
+        np.linalg.norm(np.imag(c)) > 1e-14
+        or bool(np.any(np.einsum("kij,kij->k", stack.imag, stack.imag) > 1e-28))
+        for c, stack in zip(prob.objective, prob._stacks)
     ]
 
 
@@ -138,6 +182,22 @@ def _unpack(v: np.ndarray, n: int, cplx: bool) -> np.ndarray:
     h[j, i] = h[i, j].conj()
     h[np.arange(n), np.arange(n)] = v[:n]
     return h
+
+
+def _pack_all(blocks, cplx) -> np.ndarray:
+    """Packed coordinates of a block-diagonal matrix (or, for (m, n, n)
+    stacks, of m of them), the blocks' coordinates concatenated."""
+    return np.concatenate([_pack(h, cp) for h, cp in zip(blocks, cplx)], axis=-1)
+
+
+def _unpack_all(v: np.ndarray, sizes, cplx) -> list:
+    """The blocks whose concatenated packed coordinates are v."""
+    out, lo = [], 0
+    for n, cp in zip(sizes, cplx):
+        hi = lo + (n * n if cp else n * (n + 1) // 2)
+        out.append(_unpack(v[lo:hi], n, cp))
+        lo = hi
+    return out
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -228,25 +288,17 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
     b = np.array([rhs for _, rhs in problem.constraints])
     c_blocks = [c if cp else c.real.copy()
                 for c, cp in zip(problem.objective, cplx)]
-    a_dense = []
-    for k, (n, cp) in enumerate(zip(sizes, cplx)):
-        stack = np.array([ops[k] for ops, _ in problem.constraints]).reshape(m, n, n)
-        a_dense.append(stack if cp else stack.real.copy())
-    a_packed = np.concatenate(
-        [_pack(a, cp) for a, cp in zip(a_dense, cplx)], axis=1)
-    bounds = np.cumsum([0] + [n * n if cp else n * (n + 1) // 2
-                              for n, cp in zip(sizes, cplx)])
+    a_dense = [stack if cp else stack.real.copy()
+               for stack, cp in zip(problem._stacks, cplx)]
+    a_packed = _pack_all(a_dense, cplx)
 
     def apply_a(blocks):
         # W Rd W is Hermitian only up to rounding of order |W|^2; one
         # triangle of it alone stalled tight solves, so symmetrize first.
-        return a_packed @ np.concatenate(
-            [_pack(_herm(blk), cp) for blk, cp in zip(blocks, cplx)])
+        return a_packed @ _pack_all([_herm(blk) for blk in blocks], cplx)
 
     def apply_at(y):
-        v = y @ a_packed
-        return [_unpack(v[lo:hi], n, cp)
-                for lo, hi, n, cp in zip(bounds, bounds[1:], sizes, cplx)]
+        return _unpack_all(y @ a_packed, sizes, cplx)
 
     eta = max(10.0, float(np.max(np.abs(b))) if m else 0.0,
               max(float(np.linalg.norm(c)) for c in c_blocks))
@@ -307,9 +359,7 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
 
         # Schur complement M_ij = sum_b <A_i, W A_j W> = <B_i, B_j> with
         # B_j = R^H A_j R: one Gram product over the packed coordinates.
-        rar = np.concatenate(
-            [_pack(rb.conj().T @ a @ rb, cp) for rb, a, cp in zip(r, a_dense, cplx)],
-            axis=1)
+        rar = _pack_all([rb.conj().T @ a @ rb for rb, a in zip(r, a_dense)], cplx)
         schur_solve, path = _schur_solver(rar @ rar.T)
 
         # The corrector's right-hand side is the predictor's plus
@@ -369,6 +419,68 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
     return sol
 
 
+def value_enclosure(problem: SDPProblem, solution: SDPSolution) -> tuple:
+    """(lower, upper) around the optimal value, from one solve's iterates.
+
+    Needs constraints that fix the trace: the identity lies in their span,
+    so Tr X = t on the feasible set, and W0 = (t/N) I (N the total block
+    size) satisfies every constraint. Raises ToolkitError otherwise, so
+    no bound leaves here unchecked.
+
+    Upper end (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007):
+    for any y and feasible X, <C, X> = b^T y - <Z, X> with
+    Z = sum_i y_i A_i - C, and <Z, X> >= t lambda_min(Z), so
+    u = b^T y - t min(0, lambda_min(Z) - margin) bounds the optimum. The
+    margin covers the rounding in forming Z and in its eigenvalues,
+    eps (m (sum_i |y_i| |A_i|_F + |C|_F) + N |Z|_F); b^T y is raised by
+    m eps sum_i |b_i y_i|.
+
+    Lower end: X is projected onto the affine constraints (least squares,
+    through the Gram matrix of the A_i) and mixed with W0 just enough to
+    be PSD, with a margin of N eps |X|_F on its smallest eigenvalue; the
+    objective at that feasible point bounds the optimum from below.
+    """
+    sizes, m = problem.block_sizes, problem.m
+    total = sum(sizes)
+    eps = np.finfo(float).eps
+    cplx = _complex_blocks(problem)
+    a = _pack_all(problem._stacks, cplx)
+    b = np.array([rhs for _, rhs in problem.constraints])
+    c = _pack_all([_herm(cb) for cb in problem.objective], cplx)
+    eye = _pack_all([np.eye(n) for n in sizes], cplx)
+    gram_solve, _ = _schur_solver(a @ a.T)
+
+    def least_squares(v):  # coefficients of the A_i closest to v
+        return gram_solve(v[:, None])[:, 0]
+
+    def min_eig(v):
+        return min(np.linalg.eigvalsh(blk)[0] for blk in _unpack_all(v, sizes, cplx))
+
+    coef = least_squares(a @ eye)
+    if np.linalg.norm(eye - coef @ a) > 1e-9 * math.sqrt(total):
+        raise ToolkitError("value enclosure needs constraints that fix Tr X")
+    trace = float(coef @ b)
+    w0 = trace / total * eye
+    if not trace > 0 or np.max(np.abs(a @ w0 - b)) > 1e-9 * (1 + np.max(np.abs(b))):
+        raise ToolkitError(
+            f"value enclosure needs (Tr X / N) I = ({trace:.6g} / {total}) I "
+            "to satisfy every constraint")
+
+    x = _pack_all([_herm(xb) for xb in solution.x_blocks], cplx)
+    x = x + least_squares(b - a @ x) @ a
+    neg = max(0.0, total * eps * float(np.linalg.norm(x)) - min_eig(x))
+    mix = neg / (trace / total + neg)
+    lower = (1.0 - mix) * (c @ x) + mix * (c @ w0)
+
+    y = solution.y
+    z = y @ a - c
+    margin = eps * (m * (np.abs(y) @ np.linalg.norm(a, axis=1) + np.linalg.norm(c))
+                    + total * np.linalg.norm(z))
+    upper = (b @ y + m * eps * (np.abs(b) @ np.abs(y))
+             - trace * min(0.0, min_eig(z) - margin))
+    return float(lower), float(upper)
+
+
 def export_sdpa(problem: SDPProblem) -> str:
     """SDPA sparse initial-format text for external cross-checking.
 
@@ -424,5 +536,15 @@ def lovasz_theta_problem(n_vertices: int, edges) -> SDPProblem:
 
 
 def lovasz_theta(n_vertices: int, edges, tol: float = 1e-8) -> float:
-    """Dual optimum of the classical theta SDP (raises unless optimal)."""
-    return solve(lovasz_theta_problem(n_vertices, edges), tol=tol).dual
+    """Upper end of the value enclosure of the classical theta SDP.
+
+    Raises SolverFailure when the enclosure is wider than
+    ENCLOSURE_REL_WIDTH relative to the value.
+    """
+    prob = lovasz_theta_problem(n_vertices, edges)
+    sol = solve(prob, tol=tol)
+    lower, upper = value_enclosure(prob, sol)
+    if not upper - lower <= ENCLOSURE_REL_WIDTH * (1.0 + abs(upper)):
+        raise SolverFailure(
+            f"theta enclosure [{lower:.9f}, {upper:.9f}] too wide", solution=sol)
+    return upper

@@ -1,17 +1,15 @@
 """Operator systems, confusability graphs, independence numbers, and the
 quantum Lovasz theta machinery.
 
-The entanglement-assisted theta of an operator system S in M_n is computed
-from the pair of SDPs
+The entanglement-assisted theta of an operator system S in M_n is the SDP
 
-    primal:  max <Phi| I (x) rho + M' |Phi>,  I (x) rho + M' >= 0,
-             M' in S_perp (x) M_dc,  rho a density matrix on C^dc
-    dual:    min lambda,  Y in S (x) M_dc,  Y >= |Phi><Phi|,
-             lambda I >= Tr_A[Y]
+    max <Phi| I (x) rho + M' |Phi>,  I (x) rho + M' >= 0,
+    M' in S_perp (x) M_dc,  rho a density matrix on C^dc
 
-with the unnormalized |Phi> = sum_i |ii> and dc = n by default. Both are
-solved; the dual objective (an upper certificate) is reported as the
-value.
+with the unnormalized |Phi> = sum_i |ii> and dc = n by default. It is
+solved once; the solve's primal and dual iterates give a value enclosure
+[lower, upper] (``sdpcore.value_enclosure``), and the upper end is
+reported as the value.
 """
 
 from __future__ import annotations
@@ -73,13 +71,6 @@ class OperatorSystem:
         v = matkit.asmatrix(x).reshape(-1)
         stack = np.stack([bmat.reshape(-1) for bmat in self.basis], axis=1)
         return bool(np.linalg.norm(v - stack @ (dagger(stack) @ v)) <= tol)
-
-    def perp_basis(self) -> list[np.ndarray]:
-        """HS-orthonormal basis of the orthogonal complement in M_n."""
-        n = self.dim
-        stack = np.stack([bmat.reshape(-1) for bmat in self.basis], axis=1)
-        q, _ = np.linalg.qr(stack, mode="complete")
-        return [q[:, k].reshape(n, n) for k in range(len(self.basis), n * n)]
 
 
 def operator_system(dim: int, spanning) -> OperatorSystem:
@@ -225,7 +216,8 @@ def verify_independent_states(s: OperatorSystem, psis) -> bool:
 
 @dataclass(frozen=True)
 class ThetaResult:
-    """Primal/dual objective pair for the theta SDP; value = dual."""
+    """Value enclosure of the theta SDP: primal and dual are its lower and
+    upper ends, gap its width, and value the upper end."""
 
     primal: float
     dual: float
@@ -288,15 +280,13 @@ def _kron_all(ts: list, n: int, hs: np.ndarray) -> np.ndarray:
 
 
 def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
-    """(primal SDPProblem, dual SDPProblem) for the theta of S."""
+    """The theta SDP of S as an SDPProblem, in the variable
+    W = I (x) rho + M' (see the module docstring)."""
     n = s.dim
     dc = n if dc is None else int(dc)
-    herm_dc = _unit_hermitian_basis(dc)
-    phi_proj = _phi_projector(n, dc)
-
-    # Primal: variable W = I (x) rho + M'; the feasible span is
-    # (C I (+) S_perp) (x) M_dc, encoded as orthogonality to the
-    # traceless part of S tensored with M_dc, plus Tr W = n.
+    # The feasible span is (C I (+) S_perp) (x) M_dc, encoded as
+    # orthogonality to the traceless part of S tensored with M_dc, plus
+    # Tr W = n.
     s_herm = _hermitian_basis(list(s.basis))
     eye_n = np.eye(n, dtype=complex) / math.sqrt(n)
     traceless = []
@@ -307,56 +297,26 @@ def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
             traceless.append(h / nrm)
     traceless = _hermitian_basis(traceless)
     cons = [((np.eye(n * dc, dtype=complex),), float(n))]
-    cons += [((op,), 0.0) for op in _kron_all(traceless, n, herm_dc)]
-    primal = sdpcore.SDPProblem((n * dc,), (phi_proj,), tuple(cons))
-
-    # Dual: min lambda with Y = X1 + PhiPhi in S (x) M_dc,
-    # X2 = lambda I - Tr_A[Y] >= 0, lambda carried as a 1x1 block.
-    perp_ops = _kron_all(_hermitian_basis(s.perp_basis()), n, herm_dc)
-    perp_rhs = -np.einsum("kij,ij->k", perp_ops.conj(), phi_proj).real
-    tr_a_phi = matkit.partial_trace(phi_proj, (n, dc), {1})
-    zero_dc, zero_1 = np.zeros((dc, dc)), np.zeros((1, 1))
-    cons_d = [
-        ((op, zero_dc, zero_1), float(rhs))
-        for op, rhs in zip(perp_ops, perp_rhs)
-    ]
-    for h, op in zip(herm_dc, _kron_all([np.eye(n)], n, herm_dc)):
-        cons_d.append((
-            (op, h, -np.real(np.trace(h)) * np.ones((1, 1))),
-            -float(np.real(matkit.hs_inner(h, tr_a_phi))),
-        ))
-    zero_big = np.zeros((n * dc, n * dc))
-    dual = sdpcore.SDPProblem(
-        (n * dc, dc, 1),
-        (zero_big, zero_dc, -np.ones((1, 1))),
-        tuple(cons_d),
-    )
-    return primal, dual
+    cons += [((op,), 0.0)
+             for op in _kron_all(traceless, n, _unit_hermitian_basis(dc))]
+    return sdpcore.SDPProblem((n * dc,), (_phi_projector(n, dc),), tuple(cons))
 
 
 def theta_tilde(s: OperatorSystem, dc: int | None = None,
                 tol: float = 1e-8) -> ThetaResult:
     """Entanglement-assisted Lovasz number of the operator system.
 
-    Solves the primal and dual SDPs separately; the reported value is the
-    dual optimum (an upper certificate even at loose tolerance), with the
-    primal kept for gap diagnostics.
+    One SDP solve; its iterates give the value enclosure, whose upper end
+    is the value. Raises SolverFailure when the enclosure is wider than
+    sdpcore.ENCLOSURE_REL_WIDTH relative to the value.
     """
-    primal_prob, dual_prob = theta_tilde_problems(s, dc)
-    sol_p = sdpcore.solve(primal_prob, tol=tol)
-    sol_d = sdpcore.solve(dual_prob, tol=tol)
-    # The max program's objective bounds theta from below; the min
-    # program (solved as max of -lambda) bounds it from above.
-    value_lower = sol_p.primal
-    value_upper = -sol_d.primal
-    gap = value_upper - value_lower
-    if not abs(gap) <= 1e-6 * (1.0 + abs(value_upper)):
+    prob = theta_tilde_problems(s, dc)
+    sol = sdpcore.solve(prob, tol=tol)
+    lower, upper = sdpcore.value_enclosure(prob, sol)
+    if not upper - lower <= sdpcore.ENCLOSURE_REL_WIDTH * (1.0 + abs(upper)):
         raise SolverFailure(
-            f"theta gap {gap:.3e} too large "
-            f"(lower {value_lower:.9f}, upper {value_upper:.9f})",
-            solution=(sol_p, sol_d),
-        )
-    return ThetaResult(primal=value_lower, dual=value_upper, gap=gap)
+            f"theta enclosure [{lower:.9f}, {upper:.9f}] too wide", solution=sol)
+    return ThetaResult(primal=lower, dual=upper, gap=upper - lower)
 
 
 def theta_lower_from_witness(s: OperatorSystem, m) -> float:

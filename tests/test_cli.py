@@ -231,6 +231,31 @@ def test_theta_complete_graph_command(tmp_path, capsys):
     assert rep["theta"] == pytest.approx(1.0, abs=1e-4)
 
 
+def test_consecutive_runs_share_no_state(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; one run's options must not
+    # leak into the next.
+    seen_dc = []
+    real_theta = cli.zeroerr.theta_tilde
+
+    def recording_theta(system, dc=None):
+        seen_dc.append(dc)
+        return real_theta(system, dc=dc)
+
+    monkeypatch.setattr(cli.zeroerr, "theta_tilde", recording_theta)
+    path = tmp_path / "k2.edges"
+    path.write_text("0 1\n")
+    code, out, _ = run_cli(capsys, "--json", "theta", "--dc", "3", str(path))
+    assert code == 0 and json.loads(out)["theta"] == pytest.approx(1.0, abs=1e-6)
+    code, out, _ = run_cli(capsys, "theta", str(path))
+    assert code == 0 and out.startswith("analysis: theta\n")
+    code, _, err = run_cli(capsys, "theta", "--dc", "x", str(path))
+    assert code == 2 and "usage:" in err
+    code, out, _ = run_cli(capsys, "theta", str(path))
+    assert code == 0 and "dual: " in out
+    assert seen_dc == [3, None, None]
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("dim", "x", "system: dim must be an integer"),
     ("dim", None, "system: dim must be an integer"),

@@ -48,6 +48,32 @@ def test_lovasz_theta_odd_cycles_closed_form():
         edges = [(i, (i + 1) % n) for i in range(n)]
         got = sdpcore.lovasz_theta(n, edges)
         assert got == pytest.approx(odd_cycle_theta(n), abs=1e-6)
+        prob = sdpcore.lovasz_theta_problem(n, edges)
+        lower, upper = sdpcore.value_enclosure(prob, sdpcore.solve(prob, tol=1e-8))
+        assert lower <= odd_cycle_theta(n) <= upper == got
+        assert upper - lower <= 1e-6 * (1 + upper)
+
+
+def test_value_enclosure_needs_fixed_trace():
+    from qinfokit.errors import ToolkitError
+
+    # max X_00 with X_01 = 0 alone leaves Tr X free (unbounded above).
+    free = sdpcore.SDPProblem(
+        (2,), (np.diag([1.0, 0.0]),),
+        (((np.array([[0.0, 0.5], [0.5, 0.0]]),), 0.0),),
+    )
+    sol = sdpcore.SDPSolution(0.0, 0.0, (np.eye(2),), np.zeros(1),
+                              (np.eye(2),), 0.0, 1, "optimal")
+    with pytest.raises(ToolkitError, match="fix Tr X"):
+        sdpcore.value_enclosure(free, sol)
+    # Tr X = 1 with X_00 = 1: the trace is fixed, but I / 2 is infeasible,
+    # so there is no interior point to mix with.
+    pinned = sdpcore.SDPProblem(
+        (2,), (np.eye(2),),
+        (((np.eye(2),), 1.0), ((np.diag([1.0, 0.0]),), 1.0)),
+    )
+    with pytest.raises(ToolkitError, match="satisfy every constraint"):
+        sdpcore.value_enclosure(pinned, sdpcore.solve(pinned))
 
 
 def test_empty_graph_theta_is_n():
@@ -169,6 +195,24 @@ def test_problem_validation():
             (2,), (np.eye(2),),
             (((np.array([[0.0, 1.0], [0.0, 0.0]]),), 0.0),),
         )
+    # One bad operator in the middle of a stack is still found, with the
+    # per-operator message.
+    good = [((np.diag([1.0, -1.0]) * k,), 0.0) for k in range(1, 7)]
+    skew = ((np.array([[0.0, 1.0], [-1.0, 0.0]]),), 0.0)
+    with pytest.raises(DimensionError, match="Hermitian"):
+        sdpcore.SDPProblem((2,), (np.eye(2),), tuple(good[:3] + [skew] + good[3:]))
+    wide = ((np.eye(3),), 0.0)
+    with pytest.raises(DimensionError, match=r"\(3, 3\) != \(2,2\)"):
+        sdpcore.SDPProblem((2,), (np.eye(2),), tuple(good[:3] + [wide] + good[3:]))
+    with pytest.raises(DimensionError, match=r"\(3, 3\) != \(2,2\)"):
+        sdpcore.SDPProblem((2,), (np.eye(2),), (wide, wide))
+    # The public layout is kept: per constraint, one matrix per block and
+    # a float right-hand side.
+    prob = sdpcore.SDPProblem((2, 1), (np.eye(2), np.ones((1, 1))),
+                              (((np.eye(2), np.ones((1, 1))), 3),))
+    (ops, rhs), = prob.constraints
+    assert [a.shape for a in ops] == [(2, 2), (1, 1)] and rhs == 3.0
+    assert isinstance(rhs, float)
 
 
 def test_infeasible_problem_raises():

@@ -1,8 +1,12 @@
+import dataclasses
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinfokit import sdpcore, zeroerr
 from qinfokit.channels import Channel, classical_channel
@@ -156,27 +160,76 @@ def test_alpha_of_graph_system_matches_graph():
 
 # --- theta ---------------------------------------------------------------------------
 
+def assert_encloses(r: zeroerr.ThetaResult, truth: float):
+    # The value enclosure [primal, dual] holds the exact value, is tight,
+    # and its upper end is the reported value.
+    assert r.primal <= truth <= r.dual == r.value
+    assert r.gap == r.dual - r.primal <= 1e-6 * (1 + abs(r.value))
+
+
 def test_theta_full_matrix_algebra():
     for n in (2, 3):
         s = zeroerr.graph_op_system(zeroerr.complete_graph(n))
-        r = zeroerr.theta_tilde(s)
-        assert r.value == pytest.approx(1.0, abs=1e-4)
-        assert r.gap <= 1e-6 * (1 + abs(r.value))
+        assert_encloses(zeroerr.theta_tilde(s), 1.0)
 
 
 def test_theta_identity_system_dense_coding():
     for n in (2, 3):
         s = zeroerr.operator_system(n, [np.eye(n)])
-        r = zeroerr.theta_tilde(s)
-        assert r.value == pytest.approx(n * n, abs=1e-3)
+        assert_encloses(zeroerr.theta_tilde(s), float(n * n))
 
 
 def test_theta_c5_matches_classical_lovasz():
     s = zeroerr.graph_op_system(zeroerr.cycle_graph(5))
     r = zeroerr.theta_tilde(s)
     classical = sdpcore.lovasz_theta(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert r.value == pytest.approx(classical, abs=1e-3)
-    assert r.value == pytest.approx(math.sqrt(5.0), abs=1e-4)
+    assert r.value == pytest.approx(classical, abs=1e-6)
+    assert_encloses(r, math.sqrt(5.0))
+
+
+def test_theta_c6_is_alpha():
+    # C6 is bipartite, hence perfect: theta = alpha = 3.
+    r = zeroerr.theta_tilde(zeroerr.graph_op_system(zeroerr.cycle_graph(6)))
+    assert_encloses(r, 3.0)
+
+
+def test_theta_tilde_solves_once(monkeypatch):
+    calls = []
+    real_solve = sdpcore.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(sdpcore, "solve", counting_solve)
+    zeroerr.theta_tilde(zeroerr.graph_op_system(zeroerr.cycle_graph(5)))
+    assert len(calls) == 1
+
+
+@functools.cache
+def c5_theta_solution():
+    prob = zeroerr.theta_tilde_problems(
+        zeroerr.graph_op_system(zeroerr.cycle_graph(5)))
+    return prob, sdpcore.solve(prob, tol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-10, 1e-7, 1e-4, 1e-2, 1.0]))
+def test_enclosure_bounds_hold_off_the_optimum(seed, scale):
+    # Whatever the iterates, the upper end is a dual bound and the lower
+    # end the value of a feasible point: perturb y and X and both must
+    # still bracket theta~(S_C5) = sqrt 5.
+    prob, sol = c5_theta_solution()
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, 25, 25))
+    noise = scale * (g[0] + 1j * g[1]) / 25
+    moved = dataclasses.replace(
+        sol, y=sol.y + scale * rng.standard_normal(prob.m),
+        x_blocks=(sol.x_blocks[0] + noise + noise.conj().T,))
+    lower, upper = sdpcore.value_enclosure(prob, moved)
+    assert lower <= math.sqrt(5.0) + 1e-12
+    assert upper >= math.sqrt(5.0) - 1e-12
 
 
 def test_theta_monotone_under_inclusion():
@@ -208,13 +261,12 @@ def test_theta_dc_override():
     s = zeroerr.operator_system(2, [np.eye(2)])
     r = zeroerr.theta_tilde(s, dc=3)
     # dc larger than n changes nothing: dc = n already reaches the sup.
-    assert r.value == pytest.approx(4.0, abs=1e-3)
+    assert_encloses(r, 4.0)
 
 
 def test_weak_duality_inside_theta_solve():
     s = zeroerr.graph_op_system(zeroerr.empty_graph(3))
-    primal_prob, _ = zeroerr.theta_tilde_problems(s)
-    sol = sdpcore.solve(primal_prob, tol=1e-8)
+    sol = sdpcore.solve(zeroerr.theta_tilde_problems(s), tol=1e-8)
     for rec in sol.history:
         if rec["pinf"] <= 1e-9 and rec["dinf"] <= 1e-9:
             assert rec["primal"] <= rec["dual"] + 1e-8
@@ -241,7 +293,7 @@ def test_theta_four_vertex_graphs_equal_alpha(name):
     # perfect graphs, which every 4-vertex graph is.
     g = zeroerr.Graph(4, frozenset(FOUR_VERTEX_GRAPHS[name]))
     r = zeroerr.theta_tilde(zeroerr.graph_op_system(g))
-    assert r.value == pytest.approx(brute_force_independence(g), abs=1e-6)
+    assert_encloses(r, float(brute_force_independence(g)))
 
 
 # --- witness evaluation -----------------------------------------------------------
