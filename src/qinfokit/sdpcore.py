@@ -15,8 +15,12 @@ so weak duality reads primal <= dual. The algorithm is primal-dual
 path-following with Nesterov-Todd scaling and a predictor-corrector step
 (the corrector recentres at sigma * mu without a second-order term).
 
-A block is iterated as complex Hermitian matrices when its data has an
-imaginary part, else as real symmetric ones. The Schur complement is
+An ``SDPProblem`` holds C_b, the (m, n_b, n_b) stack of the A_ib and
+the vector b. A block is iterated as complex Hermitian matrices when its
+data has an imaginary part, else as real symmetric ones; the problem
+decides this once and stores the block as complex128 or float64, with
+the constraints packed once for ``solve`` and ``value_enclosure``
+(``SDPProblem.packed``). The Schur complement is
 formed in packed Hermitian coordinates (where the trace inner product is
 the dot product) and factored once per iteration: by Cholesky when its
 pivots put it inside SCHUR_COND_LIMIT, else by a symmetric eigensolve
@@ -59,43 +63,67 @@ ENCLOSURE_REL_WIDTH = 1e-6
 class SDPProblem:
     """Block-diagonal standard-form SDP (see module docstring).
 
-    ``objective``: one Hermitian (or real symmetric) matrix per block.
-    ``constraints``: list of (ops, rhs) with ops one matrix per block.
+    ``objective``: one Hermitian (n_b, n_b) matrix C_b per block.
+    ``constraints``: one (m, n_b, n_b) stack per block, whose i-th matrix
+    is A_ib. ``rhs``: the (m,) vector b. ``block_sizes`` and ``m`` follow
+    from these shapes.
+
+    Construction checks shapes, finiteness and Hermiticity once and
+    decides once per block whether it is complex: a block whose objective
+    or constraints have an imaginary part is stored as complex128, any
+    other as float64, so the dtype of a stored block says how it is
+    iterated. A stack already of that dtype and C-contiguous is kept
+    without a copy.
     """
 
-    block_sizes: tuple
     objective: tuple
     constraints: tuple
-
-    _stacks: tuple = field(init=False, repr=False, compare=False)
+    rhs: np.ndarray
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.block_sizes)
-        if any(n <= 0 for n in sizes):
-            raise DimensionError("block sizes must be positive")
-        obj = tuple(np.asarray(c, dtype=complex) for c in self.objective)
-        if len(obj) != len(sizes):
-            raise DimensionError("objective needs one matrix per block")
-        cons = tuple(self.constraints)
-        if any(len(ops) != len(sizes) for ops, _ in cons):
-            raise DimensionError("constraint needs one matrix per block")
-        # One (m, n, n) stack per block, checked as a whole; the public
-        # constraint tuples are views into it.
-        stacks = tuple(_constraint_stack([ops[k] for ops, _ in cons], n)
-                       for k, n in enumerate(sizes))
-        for c, n in zip(obj, sizes):
-            if c.shape != (n, n):
-                raise DimensionError(f"objective block {c.shape} != ({n},{n})")
-        object.__setattr__(self, "block_sizes", sizes)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(
-            (tuple(stack[i] for stack in stacks), float(rhs))
-            for i, (_, rhs) in enumerate(cons)))
-        object.__setattr__(self, "_stacks", stacks)
+        rhs = np.asarray(self.rhs)
+        if rhs.ndim != 1 or np.iscomplexobj(rhs) or not np.all(np.isfinite(rhs)):
+            raise DimensionError("rhs must be a real vector with finite entries")
+        rhs = rhs.astype(float)
+        if not 0 < len(self.objective) == len(self.constraints):
+            raise DimensionError("need blocks, each with an objective and a stack")
+        obj, cons = [], []
+        for c, stack in zip(self.objective, self.constraints):
+            dtype = complex if np.iscomplexobj(c) or np.iscomplexobj(stack) else float
+            c, stack = np.ascontiguousarray(c, dtype), np.ascontiguousarray(stack, dtype)
+            if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.shape[0]:
+                raise DimensionError(f"objective block {c.shape} is not n x n, n >= 1")
+            n = c.shape[0]
+            if stack.ndim != 3 or stack.shape[1:] != (n, n):
+                raise DimensionError(f"constraint block {stack.shape[1:]} != ({n},{n})")
+            if len(stack) != len(rhs):
+                raise DimensionError(f"{len(stack)} constraint operators, {len(rhs)} rhs")
+            # A list, not `or`: both checks must run.
+            if not any([_check_operators(c[None], "objective"),
+                        _check_operators(stack, "constraint operators")]):
+                c, stack = np.ascontiguousarray(c.real), np.ascontiguousarray(stack.real)
+            obj.append(c)
+            cons.append(stack)
+        object.__setattr__(self, "objective", tuple(obj))
+        object.__setattr__(self, "constraints", tuple(cons))
+        object.__setattr__(self, "rhs", rhs)
+
+    @property
+    def block_sizes(self) -> tuple:
+        return tuple(len(c) for c in self.objective)
 
     @property
     def m(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
+
+    @property
+    def complex_blocks(self) -> tuple:
+        return tuple(np.iscomplexobj(c) for c in self.objective)
+
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """The constraints in packed coordinates, one row per A_i."""
+        return _pack_all(self.constraints, self.complex_blocks)
 
 
 @dataclass(frozen=True)
@@ -120,42 +148,38 @@ def _embed(h: np.ndarray) -> np.ndarray:
     return 0.5 * np.block([[re, -im], [im, re]])
 
 
-def _constraint_stack(mats: list, n: int) -> np.ndarray:
-    """The (m, n, n) complex stack of one block's constraint operators.
+def _check_operators(stack: np.ndarray, what: str) -> bool:
+    """Whether an operator of the (k, n, n) float64 or complex128 stack
+    has an imaginary part, |Im A|_F > 1e-14.
 
-    Raises DimensionError for an operator that is not n x n, or not
-    Hermitian: |A - A^H|_F > 1e-10 (1 + |A|_F), per operator.
+    Raises DimensionError for a non-finite entry, or an operator that is
+    not Hermitian: |A - A^H|_F > 1e-10 (1 + |A|_F), per operator.
     """
-    for a in mats:
-        if np.shape(a) != (n, n):
-            raise DimensionError(f"constraint block {np.shape(a)} != ({n},{n})")
-    stack = np.empty((len(mats), n, n), dtype=complex)
-    # Filled and checked 32 operators at a time, while they are in cache;
-    # on real views, |A - A^H|_F^2 = |Re A - Re A^T|_F^2 + |Im A + Im A^T|_F^2.
-    for lo in range(0, len(mats), 32):
+    has_imag = False
+    # Checked 32 operators at a time, while they are in cache; on real
+    # views, |A - A^H|_F^2 = |Re A - Re A^T|_F^2 + |Im A + Im A^T|_F^2.
+    for lo in range(0, len(stack), 32):
         chunk = stack[lo:lo + 32]
-        np.stack(mats[lo:lo + 32], out=chunk)
-        parts = chunk.view(float).reshape(*chunk.shape, 2)
-        re, im = parts[..., 0], parts[..., 1]
-        skew = _sq_norms(re - re.transpose(0, 2, 1)) + _sq_norms(im + im.transpose(0, 2, 1))
-        if np.any(skew > (1e-10 * (1 + np.sqrt(_sq_norms(parts)))) ** 2):
-            raise DimensionError("constraint operators must be Hermitian")
-    return stack
+        parts = chunk.view(float).reshape(*chunk.shape, -1)
+        sq = _sq_norms(parts)
+        # A finite entry can still overflow the sum of squares.
+        if not np.all(np.isfinite(sq)) and not np.all(np.isfinite(parts)):
+            raise DimensionError(f"{what} must have finite entries")
+        re = parts[..., 0]
+        skew = _sq_norms(re - re.transpose(0, 2, 1))
+        if parts.shape[-1] == 2:
+            im = parts[..., 1]
+            skew += _sq_norms(im + im.transpose(0, 2, 1))
+            has_imag = has_imag or bool(np.any(_sq_norms(im) > 1e-28))
+        if np.any(skew > (1e-10 * (1 + np.sqrt(sq))) ** 2):
+            raise DimensionError(f"{what} must be Hermitian")
+    return has_imag
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each x[k] (x real and C-contiguous)."""
+    """Squared Frobenius norm of each x[k] (x real)."""
     flat = x.reshape(len(x), -1)
     return np.einsum("ki,ki->k", flat, flat)
-
-
-def _complex_blocks(prob: SDPProblem) -> list:
-    """Per block: does its objective or a constraint have an imaginary part?"""
-    return [
-        np.linalg.norm(np.imag(c)) > 1e-14
-        or bool(np.any(np.einsum("kij,kij->k", stack.imag, stack.imag) > 1e-28))
-        for c, stack in zip(prob.objective, prob._stacks)
-    ]
 
 
 @functools.lru_cache(maxsize=64)
@@ -282,15 +306,9 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
     iterates are checked for explicitly, so numpy's transient overflow
     warnings are silenced here.
     """
-    sizes = problem.block_sizes
-    m = problem.m
-    cplx = _complex_blocks(problem)
-    b = np.array([rhs for _, rhs in problem.constraints])
-    c_blocks = [c if cp else c.real.copy()
-                for c, cp in zip(problem.objective, cplx)]
-    a_dense = [stack if cp else stack.real.copy()
-               for stack, cp in zip(problem._stacks, cplx)]
-    a_packed = _pack_all(a_dense, cplx)
+    sizes, m, cplx = problem.block_sizes, problem.m, problem.complex_blocks
+    b, c_blocks, a_dense = problem.rhs, problem.objective, problem.constraints
+    a_packed = problem.packed
 
     def apply_a(blocks):
         # W Rd W is Hermitian only up to rounding of order |W|^2; one
@@ -443,9 +461,8 @@ def value_enclosure(problem: SDPProblem, solution: SDPSolution) -> tuple:
     sizes, m = problem.block_sizes, problem.m
     total = sum(sizes)
     eps = np.finfo(float).eps
-    cplx = _complex_blocks(problem)
-    a = _pack_all(problem._stacks, cplx)
-    b = np.array([rhs for _, rhs in problem.constraints])
+    cplx = problem.complex_blocks
+    a, b = problem.packed, problem.rhs
     c = _pack_all([_herm(cb) for cb in problem.objective], cplx)
     eye = _pack_all([np.eye(n) for n in sizes], cplx)
     gram_solve, _ = _schur_solver(a @ a.T)
@@ -488,11 +505,11 @@ def export_sdpa(problem: SDPProblem) -> str:
     F_i = A_i and c = b; complex blocks are exported in their real
     embedding. Reals are printed as %.16e.
     """
-    cplx = _complex_blocks(problem)
+    cplx = problem.complex_blocks
     lines = [
         f"{problem.m}", f"{len(cplx)}",
         " ".join(str(2 * n if cp else n) for n, cp in zip(problem.block_sizes, cplx)),
-        " ".join("%.16e" % rhs for _, rhs in problem.constraints),
+        " ".join("%.16e" % rhs for rhs in problem.rhs),
     ]
 
     def emit(mat_no, blocks):
@@ -508,8 +525,8 @@ def export_sdpa(problem: SDPProblem) -> str:
                         )
 
     emit(0, problem.objective)
-    for i, (ops, _) in enumerate(problem.constraints, start=1):
-        emit(i, ops)
+    for i in range(problem.m):
+        emit(i + 1, [stack[i] for stack in problem.constraints])
     return "\n".join(lines) + "\n"
 
 
@@ -517,22 +534,24 @@ def lovasz_theta_problem(n_vertices: int, edges) -> SDPProblem:
     """Classical Lovasz theta SDP: max <J, X>, Tr X = 1, X_ij = 0 on edges.
 
     Used both as a solver example and as the independent classical oracle
-    for graph operator systems.
+    for graph operator systems. Loops and repeated edges are skipped; no
+    vertex, or an edge outside range(n_vertices), raises DimensionError.
     """
     n = int(n_vertices)
-    c = np.ones((n, n))
-    cons = [((np.eye(n),), 1.0)]
-    seen = set()
+    if n < 1:
+        raise DimensionError("need at least one vertex")
+    pairs = {}  # first occurrence of each edge, in input order
     for u, v in edges:
         u, v = int(u), int(v)
-        if u == v or (min(u, v), max(u, v)) in seen:
-            continue
-        seen.add((min(u, v), max(u, v)))
-        op = np.zeros((n, n))
-        op[u, v] = 0.5
-        op[v, u] = 0.5
-        cons.append(((op,), 0.0))
-    return SDPProblem((n,), (c,), tuple(cons))
+        if not (0 <= u < n and 0 <= v < n):
+            raise DimensionError(f"edge ({u},{v}) outside {n} vertices")
+        if u != v:
+            pairs.setdefault((min(u, v), max(u, v)), None)
+    stack = np.zeros((1 + len(pairs), n, n))
+    stack[0] = np.eye(n)
+    for k, (u, v) in enumerate(pairs, start=1):
+        stack[k, u, v] = stack[k, v, u] = 0.5
+    return SDPProblem((np.ones((n, n)),), (stack,), [1.0] + [0.0] * len(pairs))
 
 
 def lovasz_theta(n_vertices: int, edges, tol: float = 1e-8) -> float:

@@ -272,13 +272,6 @@ def _unit_hermitian_basis(n: int) -> np.ndarray:
     return out
 
 
-def _kron_all(ts: list, n: int, hs: np.ndarray) -> np.ndarray:
-    """np.kron(t, h) for every n x n t in ts and h in hs (t-major), stacked."""
-    d = hs.shape[1]
-    prod = np.einsum("pij,qab->pqiajb", np.reshape(ts, (len(ts), n, n)), hs)
-    return prod.reshape(len(ts) * len(hs), n * d, n * d)
-
-
 def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
     """The theta SDP of S as an SDPProblem, in the variable
     W = I (x) rho + M' (see the module docstring)."""
@@ -296,10 +289,16 @@ def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
         if nrm > 1e-9:
             traceless.append(h / nrm)
     traceless = _hermitian_basis(traceless)
-    cons = [((np.eye(n * dc, dtype=complex),), float(n))]
-    cons += [((op,), 0.0)
-             for op in _kron_all(traceless, n, _unit_hermitian_basis(dc))]
-    return sdpcore.SDPProblem((n * dc,), (_phi_projector(n, dc),), tuple(cons))
+    # Row 0 is I; row 1 + p dc^2 + q is kron(traceless[p], hs[q]), written
+    # in place so the problem keeps this one stack.
+    hs = _unit_hermitian_basis(dc)
+    k, size = len(traceless), n * dc
+    stack = np.empty((1 + k * dc * dc, size, size), dtype=complex)
+    stack[0] = np.eye(size)
+    np.einsum("pij,qab->pqiajb", np.reshape(traceless, (k, n, n)), hs,
+              out=stack[1:].reshape(k, dc * dc, n, dc, n, dc))
+    rhs = [float(n)] + [0.0] * (len(stack) - 1)
+    return sdpcore.SDPProblem((_phi_projector(n, dc),), (stack,), rhs)
 
 
 def theta_tilde(s: OperatorSystem, dc: int | None = None,

@@ -29,9 +29,9 @@ def test_scalar_bound_problem():
     # min lambda s.t. lambda >= 1, written as max -lambda with
     # lambda - s = 1, s >= 0.
     prob = sdpcore.SDPProblem(
-        (1, 1),
         (-np.ones((1, 1)), np.zeros((1, 1))),
-        ((( np.ones((1, 1)), -np.ones((1, 1))), 1.0),),
+        (np.ones((1, 1, 1)), -np.ones((1, 1, 1))),
+        [1.0],
     )
     sol = sdpcore.solve(prob)
     assert sol.status == "optimal"
@@ -59,9 +59,7 @@ def test_value_enclosure_needs_fixed_trace():
 
     # max X_00 with X_01 = 0 alone leaves Tr X free (unbounded above).
     free = sdpcore.SDPProblem(
-        (2,), (np.diag([1.0, 0.0]),),
-        (((np.array([[0.0, 0.5], [0.5, 0.0]]),), 0.0),),
-    )
+        (np.diag([1.0, 0.0]),), (np.array([[[0.0, 0.5], [0.5, 0.0]]]),), [0.0])
     sol = sdpcore.SDPSolution(0.0, 0.0, (np.eye(2),), np.zeros(1),
                               (np.eye(2),), 0.0, 1, "optimal")
     with pytest.raises(ToolkitError, match="fix Tr X"):
@@ -69,9 +67,7 @@ def test_value_enclosure_needs_fixed_trace():
     # Tr X = 1 with X_00 = 1: the trace is fixed, but I / 2 is infeasible,
     # so there is no interior point to mix with.
     pinned = sdpcore.SDPProblem(
-        (2,), (np.eye(2),),
-        (((np.eye(2),), 1.0), ((np.diag([1.0, 0.0]),), 1.0)),
-    )
+        (np.eye(2),), (np.stack([np.eye(2), np.diag([1.0, 0.0])]),), [1.0, 1.0])
     with pytest.raises(ToolkitError, match="satisfy every constraint"):
         sdpcore.value_enclosure(pinned, sdpcore.solve(pinned))
 
@@ -95,9 +91,8 @@ def test_kkt_residuals_at_optimum():
     prob = sdpcore.lovasz_theta_problem(5, [(i, (i + 1) % 5) for i in range(5)])
     sol = sdpcore.solve(prob, tol=1e-8)
     x = np.real(sol.x_blocks[0])
-    resid = [abs(float(np.sum(np.real(ops[0]) * x)) - rhs)
-             for ops, rhs in prob.constraints]
-    assert max(resid) <= 1e-7
+    resid = np.einsum("kij,ij->k", prob.constraints[0], x) - prob.rhs
+    assert np.max(np.abs(resid)) <= 1e-7
     # Complementarity Tr[XZ] small relative to scale.
     z = np.real(sol.z_blocks[0])
     assert abs(float(np.sum(x * z))) <= 1e-6 * (1 + abs(sol.primal))
@@ -123,7 +118,7 @@ def test_hermitian_embedding_roundtrip():
         c = u @ np.diag(d) @ u.conj().T
         assert np.linalg.norm(c.imag) > 1e-3
         sol = sdpcore.solve(
-            sdpcore.SDPProblem((3,), (c,), (((np.eye(3),), 1.0),)), tol=1e-9
+            sdpcore.SDPProblem((c,), (np.eye(3)[None],), [1.0]), tol=1e-9
         )
         assert sol.status == "optimal"
         assert sol.primal == pytest.approx(float(np.max(d)), abs=1e-7)
@@ -153,19 +148,18 @@ def random_feasible_complex_sdp(seed: int, n: int, k: int):
     x0 /= np.trace(x0).real
     y0 = rng.standard_normal(len(ops))
     c = sum(yi * a for yi, a in zip(y0, ops)) - pos()
-    cons = tuple(((a,), float(np.vdot(a, x0).real)) for a in ops)
-    return c, cons
+    rhs = [np.vdot(a, x0).real for a in ops]
+    return c, np.stack(ops), rhs
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
        k=st.integers(0, 4))
 def test_native_complex_solve_matches_real_embedding(seed, n, k):
-    c, cons = random_feasible_complex_sdp(seed, n, k)
-    native = sdpcore.solve(sdpcore.SDPProblem((n,), (c,), cons), tol=1e-9)
+    c, ops, rhs = random_feasible_complex_sdp(seed, n, k)
+    native = sdpcore.solve(sdpcore.SDPProblem((c,), (ops,), rhs), tol=1e-9)
     embedded = sdpcore.solve(sdpcore.SDPProblem(
-        (2 * n,), (sdpcore._embed(c),),
-        tuple(((sdpcore._embed(a),), rhs) for (a,), rhs in cons),
+        (sdpcore._embed(c),), (np.stack([sdpcore._embed(a) for a in ops]),), rhs,
     ), tol=1e-9)
     scale = 1.0 + abs(embedded.primal)
     assert abs(native.primal - embedded.primal) <= 1e-6 * scale
@@ -182,37 +176,92 @@ def test_solve_complex_rank_one_objective():
     # max <vv*, X> s.t. Tr X = 1 equals |v|^2 with X the unit projector.
     v = np.array([1.0, 1.0j, 0.5 - 0.5j])
     c = np.outer(v, v.conj())
-    prob = sdpcore.SDPProblem((3,), (c,), (((np.eye(3),), 1.0),))
+    prob = sdpcore.SDPProblem((c,), (np.eye(3)[None],), [1.0])
     sol = sdpcore.solve(prob)
     assert sol.primal == pytest.approx(float(np.vdot(v, v).real), rel=1e-7)
 
 
 def test_problem_validation():
-    with pytest.raises(DimensionError):
-        sdpcore.SDPProblem((2,), (np.eye(3),), ())
-    with pytest.raises(DimensionError):
-        sdpcore.SDPProblem(
-            (2,), (np.eye(2),),
-            (((np.array([[0.0, 1.0], [0.0, 0.0]]),), 0.0),),
-        )
+    eye2 = np.eye(2)[None]
+    with pytest.raises(DimensionError, match=r"\(2, 2\) != \(3,3\)"):
+        sdpcore.SDPProblem((np.eye(3),), (eye2,), [1.0])
+    with pytest.raises(DimensionError, match="Hermitian"):
+        sdpcore.SDPProblem((np.eye(2),), (np.array([[[0.0, 1.0], [0.0, 0.0]]]),), [0.0])
     # One bad operator in the middle of a stack is still found, with the
     # per-operator message.
-    good = [((np.diag([1.0, -1.0]) * k,), 0.0) for k in range(1, 7)]
-    skew = ((np.array([[0.0, 1.0], [-1.0, 0.0]]),), 0.0)
+    good = [np.diag([1.0, -1.0]) * k for k in range(1, 7)]
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(DimensionError, match="Hermitian"):
-        sdpcore.SDPProblem((2,), (np.eye(2),), tuple(good[:3] + [skew] + good[3:]))
-    wide = ((np.eye(3),), 0.0)
-    with pytest.raises(DimensionError, match=r"\(3, 3\) != \(2,2\)"):
-        sdpcore.SDPProblem((2,), (np.eye(2),), tuple(good[:3] + [wide] + good[3:]))
-    with pytest.raises(DimensionError, match=r"\(3, 3\) != \(2,2\)"):
-        sdpcore.SDPProblem((2,), (np.eye(2),), (wide, wide))
-    # The public layout is kept: per constraint, one matrix per block and
-    # a float right-hand side.
-    prob = sdpcore.SDPProblem((2, 1), (np.eye(2), np.ones((1, 1))),
-                              (((np.eye(2), np.ones((1, 1))), 3),))
-    (ops, rhs), = prob.constraints
-    assert [a.shape for a in ops] == [(2, 2), (1, 1)] and rhs == 3.0
-    assert isinstance(rhs, float)
+        sdpcore.SDPProblem((np.eye(2),), (np.stack(good[:3] + [skew] + good[3:]),),
+                           np.zeros(7))
+    # Wrong-shape operators, in the second block of two.
+    with pytest.raises(DimensionError, match=r"\(3, 3\) != \(1,1\)"):
+        sdpcore.SDPProblem((np.eye(2), np.ones((1, 1))),
+                           (np.stack(good), np.ones((6, 3, 3))), np.zeros(6))
+    # Wrong-shape stacks: a bare matrix, and a stack whose length is not m.
+    with pytest.raises(DimensionError, match=r"\(2,\) != \(2,2\)"):
+        sdpcore.SDPProblem((np.eye(2),), (np.eye(2),), [1.0])
+    with pytest.raises(DimensionError, match="6 constraint operators, 7 rhs"):
+        sdpcore.SDPProblem((np.eye(2),), (np.stack(good),), np.zeros(7))
+    # A complex rhs is refused, not cut to its real part.
+    with pytest.raises(DimensionError, match="real vector"):
+        sdpcore.SDPProblem((np.eye(2),), (eye2,), np.array([1.0 + 1j]))
+    # block_sizes and m follow from the data; rhs is a float vector.
+    prob = sdpcore.SDPProblem((np.eye(2), np.ones((1, 1))),
+                              (eye2, np.ones((1, 1, 1))), [3])
+    assert prob.block_sizes == (2, 1) and prob.m == 1
+    assert prob.rhs.dtype == float and prob.rhs.tolist() == [3.0]
+
+
+def test_problem_block_dtype_says_complex():
+    # A block is complex iff its objective or a constraint has an
+    # imaginary part; a complex-typed but real block is stored as float64.
+    herm = np.array([[0.0, 1j], [-1j, 0.0]])
+    real = sdpcore.SDPProblem((np.eye(2, dtype=complex),),
+                              (np.eye(2, dtype=complex)[None],), [1.0])
+    assert real.complex_blocks == (False,)
+    assert real.objective[0].dtype == real.constraints[0].dtype == float
+    for c, ops in ((herm, np.eye(2)[None]), (np.eye(2), herm[None])):
+        prob = sdpcore.SDPProblem((c,), (ops,), [1.0])
+        assert prob.complex_blocks == (True,)
+        assert prob.objective[0].dtype == prob.constraints[0].dtype == complex
+    # A stack already of its block's dtype is kept, not copied.
+    stack = np.stack([np.eye(2), herm]).astype(complex)
+    prob = sdpcore.SDPProblem((np.eye(2),), (stack,), [2.0, 0.0])
+    assert prob.constraints[0] is stack
+
+
+def _with_entry(a, index, value):
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
+
+
+TWO_OPS = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+
+
+@pytest.mark.parametrize("objective, stack, rhs", [
+    (np.eye(2), _with_entry(TWO_OPS, (1, 0, 0), np.nan), [1.0, 0.0]),
+    (np.eye(2), _with_entry(TWO_OPS, (1, 1, 1), -np.inf), [1.0, 0.0]),
+    (np.eye(2), TWO_OPS, [1.0, np.nan]),
+    (_with_entry(np.eye(2), (0, 0), np.nan), TWO_OPS, [1.0, 0.0]),
+], ids=["nan-constraint", "inf-constraint", "nan-rhs", "nan-objective"])
+def test_problem_rejects_non_finite_data(objective, stack, rhs):
+    # Unchecked, each of these ended as a spurious Infeasible in solve.
+    with pytest.raises(DimensionError, match="finite"):
+        sdpcore.SDPProblem((objective,), (stack,), rhs)
+
+
+def test_problem_accepts_finite_data_with_overflowing_norm():
+    assert sdpcore.SDPProblem((np.eye(2),), (1e200 * TWO_OPS,), [1e200, 0.0]).m == 2
+
+
+def test_problem_rejects_non_hermitian_objective():
+    # Unchecked, the real one ran to max_iter and the complex one broke
+    # down numerically.
+    for c in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 1j], [0.0, 0.0]])):
+        with pytest.raises(DimensionError, match="objective must be Hermitian"):
+            sdpcore.SDPProblem((c,), (np.eye(2)[None],), [1.0])
 
 
 def test_infeasible_problem_raises():
@@ -220,10 +269,7 @@ def test_infeasible_problem_raises():
 
     # A PSD scalar with a negative trace target: the primal residual can
     # never vanish, so the stall guard trips.
-    prob = sdpcore.SDPProblem(
-        (1,), (np.zeros((1, 1)),),
-        (((np.ones((1, 1)),), -1.0),),
-    )
+    prob = sdpcore.SDPProblem((np.zeros((1, 1)),), (np.ones((1, 1, 1)),), [-1.0])
     with pytest.raises(Infeasible):
         sdpcore.solve(prob)
 
@@ -233,10 +279,7 @@ def test_redundant_constraints():
 
     # Consistent duplicates (Tr X = 1 twice) make the Schur complement
     # singular; the truncated eigen-solve drops the null direction.
-    dup = sdpcore.SDPProblem(
-        (2,), (np.eye(2),),
-        (((np.eye(2),), 1.0), ((np.eye(2),), 1.0)),
-    )
+    dup = sdpcore.SDPProblem((np.eye(2),), (np.stack([np.eye(2)] * 2),), [1.0, 1.0])
     sol = sdpcore.solve(dup)
     assert sol.status == "optimal"
     assert sol.primal == pytest.approx(1.0, abs=1e-6)
@@ -245,10 +288,7 @@ def test_redundant_constraints():
     assert [rec["schur"] for rec in sol.history[:-1]] == \
         ["eig"] * (sol.iterations - 1)
     # Inconsistent duplicates (Tr X = 1 and Tr X = 2) admit no X.
-    clash = sdpcore.SDPProblem(
-        (2,), (np.eye(2),),
-        (((np.eye(2),), 1.0), ((np.eye(2),), 2.0)),
-    )
+    clash = sdpcore.SDPProblem((np.eye(2),), (np.stack([np.eye(2)] * 2),), [1.0, 2.0])
     with pytest.raises(Infeasible):
         sdpcore.solve(clash)
 
@@ -286,6 +326,16 @@ def test_lovasz_theta_every_small_graph_is_alpha():
             edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
             got = sdpcore.lovasz_theta(n, edges)
             assert got == pytest.approx(brute_force_alpha(n, edges), abs=1e-6), edges
+
+
+def test_lovasz_theta_rejects_edges_outside_vertices():
+    # (0, -1) used to index vertex 4 silently; (0, 7) raised IndexError.
+    for edges in ([(0, -1)], [(0, 7)], [(5, 0)]):
+        with pytest.raises(DimensionError, match="outside 5 vertices"):
+            sdpcore.lovasz_theta(5, edges)
+    for n in (0, -1):
+        with pytest.raises(DimensionError, match="at least one vertex"):
+            sdpcore.lovasz_theta(n, [])
 
 
 def test_lovasz_theta_even_cycles():

@@ -327,3 +327,23 @@ def test_witness_rejects_infeasible():
         zeroerr.theta_lower_from_witness(s, np.eye(2))  # not orthogonal
     with pytest.raises(NotFeasibleWitness):
         zeroerr.theta_lower_from_witness(s, np.diag([1.0, -3.0]))  # I+M not PSD
+
+
+def test_theta_problem_shares_kron_stack(monkeypatch):
+    # The kron stack is written in place and becomes the problem's
+    # constraint stack without a copy.
+    filled = []
+    real_einsum = np.einsum
+
+    def recording_einsum(*args, **kwargs):
+        if kwargs.get("out") is not None:
+            filled.append(kwargs["out"])
+        return real_einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording_einsum)
+    prob = zeroerr.theta_tilde_problems(
+        zeroerr.graph_op_system(zeroerr.cycle_graph(5)))
+    monkeypatch.undo()
+    (stack,) = prob.constraints
+    assert filled and all(np.shares_memory(stack, buf) for buf in filled)
+    assert np.array_equal(stack[0], np.eye(25)) and stack.dtype == complex
