@@ -36,7 +36,7 @@ TP_TOL = 1e-9
 CP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Completely positive map held as a list of dout x din Kraus operators."""
 
@@ -65,7 +65,7 @@ class Channel:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi matrix on the (input x output) space; Hermitian by contract."""
 
@@ -258,7 +258,7 @@ def classical_channel(n: np.ndarray) -> Channel:
     return Channel(nx, ny, tuple(kraus))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurMap:
     """Entrywise multiplication X -> phi * X; CP exactly when phi is PSD."""
 

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import channels as chan
-from . import entropy, matkit, qec, randkit, serialize, states, zeroerr
+from . import entropy, entwit, matkit, qec, randkit, serialize, states, zeroerr
 from .errors import FormatError, ToolkitError
 
 
@@ -121,14 +121,13 @@ def _cmd_qec_recover(args) -> dict:
 def _cmd_werner(args) -> dict:
     rho = states.werner(args.d, args.f)
     psi0 = states.max_entangled(args.d).vec
-    pt = matkit.partial_transpose(rho.rho, rho.dims, 1)
     report = {
         "kind": "report",
         "analysis": "werner",
         "d": args.d,
         "f": args.f,
         "maxent_overlap": float(np.real(np.conj(psi0) @ rho.rho @ psi0)),
-        "ppt": bool(np.linalg.eigvalsh(pt).min() >= -1e-9),
+        "ppt": entwit.ppt_test(rho),
     }
     try:
         report["schmidt_number"] = states.werner_schmidt_number(args.d, args.f)
@@ -188,7 +187,7 @@ def _cmd_petz(args) -> dict:
     recovery = entropy.petz_map(state, ch)
     pushed = ch(state.rho)
     recovered = recovery(pushed)
-    deviation = float(np.linalg.svd(recovered - state.rho, compute_uv=False).sum())
+    deviation = matkit.norm(recovered - state.rho, "trace")
     return {
         "kind": "report",
         "analysis": "petz",

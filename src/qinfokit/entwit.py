@@ -23,7 +23,7 @@ from .states import State, unitary_error_basis
 RANK_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixSubspace:
     """Subspace of M(m, n) carried as an HS-orthonormal basis list."""
 

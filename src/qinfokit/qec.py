@@ -24,7 +24,7 @@ from .matkit import dagger
 BRANCH_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Code:
     """Protected subspace held as an isometry from logical to physical."""
 
@@ -48,7 +48,7 @@ class Code:
         return w @ dagger(w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KLReport:
     """Outcome of a correctability check.
 

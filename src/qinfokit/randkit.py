@@ -114,7 +114,7 @@ def random_channel(din: int, dout: int, kraus_count: int, rng) -> chan.Channel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixDistribution:
     """I.i.d. source of Hermitian samples X with 0 <= X <= I.
 
@@ -352,7 +352,7 @@ def golden_thompson_check(a, b) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomizingFamily:
     """Weighted unitaries acting on the first factor of a bipartite state."""
 

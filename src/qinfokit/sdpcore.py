@@ -32,7 +32,8 @@ embeds complex blocks as real ones of twice the size (``_embed``).
 ``value_enclosure`` turns one solve's primal and dual iterates into an
 interval [lower, upper] that holds the optimal value, for problems whose
 constraints fix the trace, so a program needs no second solve of its
-dual to be certified.
+dual to be certified; ``certified_enclosure`` does both steps and
+rejects an enclosure wider than ENCLOSURE_REL_WIDTH.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ STALL_RESIDUAL = 1e-6
 ENCLOSURE_REL_WIDTH = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SDPProblem:
     """Block-diagonal standard-form SDP (see module docstring).
 
@@ -126,7 +127,7 @@ class SDPProblem:
         return _pack_all(self.constraints, self.complex_blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SDPSolution:
     """Solver output; gap is reported signed as dual - primal."""
 
@@ -410,9 +411,6 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
             [sigma * mu * zib - xb for xb, zib in zip(x, z_inv)], dy)
         step_x, step_z = max_steps(dx, dz)
         ap, ad = min(1.0, 0.98 * step_x), min(1.0, 0.98 * step_z)
-        if not (np.isfinite(ap) and np.isfinite(ad)) or min(ap, ad) <= 1e-12:
-            # Vanishing step: back off further from the boundary.
-            ap, ad = min(1.0, 0.9 * step_x), min(1.0, 0.9 * step_z)
         x = [xb + ap * dxb for xb, dxb in zip(x, dx)]
         z = [zb + ad * dzb for zb, dzb in zip(z, dz)]
         y = y + ad * dy
@@ -498,6 +496,20 @@ def value_enclosure(problem: SDPProblem, solution: SDPSolution) -> tuple:
     return float(lower), float(upper)
 
 
+def certified_enclosure(problem: SDPProblem, tol: float = 1e-8) -> tuple:
+    """(lower, upper) of ``value_enclosure`` after one ``solve``.
+
+    Raises SolverFailure carrying the solution when the enclosure is
+    wider than ENCLOSURE_REL_WIDTH relative to 1 + |upper|.
+    """
+    sol = solve(problem, tol=tol)
+    lower, upper = value_enclosure(problem, sol)
+    if not upper - lower <= ENCLOSURE_REL_WIDTH * (1.0 + abs(upper)):
+        raise SolverFailure(
+            f"theta enclosure [{lower:.9f}, {upper:.9f}] too wide", solution=sol)
+    return lower, upper
+
+
 def export_sdpa(problem: SDPProblem) -> str:
     """SDPA sparse initial-format text for external cross-checking.
 
@@ -560,10 +572,4 @@ def lovasz_theta(n_vertices: int, edges, tol: float = 1e-8) -> float:
     Raises SolverFailure when the enclosure is wider than
     ENCLOSURE_REL_WIDTH relative to the value.
     """
-    prob = lovasz_theta_problem(n_vertices, edges)
-    sol = solve(prob, tol=tol)
-    lower, upper = value_enclosure(prob, sol)
-    if not upper - lower <= ENCLOSURE_REL_WIDTH * (1.0 + abs(upper)):
-        raise SolverFailure(
-            f"theta enclosure [{lower:.9f}, {upper:.9f}] too wide", solution=sol)
-    return upper
+    return certified_enclosure(lovasz_theta_problem(n_vertices, edges), tol)[1]

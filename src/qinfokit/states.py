@@ -25,7 +25,7 @@ from .matkit import dagger
 STATE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Density matrix with an ordered list of subsystem dimensions."""
 
@@ -62,7 +62,7 @@ class State:
         return State(tuple(self.dims[k] for k in keep), sub)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector with an ordered list of subsystem dimensions."""
 
@@ -89,7 +89,7 @@ class PureState:
         return State(self.dims, np.outer(self.vec, np.conj(self.vec)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """Schmidt data of a bipartite pure state at a given cut.
 

@@ -10,6 +10,10 @@ with the unnormalized |Phi> = sum_i |ii> and dc = n by default. It is
 solved once; the solve's primal and dual iterates give a value enclosure
 [lower, upper] (``sdpcore.value_enclosure``), and the upper end is
 reported as the value.
+
+An ``OperatorSystem`` is held as a Hermitian basis, HS-orthonormal:
+I/sqrt(n) first, then a basis of the traceless Hermitian part of S, which
+the theta program takes as its constraint operators without further work.
 """
 
 from __future__ import annotations
@@ -27,17 +31,24 @@ from .errors import (
     NotFeasibleWitness,
     NotStochastic,
     NotTracePreserving,
-    SolverFailure,
     TooLarge,
 )
 from .matkit import dagger
 
 INDEPENDENCE_VERTEX_CAP = 30
+# Relative rank tolerance of operator_system.
+_RANK_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSystem:
-    """Self-adjoint unital matrix subspace with an HS-orthonormal basis."""
+    """Self-adjoint unital matrix subspace S of M_dim, held as an
+    HS-orthonormal basis of Hermitian matrices: ``basis[0]`` is
+    I/sqrt(dim) and ``basis[1:]`` span the traceless Hermitian part of S.
+
+    Construction checks that layout (within 1e-10); ``operator_system``
+    builds it from any spanning list.
+    """
 
     dim: int
     basis: tuple = field(repr=False)
@@ -48,20 +59,14 @@ class OperatorSystem:
         for bmat in ops:
             if bmat.shape != (n, n):
                 raise DimensionError(f"basis element {bmat.shape} != ({n},{n})")
-        stack = np.stack([bmat.reshape(-1) for bmat in ops], axis=1)
-        gram = dagger(stack) @ stack
-        if np.linalg.norm(gram - np.eye(len(ops))) > 1e-10:
+        if not ops or np.linalg.norm(ops[0] - np.eye(n) / math.sqrt(n)) > 1e-10:
+            raise DimensionError("basis[0] must be I/sqrt(dim)")
+        stack = np.stack(ops)
+        flat = stack.reshape(len(ops), -1)
+        if np.linalg.norm(flat.conj() @ flat.T - np.eye(len(ops))) > 1e-10:
             raise DimensionError("basis is not HS-orthonormal")
-        # Unital: the identity must lie in the span.
-        eye = np.eye(n, dtype=complex).reshape(-1)
-        resid = eye - stack @ (dagger(stack) @ eye)
-        if np.linalg.norm(resid) > 1e-10 * math.sqrt(n):
-            raise DimensionError("operator system must contain the identity")
-        # Self-adjoint: the adjoint of each basis element stays in the span.
-        for bmat in ops:
-            v = dagger(bmat).reshape(-1)
-            if np.linalg.norm(v - stack @ (dagger(stack) @ v)) > 1e-10:
-                raise DimensionError("operator system must be self-adjoint")
+        if np.linalg.norm(stack - stack.conj().transpose(0, 2, 1)) > 1e-10:
+            raise DimensionError("basis elements must be Hermitian")
         object.__setattr__(self, "basis", ops)
 
     def __len__(self) -> int:
@@ -74,13 +79,42 @@ class OperatorSystem:
 
 
 def operator_system(dim: int, spanning) -> OperatorSystem:
-    """Orthonormalize a spanning list into an OperatorSystem."""
+    """The operator system spanned by ``spanning``, in its Hermitian basis.
+
+    The traceless elements come from one real orthonormalization of the
+    Hermitian and anti-Hermitian parts of the spanning matrices, less
+    their trace parts. With I they span span(spanning) + its adjoint + C I,
+    which equals span(spanning) exactly when that span contains I and is
+    self-adjoint; DimensionError names the condition that fails. Singular
+    values below _RANK_RTOL times the largest of ``spanning`` count as zero.
+    """
+    n = dim
     mats = [matkit.asmatrix(s) for s in spanning]
-    stack = np.stack([s.reshape(-1) for s in mats], axis=1)
-    basis = matkit.orthonormal_basis(stack)
-    return OperatorSystem(dim, tuple(
-        basis[:, k].reshape(dim, dim) for k in range(basis.shape[1])
-    ))
+    if n < 1 or not mats:
+        raise DimensionError("need dim >= 1 and at least one spanning matrix")
+    mats = np.stack(mats)
+    if mats.shape[1:] != (n, n):
+        raise DimensionError(f"spanning matrix {mats.shape[1:]} != ({n},{n})")
+    u, sv, _ = np.linalg.svd(mats.reshape(len(mats), -1).T, full_matrices=False)
+    cut = _RANK_RTOL * sv[0]
+    span = u[:, sv > cut]
+    eye = np.eye(n, dtype=complex) / math.sqrt(n)
+    v = eye.reshape(-1)
+    if np.linalg.norm(v - span @ (dagger(span) @ v)) > _RANK_RTOL:
+        raise DimensionError("operator system must contain the identity")
+    adj = mats.conj().transpose(0, 2, 1)
+    parts = np.concatenate([(mats + adj) / 2.0, 1j * (mats - adj) / 2.0])
+    diag = np.arange(n)
+    parts[:, diag, diag] -= np.trace(parts, axis1=1, axis2=2)[:, None] / n
+    # For Hermitian A, B the HS inner product is the dot product of their
+    # (re, im) embeddings, so a real SVD keeps the basis Hermitian.
+    _, sv_h, vt = np.linalg.svd(parts.view(float).reshape(len(parts), -1),
+                                full_matrices=False)
+    traceless = vt[sv_h > cut].view(complex).reshape(-1, n, n)
+    if 1 + len(traceless) != span.shape[1]:
+        raise DimensionError("operator system must be self-adjoint")
+    traceless = (traceless + traceless.conj().transpose(0, 2, 1)) / 2.0
+    return OperatorSystem(n, (eye,) + tuple(traceless))
 
 
 @dataclass(frozen=True)
@@ -228,30 +262,6 @@ class ThetaResult:
         return self.dual
 
 
-def _hermitian_basis(complex_basis) -> list[np.ndarray]:
-    """Hermitian orthonormal basis of a self-adjoint span."""
-    if not complex_basis:
-        return []
-    n = complex_basis[0].shape[0]
-    candidates = []
-    for bmat in complex_basis:
-        candidates.append((bmat + dagger(bmat)) / 2.0)
-        candidates.append(1j * (bmat - dagger(bmat)) / 2.0)
-    stack = np.stack([c.reshape(-1) for c in candidates], axis=1)
-    # Orthonormalize over the reals (real/imaginary parts as separate
-    # coordinates) so every output stays Hermitian; for Hermitian A, B the
-    # HS inner product equals the dot product of these embeddings.
-    real_stack = np.vstack([np.real(stack), np.imag(stack)])
-    u, sv, _ = np.linalg.svd(real_stack, full_matrices=False)
-    rank = int(np.sum(sv > 1e-9 * (sv[0] if sv.size else 1.0)))
-    out = []
-    for k in range(rank):
-        col = u[:, k]
-        mat = (col[: n * n] + 1j * col[n * n:]).reshape(n, n)
-        out.append((mat + dagger(mat)) / 2.0)
-    return out
-
-
 def _phi_projector(n: int, dc: int) -> np.ndarray:
     phi = np.zeros(n * dc, dtype=complex)
     for i in range(min(n, dc)):
@@ -280,15 +290,7 @@ def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
     # The feasible span is (C I (+) S_perp) (x) M_dc, encoded as
     # orthogonality to the traceless part of S tensored with M_dc, plus
     # Tr W = n.
-    s_herm = _hermitian_basis(list(s.basis))
-    eye_n = np.eye(n, dtype=complex) / math.sqrt(n)
-    traceless = []
-    for h in s_herm:
-        h = h - matkit.hs_inner(eye_n, h) * eye_n
-        nrm = np.linalg.norm(h)
-        if nrm > 1e-9:
-            traceless.append(h / nrm)
-    traceless = _hermitian_basis(traceless)
+    traceless = s.basis[1:]
     # Row 0 is I; row 1 + p dc^2 + q is kron(traceless[p], hs[q]), written
     # in place so the problem keeps this one stack.
     hs = _unit_hermitian_basis(dc)
@@ -309,12 +311,7 @@ def theta_tilde(s: OperatorSystem, dc: int | None = None,
     is the value. Raises SolverFailure when the enclosure is wider than
     sdpcore.ENCLOSURE_REL_WIDTH relative to the value.
     """
-    prob = theta_tilde_problems(s, dc)
-    sol = sdpcore.solve(prob, tol=tol)
-    lower, upper = sdpcore.value_enclosure(prob, sol)
-    if not upper - lower <= sdpcore.ENCLOSURE_REL_WIDTH * (1.0 + abs(upper)):
-        raise SolverFailure(
-            f"theta enclosure [{lower:.9f}, {upper:.9f}] too wide", solution=sol)
+    lower, upper = sdpcore.certified_enclosure(theta_tilde_problems(s, dc), tol)
     return ThetaResult(primal=lower, dual=upper, gap=upper - lower)
 
 

@@ -275,6 +275,19 @@ def test_malformed_theta_system_exits_2(tmp_path, capsys, field, value, message)
     assert err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("basis, reason", [
+    ([[[1, 0], [0, 0]]], "operator system must contain the identity"),
+    ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "operator system must be self-adjoint"),
+])
+def test_theta_rejected_system_exits_1(tmp_path, capsys, basis, reason):
+    doc = {"dim": 2,
+           "basis": [serialize.matrix_to_doc(np.array(b, float)) for b in basis]}
+    path = write_doc(tmp_path / "system.json", doc)
+    code, out, err = run_cli(capsys, "--json", "theta", path)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "DimensionError", "reason": reason}
+
+
 def test_qec_check_and_recover_commands(tmp_path, capsys):
     w = np.zeros((8, 2))
     w[0, 0] = w[7, 1] = 1.0

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from qinfokit import sdpcore, zeroerr
 from qinfokit.channels import Channel, classical_channel
 from qinfokit.errors import (
+    DimensionError,
     NotFeasibleWitness,
     NotStochastic,
     TooLarge,
 )
+from qinfokit.matkit import dagger
 from qinfokit.randkit import haar_unitary
 
 
@@ -77,6 +79,74 @@ def test_graph_op_system_dimensions():
     p3 = zeroerr.Graph(3, frozenset({(0, 1), (1, 2)}))
     s = zeroerr.graph_op_system(p3)
     assert len(s) == 7  # tridiagonal matrices
+
+
+def unit(n: int, i: int, j: int) -> np.ndarray:
+    e = np.zeros((n, n))
+    e[i, j] = 1.0
+    return e
+
+
+def spanning_lists() -> dict:
+    kraus = haar_unitary(4, np.random.default_rng(102))[:, :2]
+    return {
+        "C I": [2.0 * np.eye(2)],
+        "P3": [unit(3, i, i) for i in range(3)]
+              + [unit(3, 0, 1), unit(3, 1, 0), unit(3, 1, 2), unit(3, 2, 1)],
+        "channel": [dagger(a) @ b for a in (kraus[:2], kraus[2:])
+                    for b in (kraus[:2], kraus[2:])],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(spanning_lists()))
+def test_operator_system_basis_layout(name):
+    # basis[0] = I/sqrt(n), then traceless Hermitian elements, all
+    # HS-orthonormal, spanning the same space as the spanning list.
+    spanning = spanning_lists()[name]
+    s = zeroerr.operator_system(len(spanning[0]), spanning)
+    n = s.dim
+    assert np.linalg.norm(s.basis[0] - np.eye(n) / math.sqrt(n)) <= 1e-10
+    flat = np.stack(s.basis).reshape(len(s), -1)
+    assert np.linalg.norm(flat.conj() @ flat.T - np.eye(len(s))) <= 1e-10
+    for bmat in s.basis:
+        assert np.linalg.norm(bmat - dagger(bmat)) <= 1e-10
+    for bmat in s.basis[1:]:
+        assert abs(np.trace(bmat)) <= 1e-10
+    flat = np.stack(spanning).reshape(len(spanning), -1)
+    assert len(s) == np.linalg.matrix_rank(flat)
+    assert all(s.contains(x) for x in spanning)
+
+
+@pytest.mark.parametrize("name", sorted(spanning_lists()))
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_operator_system_scale_free(name, scale):
+    spanning = spanning_lists()[name]
+    n = len(spanning[0])
+    s = zeroerr.operator_system(n, spanning)
+    scaled = zeroerr.operator_system(n, [scale * x for x in spanning])
+    assert len(scaled) == len(s)
+    assert zeroerr.theta_tilde(scaled).value == pytest.approx(
+        zeroerr.theta_tilde(s).value, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim, spanning, message", [
+    (2, [unit(2, 0, 0)], "operator system must contain the identity"),
+    (2, [np.zeros((2, 2))], "operator system must contain the identity"),
+    (2, [np.eye(2), unit(2, 0, 1)], "operator system must be self-adjoint"),
+    (2, [np.eye(3)], r"spanning matrix \(3, 3\) != \(2,2\)"),
+    (2, [], "at least one spanning matrix"),
+    (0, [np.zeros((0, 0))], "need dim >= 1"),
+])
+def test_operator_system_rejections(dim, spanning, message):
+    with pytest.raises(DimensionError, match=message):
+        zeroerr.operator_system(dim, spanning)
+
+
+def test_operator_system_rejects_non_hermitian_basis():
+    # The same space as span{I, E_01, E_10}, in a non-Hermitian basis.
+    basis = (np.eye(2) / math.sqrt(2), unit(2, 0, 1), unit(2, 1, 0))
+    with pytest.raises(DimensionError, match="must be Hermitian"):
+        zeroerr.OperatorSystem(2, basis)
 
 
 # --- confusability ---------------------------------------------------------------
