@@ -155,6 +155,7 @@ def _cmd_theta(args) -> dict:
         "source": source,
         "system_dim": system.dim,
         "system_size": len(system),
+        "program": result.program,
         "theta": float(result.value),
         "primal": float(result.primal),
         "dual": float(result.dual),

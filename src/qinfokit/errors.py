@@ -76,7 +76,9 @@ class IllConditioned(ToolkitError):
 
 
 class TooLarge(ToolkitError):
-    """Exact search requested beyond the exponential-cost guard."""
+    """Computation requested beyond a cost guard: an exact search past
+    its exponential-cost cap, or a program whose data would exceed its
+    memory cap."""
 
 
 class NotFeasibleWitness(ToolkitError):

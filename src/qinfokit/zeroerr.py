@@ -11,6 +11,12 @@ solved once; the solve's primal and dual iterates give a value enclosure
 [lower, upper] (``sdpcore.value_enclosure``), and the upper end is
 reported as the value.
 
+When dc = n and S is a graph system S_G, which ``theta_tilde`` reads off
+the basis, the program collapses by torus symmetry to the n x n Lovasz
+program of G (theta~(S_G) = theta(G), Duan-Severini-Winter), and that is
+what is solved. Every other system, and every dc != n, takes the full
+(n dc)^2 program of ``theta_tilde_problems``.
+
 An ``OperatorSystem`` is held as a Hermitian basis, HS-orthonormal:
 I/sqrt(n) first, then a basis of the traceless Hermitian part of S, which
 the theta program takes as its constraint operators without further work.
@@ -36,6 +42,8 @@ from .errors import (
 from .matkit import dagger
 
 INDEPENDENCE_VERTEX_CAP = 30
+# Most constraint data theta_tilde_problems will allocate, in bytes.
+THETA_STACK_BYTES_CAP = 2 ** 30
 # Relative rank tolerance of operator_system.
 _RANK_RTOL = 1e-9
 
@@ -251,11 +259,14 @@ def verify_independent_states(s: OperatorSystem, psis) -> bool:
 @dataclass(frozen=True)
 class ThetaResult:
     """Value enclosure of the theta SDP: primal and dual are its lower and
-    upper ends, gap its width, and value the upper end."""
+    upper ends, gap its width, and value the upper end. program is
+    "graph" when the Lovasz program of the system's graph was solved and
+    "full" for the (n dc)^2 program."""
 
     primal: float
     dual: float
     gap: float
+    program: str
 
     @property
     def value(self) -> float:
@@ -282,19 +293,38 @@ def _unit_hermitian_basis(n: int) -> np.ndarray:
     return out
 
 
+def _resolve_dc(s: OperatorSystem, dc) -> int:
+    dc = s.dim if dc is None else int(dc)
+    if dc < 1:
+        raise DimensionError("dc must be >= 1")
+    return dc
+
+
 def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
     """The theta SDP of S as an SDPProblem, in the variable
-    W = I (x) rho + M' (see the module docstring)."""
+    W = I (x) rho + M' (see the module docstring).
+
+    Raises TooLarge, before allocating, when the constraint stack and the
+    M_dc basis would exceed THETA_STACK_BYTES_CAP bytes.
+    """
     n = s.dim
-    dc = n if dc is None else int(dc)
+    dc = _resolve_dc(s, dc)
     # The feasible span is (C I (+) S_perp) (x) M_dc, encoded as
     # orthogonality to the traceless part of S tensored with M_dc, plus
     # Tr W = n.
     traceless = s.basis[1:]
+    k, size = len(traceless), n * dc
+    # The stack and the M_dc basis it is built from, which is the larger
+    # of the two only when S = C I and dc > n.
+    entries = (1 + k * dc * dc) * size * size + dc ** 4
+    nbytes = entries * np.dtype(complex).itemsize
+    if nbytes > THETA_STACK_BYTES_CAP:
+        raise TooLarge(f"theta program of a {len(s)}-dimensional system in "
+                       f"M_{n} with dc = {dc} needs {nbytes} bytes of "
+                       f"constraint data (cap {THETA_STACK_BYTES_CAP})")
     # Row 0 is I; row 1 + p dc^2 + q is kron(traceless[p], hs[q]), written
     # in place so the problem keeps this one stack.
     hs = _unit_hermitian_basis(dc)
-    k, size = len(traceless), n * dc
     stack = np.empty((1 + k * dc * dc, size, size), dtype=complex)
     stack[0] = np.eye(size)
     np.einsum("pij,qab->pqiajb", np.reshape(traceless, (k, n, n)), hs,
@@ -303,16 +333,58 @@ def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
     return sdpcore.SDPProblem((_phi_projector(n, dc),), (stack,), rhs)
 
 
+def _graph_of(s: OperatorSystem):
+    """The edges of G if S = S_G, else None.
+
+    P is the set of off-diagonal positions where some basis element has an
+    entry above _RANK_RTOL times the largest entry of the basis. S lies in
+    (span of the basis' diagonal parts) + span{E_ij : (i, j) in P}, whose
+    dimension is at most n + |P|, with equality exactly when it holds
+    every diagonal matrix and every E_ij on P; so len(S) == n + |P| iff
+    S = S_G with G = {(i, j) in P : i < j}. P is symmetric because the
+    basis is Hermitian.
+    """
+    mag = np.abs(np.stack(s.basis))
+    off = (mag > _RANK_RTOL * mag.max()).any(axis=0)
+    np.fill_diagonal(off, False)
+    rows, cols = np.nonzero(off)
+    if len(s) != s.dim + len(rows):
+        return None
+    return [(int(i), int(j)) for i, j in zip(rows, cols) if i < j]
+
+
 def theta_tilde(s: OperatorSystem, dc: int | None = None,
                 tol: float = 1e-8) -> ThetaResult:
     """Entanglement-assisted Lovasz number of the operator system.
 
     One SDP solve; its iterates give the value enclosure, whose upper end
-    is the value. Raises SolverFailure when the enclosure is wider than
-    sdpcore.ENCLOSURE_REL_WIDTH relative to the value.
+    is the value. Raises DimensionError for dc < 1, TooLarge when the
+    full program is over THETA_STACK_BYTES_CAP, and SolverFailure when the
+    enclosure is wider than sdpcore.ENCLOSURE_REL_WIDTH relative to the
+    value.
+
+    With dc = n and S = S_G the n x n Lovasz program of G is solved
+    instead of the full one (``program`` "graph"); it has the same
+    optimum. Conjugation by D (x) conj(D), D a diagonal unitary, fixes
+    Phi, Tr W and (traceless S_G) (x) M_n, so averaging an optimal W over
+    these unitaries keeps it optimal and puts it in their commutant: one
+    n x n block B on span{|ii>} plus the n(n-1) scalars W_(ia),(ia), a != i.
+    S_G holds every diagonal matrix, so orthogonality to (traceless
+    diagonal) (x) E_aa pins each W_(ia),(ia) to B_aa; then Tr W = n reads
+    Tr B = 1, orthogonality to E_ij (x) E_ij reads B_ij = 0 on the edges,
+    and the objective is <J, B>. That is ``sdpcore.lovasz_theta_problem``
+    (Gatermann-Parrilo for the symmetry reduction), and its value
+    enclosure encloses theta~(S_G) because the optimum is the same.
     """
-    lower, upper = sdpcore.certified_enclosure(theta_tilde_problems(s, dc), tol)
-    return ThetaResult(primal=lower, dual=upper, gap=upper - lower)
+    dc = _resolve_dc(s, dc)
+    edges = _graph_of(s) if dc == s.dim else None
+    if edges is None:
+        problem, program = theta_tilde_problems(s, dc), "full"
+    else:
+        problem, program = sdpcore.lovasz_theta_problem(s.dim, edges), "graph"
+    lower, upper = sdpcore.certified_enclosure(problem, tol)
+    return ThetaResult(primal=lower, dual=upper, gap=upper - lower,
+                       program=program)
 
 
 def theta_lower_from_witness(s: OperatorSystem, m) -> float:

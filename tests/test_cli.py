@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qinfokit import cli, qec, serialize
 from qinfokit.channels import Channel
 from qinfokit.errors import FormatError
+from qinfokit.randkit import haar_unitary
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +230,39 @@ def test_theta_complete_graph_command(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["theta"] == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("dc", ["0", "-1"])
+def test_theta_dc_below_one_exits_1(tmp_path, capsys, dc):
+    path = tmp_path / "c5.edges"
+    path.write_text("".join(f"{i} {(i + 1) % 5}\n" for i in range(5)))
+    code, out, err = run_cli(capsys, "--json", "theta", "--dc", dc, str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "DimensionError",
+                               "reason": "dc must be >= 1"}
+
+
+def test_theta_reports_program(tmp_path, capsys):
+    # An edge list is a graph system; the same system rotated by a
+    # unitary is not, and takes the full program.
+    path = tmp_path / "c5.edges"
+    path.write_text("".join(f"{i} {(i + 1) % 5}\n" for i in range(5)))
+    code, out, _ = run_cli(capsys, "--json", "theta", str(path))
+    assert code == 0
+    graph_rep = json.loads(out)
+    assert graph_rep["program"] == "graph"
+    e = np.eye(5)
+    units = [np.outer(e[i], e[j]) for i in range(5) for j in range(5)
+             if (j - i) % 5 in (0, 1, 4)]
+    u = haar_unitary(5, np.random.default_rng(105))
+    spanning = [u @ m @ u.conj().T for m in units]
+    doc = {"dim": 5, "basis": [serialize.matrix_to_doc(m) for m in spanning]}
+    code, out, _ = run_cli(capsys, "--json", "theta",
+                           write_doc(tmp_path / "system.json", doc))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["program"] == "full" and rep["system_size"] == 15
+    assert rep["theta"] == pytest.approx(graph_rep["theta"], abs=1e-6)
 
 
 def test_consecutive_runs_share_no_state(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,17 +245,21 @@ def test_theta_full_matrix_algebra():
 
 
 def test_theta_identity_system_dense_coding():
+    # span{I} is not a graph system for n >= 2: it keeps the full program.
     for n in (2, 3):
         s = zeroerr.operator_system(n, [np.eye(n)])
-        assert_encloses(zeroerr.theta_tilde(s), float(n * n))
+        r = zeroerr.theta_tilde(s)
+        assert r.program == "full"
+        assert_encloses(r, float(n * n))
 
 
 def test_theta_c5_matches_classical_lovasz():
+    # The full (n dc)^2 program against the classical n x n one.
     s = zeroerr.graph_op_system(zeroerr.cycle_graph(5))
-    r = zeroerr.theta_tilde(s)
+    lower, upper = sdpcore.certified_enclosure(zeroerr.theta_tilde_problems(s))
     classical = sdpcore.lovasz_theta(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert r.value == pytest.approx(classical, abs=1e-6)
-    assert_encloses(r, math.sqrt(5.0))
+    assert upper == pytest.approx(classical, abs=1e-6)
+    assert lower <= math.sqrt(5.0) <= upper
 
 
 def test_theta_c6_is_alpha():
@@ -332,6 +337,49 @@ def test_theta_dc_override():
     r = zeroerr.theta_tilde(s, dc=3)
     # dc larger than n changes nothing: dc = n already reaches the sup.
     assert_encloses(r, 4.0)
+    # A graph system with dc != n keeps the full program.
+    r = zeroerr.theta_tilde(zeroerr.graph_op_system(zeroerr.cycle_graph(4)), dc=3)
+    assert r.program == "full"
+    assert_encloses(r, 2.0)
+
+
+@pytest.mark.parametrize("dc", [0, -1])
+def test_theta_rejects_dc_below_one(dc, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a program")
+
+    monkeypatch.setattr(zeroerr, "theta_tilde_problems", no_build)
+    monkeypatch.setattr(sdpcore, "lovasz_theta_problem", no_build)
+    for g in (zeroerr.empty_graph(1), zeroerr.cycle_graph(3)):
+        with pytest.raises(DimensionError, match="dc must be >= 1"):
+            zeroerr.theta_tilde(zeroerr.graph_op_system(g), dc=dc)
+
+
+def test_theta_full_program_size_guard():
+    # A random channel on C^10 with nine Kraus operators spans an
+    # 81-dimensional system that is no graph system: the full program
+    # would need (1 + 80 * 100) * 100^2 complex entries, about 1.3 GB. It
+    # must be refused before anything that size exists.
+    iso = haar_unitary(90, np.random.default_rng(103))[:, :10]
+    ch = Channel(10, 10, tuple(iso[10 * i:10 * i + 10] for i in range(9)))
+    s = zeroerr.op_system_from_channel(ch)
+    assert len(s) == 81
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="bytes of constraint data"):
+            zeroerr.theta_tilde(s)
+        with pytest.raises(TooLarge):
+            zeroerr.theta_tilde_problems(s, dc=10)
+        # For S = C I the stack is small, but the M_dc basis of dc = 100
+        # alone would take 1.6 GB.
+        with pytest.raises(TooLarge):
+            zeroerr.theta_tilde(zeroerr.operator_system(2, [np.eye(2)]), dc=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # The same system with a smaller dc is still built.
+    assert zeroerr.theta_tilde_problems(s, dc=2).m == 1 + 80 * 4
 
 
 def test_weak_duality_inside_theta_solve():
@@ -355,6 +403,51 @@ FOUR_VERTEX_GRAPHS = {
     "diamond": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
     "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
 }
+
+
+def all_labelled_graphs(n: int):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(2 ** len(pairs)):
+        yield [p for b, p in enumerate(pairs) if mask >> b & 1]
+
+
+def assert_same_value(r: zeroerr.ThetaResult, lower: float, upper: float):
+    # Two enclosures of one optimum overlap.
+    assert r.primal <= upper and lower <= r.dual
+
+
+def test_theta_graph_program_matches_full_on_every_4_vertex_graph():
+    graphs = list(all_labelled_graphs(4))
+    assert len(graphs) == 64
+    for edges in graphs:
+        s = zeroerr.graph_op_system(zeroerr.Graph(4, frozenset(edges)))
+        r = zeroerr.theta_tilde(s)
+        assert r.program == "graph"
+        assert_same_value(
+            r, *sdpcore.certified_enclosure(zeroerr.theta_tilde_problems(s)))
+
+
+@pytest.mark.parametrize("n, edges", [
+    (5, [(i, (i + 1) % 5) for i in range(5)]),
+    (4, FOUR_VERTEX_GRAPHS["P4"]),
+])
+def test_theta_rotated_graph_system_takes_full_program(n, edges):
+    # theta~ is unitarily invariant, but U S_G U^dag is no graph system.
+    s = zeroerr.graph_op_system(zeroerr.Graph(n, frozenset(edges)))
+    u = haar_unitary(n, np.random.default_rng(104))
+    rotated = zeroerr.operator_system(n, [u @ b @ dagger(u) for b in s.basis])
+    r_graph, r_full = zeroerr.theta_tilde(s), zeroerr.theta_tilde(rotated)
+    assert (r_graph.program, r_full.program) == ("graph", "full")
+    assert_same_value(r_full, r_graph.primal, r_graph.dual)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 13])
+def test_theta_cycles_closed_form(n):
+    # theta(C_n) = n cos(pi/n) / (1 + cos(pi/n)) for odd n, n/2 for even n.
+    c = math.cos(math.pi / n)
+    r = zeroerr.theta_tilde(zeroerr.graph_op_system(zeroerr.cycle_graph(n)))
+    assert r.program == "graph"
+    assert_encloses(r, n * c / (1 + c) if n % 2 else n / 2)
 
 
 @pytest.mark.parametrize("name", sorted(FOUR_VERTEX_GRAPHS))
