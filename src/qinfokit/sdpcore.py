@@ -2,24 +2,24 @@
 
 Standard form used throughout:
 
-    maximize    sum_b <C_b, X_b>
-    subject to  sum_b <A_ib, X_b> = b_i   (i = 1..m)
-                X_b >= 0                  (block diagonal)
+    maximize    <C, X>
+    subject to  <A_i, X> = b_i   (i = 1..m)
+                X >= 0
 
 with the dual
 
     minimize    b^T y
-    subject to  Z_b := sum_i y_i A_ib - C_b >= 0,
+    subject to  Z := sum_i y_i A_i - C >= 0,
 
 so weak duality reads primal <= dual. The algorithm is primal-dual
 path-following with Nesterov-Todd scaling and a predictor-corrector step
 (the corrector recentres at sigma * mu without a second-order term).
 
-An ``SDPProblem`` holds C_b, the (m, n_b, n_b) stack of the A_ib and
-the vector b. A block is iterated as complex Hermitian matrices when its
-data has an imaginary part, else as real symmetric ones; the problem
-decides this once and stores the block as complex128 or float64, with
-the constraints packed once for ``solve`` and ``value_enclosure``
+An ``SDPProblem`` holds C, the (m, n, n) stack of the A_i and the
+vector b. The problem is iterated as complex Hermitian matrices when its
+data has an imaginary part, else as real symmetric ones; it decides this
+once and stores its data as complex128 or float64, with the constraints
+packed once for ``solve`` and ``value_enclosure``
 (``SDPProblem.packed``). The Schur complement is
 formed in packed Hermitian coordinates (where the trace inner product is
 the dot product) and factored once per iteration: by Cholesky when its
@@ -27,7 +27,7 @@ pivots put it inside SCHUR_COND_LIMIT, else by a symmetric eigensolve
 that drops eigen-directions below 1e-14 of the largest, so redundant
 constraints need no special handling and conditioning alone never stops
 a solve. A solve either ends optimal or raises. Only the SDPA export
-embeds complex blocks as real ones of twice the size (``_embed``).
+embeds a complex problem as a real one of twice the size (``_embed``).
 
 ``value_enclosure`` turns one solve's primal and dual iterates into an
 interval [lower, upper] that holds the optimal value, for problems whose
@@ -62,69 +62,57 @@ ENCLOSURE_REL_WIDTH = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class SDPProblem:
-    """Block-diagonal standard-form SDP (see module docstring).
+    """Standard-form SDP (see module docstring).
 
-    ``objective``: one Hermitian (n_b, n_b) matrix C_b per block.
-    ``constraints``: one (m, n_b, n_b) stack per block, whose i-th matrix
-    is A_ib. ``rhs``: the (m,) vector b. ``block_sizes`` and ``m`` follow
-    from these shapes.
+    ``objective``: the Hermitian (n, n) matrix C. ``constraints``: the
+    (m, n, n) stack whose i-th matrix is A_i. ``rhs``: the (m,) vector b.
+    ``n`` and ``m`` follow from these shapes.
 
     Construction checks shapes, finiteness and Hermiticity once and
-    decides once per block whether it is complex: a block whose objective
-    or constraints have an imaginary part is stored as complex128, any
-    other as float64, so the dtype of a stored block says how it is
-    iterated. A stack already of that dtype and C-contiguous is kept
-    without a copy.
+    decides once whether the problem is complex: when its objective or
+    constraints have an imaginary part both are stored as complex128,
+    else as float64, so the stored dtype says how it is iterated. A stack
+    already of that dtype and C-contiguous is kept without a copy.
     """
 
-    objective: tuple
-    constraints: tuple
+    objective: np.ndarray
+    constraints: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
         rhs = np.asarray(self.rhs)
         if rhs.ndim != 1 or np.iscomplexobj(rhs) or not np.all(np.isfinite(rhs)):
             raise DimensionError("rhs must be a real vector with finite entries")
-        rhs = rhs.astype(float)
-        if not 0 < len(self.objective) == len(self.constraints):
-            raise DimensionError("need blocks, each with an objective and a stack")
-        obj, cons = [], []
-        for c, stack in zip(self.objective, self.constraints):
-            dtype = complex if np.iscomplexobj(c) or np.iscomplexobj(stack) else float
-            c, stack = np.ascontiguousarray(c, dtype), np.ascontiguousarray(stack, dtype)
-            if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.shape[0]:
-                raise DimensionError(f"objective block {c.shape} is not n x n, n >= 1")
-            n = c.shape[0]
-            if stack.ndim != 3 or stack.shape[1:] != (n, n):
-                raise DimensionError(f"constraint block {stack.shape[1:]} != ({n},{n})")
-            if len(stack) != len(rhs):
-                raise DimensionError(f"{len(stack)} constraint operators, {len(rhs)} rhs")
-            # A list, not `or`: both checks must run.
-            if not any([_check_operators(c[None], "objective"),
-                        _check_operators(stack, "constraint operators")]):
-                c, stack = np.ascontiguousarray(c.real), np.ascontiguousarray(stack.real)
-            obj.append(c)
-            cons.append(stack)
-        object.__setattr__(self, "objective", tuple(obj))
-        object.__setattr__(self, "constraints", tuple(cons))
-        object.__setattr__(self, "rhs", rhs)
+        c, stack = self.objective, self.constraints
+        dtype = complex if np.iscomplexobj(c) or np.iscomplexobj(stack) else float
+        c, stack = np.ascontiguousarray(c, dtype), np.ascontiguousarray(stack, dtype)
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.shape[0]:
+            raise DimensionError(f"objective {c.shape} is not n x n, n >= 1")
+        n = c.shape[0]
+        if stack.ndim != 3 or stack.shape[1:] != (n, n):
+            raise DimensionError(f"constraint operators {stack.shape[1:]} != ({n},{n})")
+        if len(stack) != len(rhs):
+            raise DimensionError(f"{len(stack)} constraint operators, {len(rhs)} rhs")
+        # A list, not `or`: both checks must run.
+        if not any([_check_operators(c[None], "objective"),
+                    _check_operators(stack, "constraint operators")]):
+            c, stack = np.ascontiguousarray(c.real), np.ascontiguousarray(stack.real)
+        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "constraints", stack)
+        object.__setattr__(self, "rhs", rhs.astype(float))
 
     @property
-    def block_sizes(self) -> tuple:
-        return tuple(len(c) for c in self.objective)
+    def n(self) -> int:
+        return len(self.objective)
 
     @property
     def m(self) -> int:
         return len(self.rhs)
 
-    @property
-    def complex_blocks(self) -> tuple:
-        return tuple(np.iscomplexobj(c) for c in self.objective)
-
     @functools.cached_property
     def packed(self) -> np.ndarray:
         """The constraints in packed coordinates, one row per A_i."""
-        return _pack_all(self.constraints, self.complex_blocks)
+        return _pack(self.constraints, np.iscomplexobj(self.constraints))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,9 +121,9 @@ class SDPSolution:
 
     primal: float
     dual: float
-    x_blocks: tuple = field(repr=False)
+    x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
-    z_blocks: tuple = field(repr=False)
+    z: np.ndarray = field(repr=False)
     gap: float
     iterations: int
     status: str
@@ -191,7 +179,7 @@ def _upper(n: int) -> tuple:
 def _pack(h: np.ndarray, cplx: bool) -> np.ndarray:
     """Real coordinates of Hermitian matrices h[..., n, n] in which the
     trace inner product is the dot product: the diagonal, then sqrt(2) Re
-    and (complex blocks only) sqrt(2) Im of the strict upper triangle."""
+    and (complex problems only) sqrt(2) Im of the strict upper triangle."""
     i, j = _upper(h.shape[-1])
     upper = math.sqrt(2.0) * h[..., i, j]
     parts = [np.diagonal(h, axis1=-2, axis2=-1).real, upper.real]
@@ -207,22 +195,6 @@ def _unpack(v: np.ndarray, n: int, cplx: bool) -> np.ndarray:
     h[j, i] = h[i, j].conj()
     h[np.arange(n), np.arange(n)] = v[:n]
     return h
-
-
-def _pack_all(blocks, cplx) -> np.ndarray:
-    """Packed coordinates of a block-diagonal matrix (or, for (m, n, n)
-    stacks, of m of them), the blocks' coordinates concatenated."""
-    return np.concatenate([_pack(h, cp) for h, cp in zip(blocks, cplx)], axis=-1)
-
-
-def _unpack_all(v: np.ndarray, sizes, cplx) -> list:
-    """The blocks whose concatenated packed coordinates are v."""
-    out, lo = [], 0
-    for n, cp in zip(sizes, cplx):
-        hi = lo + (n * n if cp else n * (n + 1) // 2)
-        out.append(_unpack(v[lo:hi], n, cp))
-        lo = hi
-    return out
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -292,7 +264,7 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
           ) -> SDPSolution:
     """Interior-point solve of the standard-form problem.
 
-    Complex blocks are iterated natively (see the module docstring). The
+    Complex problems are iterated natively (see the module docstring). The
     predictor and corrector directions share one factorization of the
     Schur complement per iteration. Each ``history`` record holds the
     residuals, mu, sigma, the step lengths and the Schur path
@@ -307,26 +279,23 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
     iterates are checked for explicitly, so numpy's transient overflow
     warnings are silenced here.
     """
-    sizes, m, cplx = problem.block_sizes, problem.m, problem.complex_blocks
-    b, c_blocks, a_dense = problem.rhs, problem.objective, problem.constraints
-    a_packed = problem.packed
+    n, m, cplx = problem.n, problem.m, np.iscomplexobj(problem.objective)
+    b, c, a_packed = problem.rhs, problem.objective, problem.packed
 
-    def apply_a(blocks):
+    def apply_a(h):
         # W Rd W is Hermitian only up to rounding of order |W|^2; one
         # triangle of it alone stalled tight solves, so symmetrize first.
-        return a_packed @ _pack_all([_herm(blk) for blk in blocks], cplx)
+        return a_packed @ _pack(_herm(h), cplx)
 
     def apply_at(y):
-        return _unpack_all(y @ a_packed, sizes, cplx)
+        return _unpack(y @ a_packed, n, cplx)
 
-    eta = max(10.0, float(np.max(np.abs(b))) if m else 0.0,
-              max(float(np.linalg.norm(c)) for c in c_blocks))
-    x = [eta * np.eye(n, dtype=c.dtype) for n, c in zip(sizes, c_blocks)]
-    z = [xb.copy() for xb in x]
+    eta = max(10.0, float(np.max(np.abs(b))) if m else 0.0, float(np.linalg.norm(c)))
+    x = eta * np.eye(n, dtype=c.dtype)
+    z = x.copy()
     y = np.zeros(m)
-    total_dim = sum(sizes)
     bnorm = 1.0 + float(np.linalg.norm(b))
-    cnorm = 1.0 + math.sqrt(sum(float(np.linalg.norm(c)) ** 2 for c in c_blocks))
+    cnorm = 1.0 + float(np.linalg.norm(c))
 
     history = []
     status = "max_iter"
@@ -334,13 +303,13 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
-        pval = sum(np.vdot(cb, xb).real for cb, xb in zip(c_blocks, x))
+        pval = np.vdot(c, x).real
         dval = float(b @ y)
         rp = b - apply_a(x)
-        rd = [cb - ab + zb for cb, ab, zb in zip(c_blocks, apply_at(y), z)]
-        mu = sum(np.vdot(xb, zb).real for xb, zb in zip(x, z)) / total_dim
+        rd = c - apply_at(y) + z
+        mu = np.vdot(x, z).real / n
         pinf = float(np.linalg.norm(rp)) / bnorm
-        dinf = math.sqrt(sum(float(np.linalg.norm(r)) ** 2 for r in rd)) / cnorm
+        dinf = float(np.linalg.norm(rd)) / cnorm
         relgap = abs(dval - pval) / (1.0 + abs(pval) + abs(dval))
         record = {
             "iter": it, "primal": float(pval), "dual": dval,
@@ -368,61 +337,51 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
                 f"primal residual stalled at {pinf:.3e} after {it} iterations"
             )
 
-        lx, lz = [_chol(xb) for xb in x], [_chol(zb) for zb in z]
-        r = [_nt_scaling(lb, zb) for lb, zb in zip(lx, z)]
-        w = [_herm(rb @ rb.conj().T) for rb in r]
-        z_inv = []
-        for zb in z:
-            vals, vecs = np.linalg.eigh(zb)
-            z_inv.append((vecs / np.clip(vals, 1e-300, None)) @ vecs.conj().T)
+        lx, lz = _chol(x), _chol(z)
+        r = _nt_scaling(lx, z)
+        w = _herm(r @ r.conj().T)
+        vals, vecs = np.linalg.eigh(z)
+        z_inv = (vecs / np.clip(vals, 1e-300, None)) @ vecs.conj().T
 
-        # Schur complement M_ij = sum_b <A_i, W A_j W> = <B_i, B_j> with
+        # Schur complement M_ij = <A_i, W A_j W> = <B_i, B_j> with
         # B_j = R^H A_j R: one Gram product over the packed coordinates.
-        rar = _pack_all([rb.conj().T @ a @ rb for rb, a in zip(r, a_dense)], cplx)
+        rar = _pack(r.conj().T @ problem.constraints @ r, cplx)
         schur_solve, path = _schur_solver(rar @ rar.T)
 
         # The corrector's right-hand side is the predictor's plus
         # sigma mu A(Z^-1), so one solve with two columns serves both.
-        rhs_aff = apply_a([wb @ rdb @ wb - xb for wb, rdb, xb in zip(w, rd, x)]) - rp
+        rhs_aff = apply_a(w @ rd @ w - x) - rp
         dy_aff, dy_cen = schur_solve(np.stack([rhs_aff, apply_a(z_inv)], axis=1)).T
 
-        def direction(rc_blocks, dy):
-            dz = [_herm(ady - rdb) for ady, rdb in zip(apply_at(dy), rd)]
-            dx = [_herm(rc - wb @ dzb @ wb)
-                  for rc, wb, dzb in zip(rc_blocks, w, dz)]
-            return dx, dz
+        def direction(rc, dy):
+            dz = _herm(apply_at(dy) - rd)
+            return _herm(rc - w @ dz @ w), dz
 
         def max_steps(dx, dz):
-            return (min(_max_step(lb, d) for lb, d in zip(lx, dx)),
-                    min(_max_step(lb, d) for lb, d in zip(lz, dz)))
+            return _max_step(lx, dx), _max_step(lz, dz)
 
         # Predictor (affine scaling).
-        dx_a, dz_a = direction([-xb for xb in x], dy_aff)
+        dx_a, dz_a = direction(-x, dy_aff)
         ap, ad = (min(1.0, step) for step in max_steps(dx_a, dz_a))
-        mu_aff = sum(
-            np.vdot(xb + ap * dxb, zb + ad * dzb).real
-            for xb, dxb, zb, dzb in zip(x, dx_a, z, dz_a)
-        ) / total_dim
+        mu_aff = np.vdot(x + ap * dx_a, z + ad * dz_a).real / n
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-8)) if mu > 0 else 0.1
 
         # Corrector: recentre at sigma * mu.
         dy = dy_aff + sigma * mu * dy_cen
-        dx, dz = direction(
-            [sigma * mu * zib - xb for xb, zib in zip(x, z_inv)], dy)
+        dx, dz = direction(sigma * mu * z_inv - x, dy)
         step_x, step_z = max_steps(dx, dz)
         ap, ad = min(1.0, 0.98 * step_x), min(1.0, 0.98 * step_z)
-        x = [xb + ap * dxb for xb, dxb in zip(x, dx)]
-        z = [zb + ad * dzb for zb, dzb in zip(z, dz)]
+        x = x + ap * dx
+        z = z + ad * dz
         y = y + ad * dy
         record.update(sigma=float(sigma), step_primal=float(ap),
                       step_dual=float(ad), schur=path)
 
-    pval = sum(np.vdot(cb, xb).real for cb, xb in zip(c_blocks, x))
+    pval = np.vdot(c, x).real
     dval = float(b @ y)
     sol = SDPSolution(
         primal=float(pval), dual=dval,
-        x_blocks=tuple(xb.astype(complex) for xb in x), y=y.copy(),
-        z_blocks=tuple(zb.astype(complex) for zb in z),
+        x=x.astype(complex), y=y.copy(), z=z.astype(complex),
         gap=dval - float(pval), iterations=it, status=status,
         history=tuple(history),
     )
@@ -439,58 +398,56 @@ def value_enclosure(problem: SDPProblem, solution: SDPSolution) -> tuple:
     """(lower, upper) around the optimal value, from one solve's iterates.
 
     Needs constraints that fix the trace: the identity lies in their span,
-    so Tr X = t on the feasible set, and W0 = (t/N) I (N the total block
-    size) satisfies every constraint. Raises ToolkitError otherwise, so
-    no bound leaves here unchecked.
+    so Tr X = t on the feasible set, and W0 = (t/n) I satisfies every
+    constraint. Raises ToolkitError otherwise, so no bound leaves here
+    unchecked.
 
     Upper end (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007):
     for any y and feasible X, <C, X> = b^T y - <Z, X> with
     Z = sum_i y_i A_i - C, and <Z, X> >= t lambda_min(Z), so
     u = b^T y - t min(0, lambda_min(Z) - margin) bounds the optimum. The
     margin covers the rounding in forming Z and in its eigenvalues,
-    eps (m (sum_i |y_i| |A_i|_F + |C|_F) + N |Z|_F); b^T y is raised by
+    eps (m (sum_i |y_i| |A_i|_F + |C|_F) + n |Z|_F); b^T y is raised by
     m eps sum_i |b_i y_i|.
 
     Lower end: X is projected onto the affine constraints (least squares,
     through the Gram matrix of the A_i) and mixed with W0 just enough to
-    be PSD, with a margin of N eps |X|_F on its smallest eigenvalue; the
+    be PSD, with a margin of n eps |X|_F on its smallest eigenvalue; the
     objective at that feasible point bounds the optimum from below.
     """
-    sizes, m = problem.block_sizes, problem.m
-    total = sum(sizes)
+    n, m, cplx = problem.n, problem.m, np.iscomplexobj(problem.objective)
     eps = np.finfo(float).eps
-    cplx = problem.complex_blocks
     a, b = problem.packed, problem.rhs
-    c = _pack_all([_herm(cb) for cb in problem.objective], cplx)
-    eye = _pack_all([np.eye(n) for n in sizes], cplx)
+    c = _pack(_herm(problem.objective), cplx)
+    eye = _pack(np.eye(n), cplx)
     gram_solve, _ = _schur_solver(a @ a.T)
 
     def least_squares(v):  # coefficients of the A_i closest to v
         return gram_solve(v[:, None])[:, 0]
 
     def min_eig(v):
-        return min(np.linalg.eigvalsh(blk)[0] for blk in _unpack_all(v, sizes, cplx))
+        return np.linalg.eigvalsh(_unpack(v, n, cplx))[0]
 
     coef = least_squares(a @ eye)
-    if np.linalg.norm(eye - coef @ a) > 1e-9 * math.sqrt(total):
+    if np.linalg.norm(eye - coef @ a) > 1e-9 * math.sqrt(n):
         raise ToolkitError("value enclosure needs constraints that fix Tr X")
     trace = float(coef @ b)
-    w0 = trace / total * eye
+    w0 = trace / n * eye
     if not trace > 0 or np.max(np.abs(a @ w0 - b)) > 1e-9 * (1 + np.max(np.abs(b))):
         raise ToolkitError(
-            f"value enclosure needs (Tr X / N) I = ({trace:.6g} / {total}) I "
+            f"value enclosure needs (Tr X / n) I = ({trace:.6g} / {n}) I "
             "to satisfy every constraint")
 
-    x = _pack_all([_herm(xb) for xb in solution.x_blocks], cplx)
+    x = _pack(_herm(solution.x), cplx)
     x = x + least_squares(b - a @ x) @ a
-    neg = max(0.0, total * eps * float(np.linalg.norm(x)) - min_eig(x))
-    mix = neg / (trace / total + neg)
+    neg = max(0.0, n * eps * float(np.linalg.norm(x)) - min_eig(x))
+    mix = neg / (trace / n + neg)
     lower = (1.0 - mix) * (c @ x) + mix * (c @ w0)
 
     y = solution.y
     z = y @ a - c
     margin = eps * (m * (np.abs(y) @ np.linalg.norm(a, axis=1) + np.linalg.norm(c))
-                    + total * np.linalg.norm(z))
+                    + n * np.linalg.norm(z))
     upper = (b @ y + m * eps * (np.abs(b) @ np.abs(y))
              - trace * min(0.0, min_eig(z) - margin))
     return float(lower), float(upper)
@@ -514,31 +471,19 @@ def export_sdpa(problem: SDPProblem) -> str:
     """SDPA sparse initial-format text for external cross-checking.
 
     Our standard form is SDPA's dual side, so the export uses F0 = C,
-    F_i = A_i and c = b; complex blocks are exported in their real
-    embedding. Reals are printed as %.16e.
+    F_i = A_i and c = b, in one block; a complex problem is exported in
+    its real embedding, of size 2n. Reals are printed as %.16e.
     """
-    cplx = problem.complex_blocks
+    cplx = np.iscomplexobj(problem.objective)
     lines = [
-        f"{problem.m}", f"{len(cplx)}",
-        " ".join(str(2 * n if cp else n) for n, cp in zip(problem.block_sizes, cplx)),
+        f"{problem.m}", "1", str(2 * problem.n if cplx else problem.n),
         " ".join("%.16e" % rhs for rhs in problem.rhs),
     ]
-
-    def emit(mat_no, blocks):
-        for blk_no, (mat, cp) in enumerate(zip(blocks, cplx), start=1):
-            mat = _embed(mat) if cp else np.real(mat)
-            n = mat.shape[0]
-            for i in range(n):
-                for j in range(i, n):
-                    v = mat[i, j]
-                    if v != 0.0:
-                        lines.append(
-                            f"{mat_no} {blk_no} {i + 1} {j + 1} " + "%.16e" % v
-                        )
-
-    emit(0, problem.objective)
-    for i in range(problem.m):
-        emit(i + 1, [stack[i] for stack in problem.constraints])
+    for mat_no, mat in enumerate([problem.objective, *problem.constraints]):
+        mat = _embed(mat) if cplx else mat
+        for i, j in zip(*np.triu_indices(len(mat))):
+            if mat[i, j] != 0.0:
+                lines.append(f"{mat_no} 1 {i + 1} {j + 1} " + "%.16e" % mat[i, j])
     return "\n".join(lines) + "\n"
 
 
@@ -563,7 +508,7 @@ def lovasz_theta_problem(n_vertices: int, edges) -> SDPProblem:
     stack[0] = np.eye(n)
     for k, (u, v) in enumerate(pairs, start=1):
         stack[k, u, v] = stack[k, v, u] = 0.5
-    return SDPProblem((np.ones((n, n)),), (stack,), [1.0] + [0.0] * len(pairs))
+    return SDPProblem(np.ones((n, n)), stack, [1.0] + [0.0] * len(pairs))
 
 
 def lovasz_theta(n_vertices: int, edges, tol: float = 1e-8) -> float:

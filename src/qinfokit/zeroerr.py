@@ -42,7 +42,8 @@ from .errors import (
 from .matkit import dagger
 
 INDEPENDENCE_VERTEX_CAP = 30
-# Most constraint data theta_tilde_problems will allocate, in bytes.
+# Most constraint data theta_tilde_problems, or basis data
+# graph_op_system, will allocate, in bytes.
 THETA_STACK_BYTES_CAP = 2 ** 30
 # Relative rank tolerance of operator_system.
 _RANK_RTOL = 1e-9
@@ -55,7 +56,8 @@ class OperatorSystem:
     I/sqrt(dim) and ``basis[1:]`` span the traceless Hermitian part of S.
 
     Construction checks that layout (within 1e-10); ``operator_system``
-    builds it from any spanning list.
+    builds it from any spanning list, ``graph_op_system`` writes that of
+    a graph system directly.
     """
 
     dim: int
@@ -177,19 +179,36 @@ def op_system_from_channel(ch: Channel) -> OperatorSystem:
 
 
 def graph_op_system(g: Graph) -> OperatorSystem:
-    """span{E_ij on edges} + {E_ii}; dimension = vertices + 2 |edges|."""
+    """S_G = span{E_ii} + span{E_uv, E_vu : uv an edge}, of dimension
+    vertices + 2 |edges|, with its basis written directly: I/sqrt(n), the
+    traceless diagonals (sum_{i<k} E_ii - k E_kk)/sqrt(k(k+1)) for
+    k = 1..n-1, then (E_uv + E_vu)/sqrt2 and i(E_uv - E_vu)/sqrt2 for each
+    edge u < v in sorted order.
+
+    Raises DimensionError for a graph without vertices and TooLarge,
+    before allocating, when the basis would exceed THETA_STACK_BYTES_CAP
+    bytes; the Lovasz program of G is smaller.
+    """
     n = g.vertices
-    spanning = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        spanning.append(e)
-    for u, v in sorted(g.edges):
-        e = np.zeros((n, n))
-        e[u, v] = 1.0
-        spanning.append(e)
-        spanning.append(e.T.copy())
-    return operator_system(n, spanning)
+    if n < 1:
+        raise DimensionError("graph system needs at least one vertex")
+    size = n + 2 * len(g.edges)
+    nbytes = size * n * n * np.dtype(complex).itemsize
+    if nbytes > THETA_STACK_BYTES_CAP:
+        raise TooLarge(f"graph system of {n} vertices and {len(g.edges)} edges "
+                       f"needs {nbytes} bytes of basis data "
+                       f"(cap {THETA_STACK_BYTES_CAP})")
+    basis = np.zeros((size, n, n), dtype=complex)
+    diag = np.arange(n)
+    basis[0, diag, diag] = 1.0 / math.sqrt(n)
+    for k in range(1, n):
+        basis[k, diag[:k], diag[:k]] = 1.0 / math.sqrt(k * (k + 1))
+        basis[k, k, k] = -k / math.sqrt(k * (k + 1))
+    for p, (u, v) in enumerate(sorted(g.edges)):
+        sym, asym = basis[n + 2 * p], basis[n + 2 * p + 1]
+        sym[u, v] = sym[v, u] = 1.0 / math.sqrt(2.0)
+        asym[u, v], asym[v, u] = 1j / math.sqrt(2.0), -1j / math.sqrt(2.0)
+    return OperatorSystem(n, tuple(basis))
 
 
 def confusability_graph(kernel) -> Graph:
@@ -330,7 +349,7 @@ def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
     np.einsum("pij,qab->pqiajb", np.reshape(traceless, (k, n, n)), hs,
               out=stack[1:].reshape(k, dc * dc, n, dc, n, dc))
     rhs = [float(n)] + [0.0] * (len(stack) - 1)
-    return sdpcore.SDPProblem((_phi_projector(n, dc),), (stack,), rhs)
+    return sdpcore.SDPProblem(_phi_projector(n, dc), stack, rhs)
 
 
 def _graph_of(s: OperatorSystem):

@@ -242,6 +242,18 @@ def test_theta_dc_below_one_exits_1(tmp_path, capsys, dc):
                                "reason": "dc must be >= 1"}
 
 
+def test_theta_oversized_graph_exits_1(tmp_path, capsys):
+    # K200's graph system is refused by its size guard, before any
+    # allocation, with a machine-readable reason.
+    path = tmp_path / "k200.edges"
+    path.write_text("".join(f"{i} {j}\n" for i in range(200)
+                            for j in range(i + 1, 200)))
+    code, out, err = run_cli(capsys, "--json", "theta", str(path))
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "TooLarge" and "bytes of basis data" in report["reason"]
+
+
 def test_theta_reports_program(tmp_path, capsys):
     # An edge list is a graph system; the same system rotated by a
     # unitary is not, and takes the full program.

@@ -27,12 +27,8 @@ def brute_force_alpha(n: int, edges) -> int:
 
 def test_scalar_bound_problem():
     # min lambda s.t. lambda >= 1, written as max -lambda with
-    # lambda - s = 1, s >= 0.
-    prob = sdpcore.SDPProblem(
-        (-np.ones((1, 1)), np.zeros((1, 1))),
-        (np.ones((1, 1, 1)), -np.ones((1, 1, 1))),
-        [1.0],
-    )
+    # lambda - s = 1 on the diagonal of X = [[lambda, .], [., s]] >= 0.
+    prob = sdpcore.SDPProblem(np.diag([-1.0, 0.0]), np.diag([1.0, -1.0])[None], [1.0])
     sol = sdpcore.solve(prob)
     assert sol.status == "optimal"
     assert -sol.primal == pytest.approx(1.0, abs=1e-6)
@@ -59,15 +55,15 @@ def test_value_enclosure_needs_fixed_trace():
 
     # max X_00 with X_01 = 0 alone leaves Tr X free (unbounded above).
     free = sdpcore.SDPProblem(
-        (np.diag([1.0, 0.0]),), (np.array([[[0.0, 0.5], [0.5, 0.0]]]),), [0.0])
-    sol = sdpcore.SDPSolution(0.0, 0.0, (np.eye(2),), np.zeros(1),
-                              (np.eye(2),), 0.0, 1, "optimal")
+        np.diag([1.0, 0.0]), np.array([[[0.0, 0.5], [0.5, 0.0]]]), [0.0])
+    sol = sdpcore.SDPSolution(0.0, 0.0, np.eye(2), np.zeros(1),
+                              np.eye(2), 0.0, 1, "optimal")
     with pytest.raises(ToolkitError, match="fix Tr X"):
         sdpcore.value_enclosure(free, sol)
     # Tr X = 1 with X_00 = 1: the trace is fixed, but I / 2 is infeasible,
     # so there is no interior point to mix with.
     pinned = sdpcore.SDPProblem(
-        (np.eye(2),), (np.stack([np.eye(2), np.diag([1.0, 0.0])]),), [1.0, 1.0])
+        np.eye(2), np.stack([np.eye(2), np.diag([1.0, 0.0])]), [1.0, 1.0])
     with pytest.raises(ToolkitError, match="satisfy every constraint"):
         sdpcore.value_enclosure(pinned, sdpcore.solve(pinned))
 
@@ -90,11 +86,11 @@ def test_weak_duality_along_iterates():
 def test_kkt_residuals_at_optimum():
     prob = sdpcore.lovasz_theta_problem(5, [(i, (i + 1) % 5) for i in range(5)])
     sol = sdpcore.solve(prob, tol=1e-8)
-    x = np.real(sol.x_blocks[0])
-    resid = np.einsum("kij,ij->k", prob.constraints[0], x) - prob.rhs
+    x = np.real(sol.x)
+    resid = np.einsum("kij,ij->k", prob.constraints, x) - prob.rhs
     assert np.max(np.abs(resid)) <= 1e-7
     # Complementarity Tr[XZ] small relative to scale.
-    z = np.real(sol.z_blocks[0])
+    z = np.real(sol.z)
     assert abs(float(np.sum(x * z))) <= 1e-6 * (1 + abs(sol.primal))
 
 
@@ -118,11 +114,11 @@ def test_hermitian_embedding_roundtrip():
         c = u @ np.diag(d) @ u.conj().T
         assert np.linalg.norm(c.imag) > 1e-3
         sol = sdpcore.solve(
-            sdpcore.SDPProblem((c,), (np.eye(3)[None],), [1.0]), tol=1e-9
+            sdpcore.SDPProblem(c, np.eye(3)[None], [1.0]), tol=1e-9
         )
         assert sol.status == "optimal"
         assert sol.primal == pytest.approx(float(np.max(d)), abs=1e-7)
-        x = sol.x_blocks[0]
+        x = sol.x
         assert np.linalg.norm(x - x.conj().T) <= 1e-10
         assert abs(np.trace(x).real - 1.0) <= 1e-7
         top = u[:, np.argmax(d)]
@@ -157,9 +153,9 @@ def random_feasible_complex_sdp(seed: int, n: int, k: int):
        k=st.integers(0, 4))
 def test_native_complex_solve_matches_real_embedding(seed, n, k):
     c, ops, rhs = random_feasible_complex_sdp(seed, n, k)
-    native = sdpcore.solve(sdpcore.SDPProblem((c,), (ops,), rhs), tol=1e-9)
+    native = sdpcore.solve(sdpcore.SDPProblem(c, ops, rhs), tol=1e-9)
     embedded = sdpcore.solve(sdpcore.SDPProblem(
-        (sdpcore._embed(c),), (np.stack([sdpcore._embed(a) for a in ops]),), rhs,
+        sdpcore._embed(c), np.stack([sdpcore._embed(a) for a in ops]), rhs,
     ), tol=1e-9)
     scale = 1.0 + abs(embedded.primal)
     assert abs(native.primal - embedded.primal) <= 1e-6 * scale
@@ -176,7 +172,7 @@ def test_solve_complex_rank_one_objective():
     # max <vv*, X> s.t. Tr X = 1 equals |v|^2 with X the unit projector.
     v = np.array([1.0, 1.0j, 0.5 - 0.5j])
     c = np.outer(v, v.conj())
-    prob = sdpcore.SDPProblem((c,), (np.eye(3)[None],), [1.0])
+    prob = sdpcore.SDPProblem(c, np.eye(3)[None], [1.0])
     sol = sdpcore.solve(prob)
     assert sol.primal == pytest.approx(float(np.vdot(v, v).real), rel=1e-7)
 
@@ -184,51 +180,51 @@ def test_solve_complex_rank_one_objective():
 def test_problem_validation():
     eye2 = np.eye(2)[None]
     with pytest.raises(DimensionError, match=r"\(2, 2\) != \(3,3\)"):
-        sdpcore.SDPProblem((np.eye(3),), (eye2,), [1.0])
+        sdpcore.SDPProblem(np.eye(3), eye2, [1.0])
     with pytest.raises(DimensionError, match="Hermitian"):
-        sdpcore.SDPProblem((np.eye(2),), (np.array([[[0.0, 1.0], [0.0, 0.0]]]),), [0.0])
+        sdpcore.SDPProblem(np.eye(2), np.array([[[0.0, 1.0], [0.0, 0.0]]]), [0.0])
     # One bad operator in the middle of a stack is still found, with the
     # per-operator message.
     good = [np.diag([1.0, -1.0]) * k for k in range(1, 7)]
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(DimensionError, match="Hermitian"):
-        sdpcore.SDPProblem((np.eye(2),), (np.stack(good[:3] + [skew] + good[3:]),),
+        sdpcore.SDPProblem(np.eye(2), np.stack(good[:3] + [skew] + good[3:]),
                            np.zeros(7))
-    # Wrong-shape operators, in the second block of two.
-    with pytest.raises(DimensionError, match=r"\(3, 3\) != \(1,1\)"):
-        sdpcore.SDPProblem((np.eye(2), np.ones((1, 1))),
-                           (np.stack(good), np.ones((6, 3, 3))), np.zeros(6))
     # Wrong-shape stacks: a bare matrix, and a stack whose length is not m.
     with pytest.raises(DimensionError, match=r"\(2,\) != \(2,2\)"):
-        sdpcore.SDPProblem((np.eye(2),), (np.eye(2),), [1.0])
+        sdpcore.SDPProblem(np.eye(2), np.eye(2), [1.0])
     with pytest.raises(DimensionError, match="6 constraint operators, 7 rhs"):
-        sdpcore.SDPProblem((np.eye(2),), (np.stack(good),), np.zeros(7))
+        sdpcore.SDPProblem(np.eye(2), np.stack(good), np.zeros(7))
     # A complex rhs is refused, not cut to its real part.
     with pytest.raises(DimensionError, match="real vector"):
-        sdpcore.SDPProblem((np.eye(2),), (eye2,), np.array([1.0 + 1j]))
-    # block_sizes and m follow from the data; rhs is a float vector.
-    prob = sdpcore.SDPProblem((np.eye(2), np.ones((1, 1))),
-                              (eye2, np.ones((1, 1, 1))), [3])
-    assert prob.block_sizes == (2, 1) and prob.m == 1
+        sdpcore.SDPProblem(np.eye(2), eye2, np.array([1.0 + 1j]))
+    # n and m follow from the data; rhs is a float vector.
+    prob = sdpcore.SDPProblem(np.eye(2), eye2, [3])
+    assert prob.n == 2 and prob.m == 1
     assert prob.rhs.dtype == float and prob.rhs.tolist() == [3.0]
 
 
+def test_problem_rejects_per_block_tuples():
+    # The (objective,), (stack,) form of a one-block problem is a shape
+    # error naming the stacked shape, not a silently reshaped problem.
+    with pytest.raises(DimensionError, match=r"objective \(1, 2, 2\) is not n x n"):
+        sdpcore.SDPProblem((np.eye(2),), (np.eye(2)[None],), [1.0])
+
+
 def test_problem_block_dtype_says_complex():
-    # A block is complex iff its objective or a constraint has an
-    # imaginary part; a complex-typed but real block is stored as float64.
+    # A problem is complex iff its objective or a constraint has an
+    # imaginary part; complex-typed but real data is stored as float64.
     herm = np.array([[0.0, 1j], [-1j, 0.0]])
-    real = sdpcore.SDPProblem((np.eye(2, dtype=complex),),
-                              (np.eye(2, dtype=complex)[None],), [1.0])
-    assert real.complex_blocks == (False,)
-    assert real.objective[0].dtype == real.constraints[0].dtype == float
+    real = sdpcore.SDPProblem(np.eye(2, dtype=complex),
+                              np.eye(2, dtype=complex)[None], [1.0])
+    assert real.objective.dtype == real.constraints.dtype == float
     for c, ops in ((herm, np.eye(2)[None]), (np.eye(2), herm[None])):
-        prob = sdpcore.SDPProblem((c,), (ops,), [1.0])
-        assert prob.complex_blocks == (True,)
-        assert prob.objective[0].dtype == prob.constraints[0].dtype == complex
-    # A stack already of its block's dtype is kept, not copied.
+        prob = sdpcore.SDPProblem(c, ops, [1.0])
+        assert prob.objective.dtype == prob.constraints.dtype == complex
+    # A stack already of the problem's dtype is kept, not copied.
     stack = np.stack([np.eye(2), herm]).astype(complex)
-    prob = sdpcore.SDPProblem((np.eye(2),), (stack,), [2.0, 0.0])
-    assert prob.constraints[0] is stack
+    prob = sdpcore.SDPProblem(np.eye(2), stack, [2.0, 0.0])
+    assert prob.constraints is stack
 
 
 def _with_entry(a, index, value):
@@ -249,11 +245,11 @@ TWO_OPS = np.stack([np.eye(2), np.diag([1.0, -1.0])])
 def test_problem_rejects_non_finite_data(objective, stack, rhs):
     # Unchecked, each of these ended as a spurious Infeasible in solve.
     with pytest.raises(DimensionError, match="finite"):
-        sdpcore.SDPProblem((objective,), (stack,), rhs)
+        sdpcore.SDPProblem(objective, stack, rhs)
 
 
 def test_problem_accepts_finite_data_with_overflowing_norm():
-    assert sdpcore.SDPProblem((np.eye(2),), (1e200 * TWO_OPS,), [1e200, 0.0]).m == 2
+    assert sdpcore.SDPProblem(np.eye(2), 1e200 * TWO_OPS, [1e200, 0.0]).m == 2
 
 
 def test_problem_rejects_non_hermitian_objective():
@@ -261,7 +257,7 @@ def test_problem_rejects_non_hermitian_objective():
     # down numerically.
     for c in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 1j], [0.0, 0.0]])):
         with pytest.raises(DimensionError, match="objective must be Hermitian"):
-            sdpcore.SDPProblem((c,), (np.eye(2)[None],), [1.0])
+            sdpcore.SDPProblem(c, np.eye(2)[None], [1.0])
 
 
 def test_infeasible_problem_raises():
@@ -269,7 +265,7 @@ def test_infeasible_problem_raises():
 
     # A PSD scalar with a negative trace target: the primal residual can
     # never vanish, so the stall guard trips.
-    prob = sdpcore.SDPProblem((np.zeros((1, 1)),), (np.ones((1, 1, 1)),), [-1.0])
+    prob = sdpcore.SDPProblem(np.zeros((1, 1)), np.ones((1, 1, 1)), [-1.0])
     with pytest.raises(Infeasible):
         sdpcore.solve(prob)
 
@@ -279,7 +275,7 @@ def test_redundant_constraints():
 
     # Consistent duplicates (Tr X = 1 twice) make the Schur complement
     # singular; the truncated eigen-solve drops the null direction.
-    dup = sdpcore.SDPProblem((np.eye(2),), (np.stack([np.eye(2)] * 2),), [1.0, 1.0])
+    dup = sdpcore.SDPProblem(np.eye(2), np.stack([np.eye(2)] * 2), [1.0, 1.0])
     sol = sdpcore.solve(dup)
     assert sol.status == "optimal"
     assert sol.primal == pytest.approx(1.0, abs=1e-6)
@@ -288,7 +284,7 @@ def test_redundant_constraints():
     assert [rec["schur"] for rec in sol.history[:-1]] == \
         ["eig"] * (sol.iterations - 1)
     # Inconsistent duplicates (Tr X = 1 and Tr X = 2) admit no X.
-    clash = sdpcore.SDPProblem((np.eye(2),), (np.stack([np.eye(2)] * 2),), [1.0, 2.0])
+    clash = sdpcore.SDPProblem(np.eye(2), np.stack([np.eye(2)] * 2), [1.0, 2.0])
     with pytest.raises(Infeasible):
         sdpcore.solve(clash)
 
@@ -361,3 +357,20 @@ def test_export_sdpa_format():
     # Objective (matno 0) carries the all-ones matrix: 6 upper entries.
     zero_lines = [l for l in lines[4:] if l.split()[0] == "0"]
     assert len(zero_lines) == 6
+
+
+def test_export_sdpa_complex_problem():
+    # A complex problem is written as one real block of size 2n whose
+    # entries are those of the real embedding _embed.
+    c = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    stack = np.stack([np.eye(2), np.array([[0.0, 1.0 - 1j], [1.0 + 1j, 0.0]])])
+    prob = sdpcore.SDPProblem(c, stack, [1.0, 0.0])
+    lines = sdpcore.export_sdpa(prob).strip().splitlines()
+    assert lines[:3] == ["2", "1", "4"]
+    got = np.zeros((3, 4, 4))
+    for line in lines[4:]:
+        mat_no, blk_no, i, j, v = line.split()
+        assert blk_no == "1" and int(i) <= int(j)
+        got[int(mat_no), int(i) - 1, int(j) - 1] = float(v)
+    for k, mat in enumerate([c, *stack]):
+        assert np.array_equal(got[k], np.triu(sdpcore._embed(mat)))

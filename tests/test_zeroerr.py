@@ -88,6 +88,43 @@ def unit(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
+@pytest.mark.parametrize("g", [
+    zeroerr.cycle_graph(5), zeroerr.complete_graph(4), zeroerr.empty_graph(3),
+    zeroerr.Graph(4, frozenset({(0, 1), (0, 2), (1, 3)})),
+], ids=["C5", "K4", "3K1", "P4"])
+def test_graph_op_system_spans_graph_matrices(g):
+    # The basis written directly spans what operator_system makes of the
+    # E_ii and the E_uv, E_vu on edges: equal orthogonal projectors.
+    n = g.vertices
+    spanning = [unit(n, i, i) for i in range(n)]
+    spanning += [unit(n, a, b) for u, v in g.edges for a, b in ((u, v), (v, u))]
+    direct = zeroerr.graph_op_system(g)
+    via_svd = zeroerr.operator_system(n, spanning)
+
+    def projector(s):
+        flat = np.stack(s.basis).reshape(len(s), -1)
+        return flat.T @ flat.conj()
+
+    assert len(direct) == len(via_svd) == n + 2 * len(g.edges)
+    assert np.linalg.norm(projector(direct) - projector(via_svd)) <= 1e-10
+
+
+def test_graph_op_system_size_guard():
+    # K200's basis would be 40 000 complex 200 x 200 matrices, 25.6 GB; it
+    # must be refused before anything that size exists.
+    g = zeroerr.complete_graph(200)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="bytes of basis data"):
+            zeroerr.graph_op_system(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    with pytest.raises(DimensionError, match="at least one vertex"):
+        zeroerr.graph_op_system(zeroerr.empty_graph(0))
+
+
 def spanning_lists() -> dict:
     kraus = haar_unitary(4, np.random.default_rng(102))[:, :2]
     return {
@@ -301,7 +338,7 @@ def test_enclosure_bounds_hold_off_the_optimum(seed, scale):
     noise = scale * (g[0] + 1j * g[1]) / 25
     moved = dataclasses.replace(
         sol, y=sol.y + scale * rng.standard_normal(prob.m),
-        x_blocks=(sol.x_blocks[0] + noise + noise.conj().T,))
+        x=sol.x + noise + noise.conj().T)
     lower, upper = sdpcore.value_enclosure(prob, moved)
     assert lower <= math.sqrt(5.0) + 1e-12
     assert upper >= math.sqrt(5.0) - 1e-12
@@ -507,6 +544,6 @@ def test_theta_problem_shares_kron_stack(monkeypatch):
     prob = zeroerr.theta_tilde_problems(
         zeroerr.graph_op_system(zeroerr.cycle_graph(5)))
     monkeypatch.undo()
-    (stack,) = prob.constraints
+    stack = prob.constraints
     assert filled and all(np.shares_memory(stack, buf) for buf in filled)
     assert np.array_equal(stack[0], np.eye(25)) and stack.dtype == complex
