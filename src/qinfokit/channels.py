@@ -12,7 +12,6 @@ Tr_out[J] = I exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,31 +37,31 @@ CP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Completely positive map held as a list of dout x din Kraus operators."""
+    """Completely positive map X -> sum_k K_k X K_k^dag.
+
+    ``kraus`` is one complex (count, dout, din) array with count >= 1 and
+    finite entries, checked at construction; a sequence of dout x din
+    matrices is stacked, and a complex stack is kept without a copy. The
+    Choi vectors, the Stinespring isometry and the complementary channel
+    are reshapes of it.
+    """
 
     din: int
     dout: int
-    kraus: tuple = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ops = tuple(matkit.asmatrix(k) for k in self.kraus)
-        if not ops:
+        kraus = matkit.asstack(self.kraus, (self.dout, self.din),
+                               "Kraus operator {} != ({}, {})")
+        if not len(kraus):
             raise DimensionError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.dout, self.din):
-                raise DimensionError(
-                    f"Kraus operator {k.shape} != ({self.dout}, {self.din})"
-                )
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", kraus)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = matkit.asmatrix(x)
         if x.shape != (self.din, self.din):
             raise DimensionError(f"input {x.shape} != ({self.din}, {self.din})")
-        out = np.zeros((self.dout, self.dout), dtype=complex)
-        for k in self.kraus:
-            out += k @ x @ dagger(k)
-        return out
+        return np.sum(self.kraus @ x @ dagger(self.kraus), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,12 +91,7 @@ class ChoiMatrix:
 
 
 def identity_channel(d: int) -> Channel:
-    return Channel(d, d, (np.eye(d, dtype=complex),))
-
-
-def _kraus_to_choi_vec(k: np.ndarray) -> np.ndarray:
-    # sum_i |i> (x) E|i>  ==  row-major flattening of E^T
-    return k.T.reshape(-1)
+    return Channel(d, d, np.eye(d, dtype=complex)[None])
 
 
 def choi(ch: Channel) -> ChoiMatrix:
@@ -108,11 +102,9 @@ def choi(ch: Channel) -> ChoiMatrix:
             f"din*dout = {n} exceeds cap {CHOI_CAP}; "
             "use Kraus-level operations instead"
         )
-    j = np.zeros((n, n), dtype=complex)
-    for k in ch.kraus:
-        v = _kraus_to_choi_vec(k)
-        j += np.outer(v, np.conj(v))
-    return ChoiMatrix(ch.din, ch.dout, j)
+    # sum_i |i> (x) K|i> is the row-major flattening of K^T.
+    vecs = ch.kraus.swapaxes(1, 2).reshape(len(ch.kraus), n)
+    return ChoiMatrix(ch.din, ch.dout, vecs.T @ vecs.conj())
 
 
 def kraus_from_choi(j: ChoiMatrix, tol: float = 1e-9) -> Channel:
@@ -126,39 +118,31 @@ def kraus_from_choi(j: ChoiMatrix, tol: float = 1e-9) -> Channel:
     lam_max = float(np.max(np.abs(eig.values))) if eig.values.size else 0.0
     if lam_max > 0 and np.min(eig.values) < -CP_TOL * lam_max:
         raise NotPSD(f"Choi matrix has eigenvalue {np.min(eig.values):.3e}")
-    kraus = []
-    for i in range(len(eig.values) - 1, -1, -1):
-        lam = eig.values[i]
-        if lam <= tol * lam_max:
-            break
-        v = eig.vectors[:, i]
-        pivot = np.argmax(np.abs(v))
-        v = v * (np.abs(v[pivot]) / v[pivot])
-        kraus.append(math.sqrt(lam) * v.reshape(j.din, j.dout).T)
-    if not kraus:
-        kraus = [np.zeros((j.dout, j.din), dtype=complex)]
-    return Channel(j.din, j.dout, tuple(kraus))
-
-
-def _as_choi(obj) -> ChoiMatrix:
-    if isinstance(obj, ChoiMatrix):
-        return obj
-    return choi(obj)
+    top = np.flatnonzero(eig.values > tol * lam_max)[::-1]
+    if not top.size:
+        return Channel(j.din, j.dout, np.zeros((1, j.dout, j.din), dtype=complex))
+    vecs = eig.vectors[:, top].T  # one eigenvector per row, descending
+    pivots = vecs[np.arange(top.size), np.argmax(np.abs(vecs), axis=1)]
+    vecs = vecs * (np.abs(pivots) / pivots)[:, None]
+    kraus = vecs.reshape(-1, j.din, j.dout).swapaxes(1, 2)
+    return Channel(j.din, j.dout, np.sqrt(eig.values[top])[:, None, None] * kraus)
 
 
 def is_cp(obj) -> bool:
-    """CP check through the Choi spectrum (eigenvalues >= -1e-9 * max)."""
-    j = _as_choi(obj).j
-    vals = np.linalg.eigvalsh(j)
+    """CP check. A Channel is CP by its Kraus form; a ChoiMatrix is CP
+    when its eigenvalues are >= -1e-9 * max(|lambda|_max, 1)."""
+    if isinstance(obj, Channel):
+        return True
+    vals = np.linalg.eigvalsh(obj.j)
     lam_max = float(np.max(np.abs(vals))) if vals.size else 0.0
     return bool(np.min(vals) >= -CP_TOL * max(lam_max, 1.0))
 
 
 def is_tp(obj) -> bool:
     if isinstance(obj, Channel):
-        acc = np.zeros((obj.din, obj.din), dtype=complex)
-        for k in obj.kraus:
-            acc += dagger(k) @ k
+        # sum_k K_k^dag K_k = F^dag F with F the Kraus rows stacked.
+        rows = obj.kraus.reshape(-1, obj.din)
+        acc = dagger(rows) @ rows
         return bool(np.linalg.norm(acc - np.eye(obj.din)) <= TP_TOL * obj.din)
     tr_out = matkit.partial_trace(obj.j, (obj.din, obj.dout), {0})
     return bool(np.linalg.norm(tr_out - np.eye(obj.din)) <= TP_TOL * obj.din)
@@ -166,17 +150,25 @@ def is_tp(obj) -> bool:
 
 def is_unital(obj) -> bool:
     if isinstance(obj, Channel):
-        acc = np.zeros((obj.dout, obj.dout), dtype=complex)
-        for k in obj.kraus:
-            acc += k @ dagger(k)
+        # sum_k K_k K_k^dag = F^dag F with F the rows of the K_k^dag stacked.
+        rows = dagger(obj.kraus).reshape(-1, obj.dout)
+        acc = dagger(rows) @ rows
         return bool(np.linalg.norm(acc - np.eye(obj.dout)) <= TP_TOL * obj.dout)
     tr_in = matkit.partial_trace(obj.j, (obj.din, obj.dout), {1})
     return bool(np.linalg.norm(tr_in - np.eye(obj.dout)) <= TP_TOL * obj.dout)
 
 
 def choi_rank(obj, tol: float = 1e-9) -> int:
-    """Numerical rank of the Choi matrix = minimal Kraus count."""
-    vals = np.linalg.eigvalsh(_as_choi(obj).j)
+    """Numerical rank of the Choi matrix = minimal Kraus count: the count
+    of its eigenvalues above tol times the largest. For a Channel these
+    are the squared singular values of its Choi vectors (J = V V^dag),
+    which are the flattened Kraus operators up to a column permutation;
+    J is not built."""
+    if isinstance(obj, Channel):
+        flat = obj.kraus.reshape(len(obj.kraus), -1)
+        vals = np.linalg.svd(flat, compute_uv=False) ** 2
+    else:
+        vals = np.linalg.eigvalsh(obj.j)
     lam_max = float(np.max(np.abs(vals))) if vals.size else 0.0
     if lam_max == 0.0:
         return 0
@@ -192,25 +184,23 @@ def apply(ch: Channel, rho: State) -> State:
 
 def adjoint(ch: Channel) -> Channel:
     """Hilbert-Schmidt adjoint: Kraus replaced by their daggers."""
-    return Channel(ch.dout, ch.din, tuple(dagger(k) for k in ch.kraus))
+    return Channel(ch.dout, ch.din, dagger(ch.kraus))
 
 
 def compose(a: Channel, b: Channel) -> Channel:
-    """a after b: Kraus are the pairwise products."""
+    """a after b: Kraus are the pairwise products K_a K_b, a-major."""
     if b.dout != a.din:
         raise DimensionError(f"compose: {b.dout} != {a.din}")
-    return Channel(
-        b.din, a.dout,
-        tuple(ka @ kb for ka in a.kraus for kb in b.kraus),
-    )
+    kraus = a.kraus[:, None] @ b.kraus[None]
+    return Channel(b.din, a.dout, kraus.reshape(-1, a.dout, b.din))
 
 
 def tensor(a: Channel, b: Channel) -> Channel:
-    """Parallel composition: Kraus are the pairwise Kronecker products."""
-    return Channel(
-        a.din * b.din, a.dout * b.dout,
-        tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus),
-    )
+    """Parallel composition: Kraus are the pairwise Kronecker products,
+    a-major."""
+    din, dout = a.din * b.din, a.dout * b.dout
+    kraus = np.einsum("aij,bkl->abikjl", a.kraus, b.kraus)
+    return Channel(din, dout, kraus.reshape(-1, dout, din))
 
 
 def complementary(ch: Channel) -> Channel:
@@ -221,20 +211,12 @@ def complementary(ch: Channel) -> Channel:
     """
     if not is_tp(ch):
         raise NotTracePreserving("complementary channel needs a TP input")
-    m = len(ch.kraus)
-    stacked = np.stack(ch.kraus)  # (m, dout, din)
-    kraus = tuple(stacked[:, a, :].copy() for a in range(ch.dout))
-    return Channel(ch.din, m, kraus)
+    return Channel(ch.din, len(ch.kraus), ch.kraus.swapaxes(0, 1))
 
 
 def stinespring_isometry(ch: Channel) -> np.ndarray:
     """V with T(X) = Tr_env[V X V^dag]; rows grouped as (output, env)."""
-    m = len(ch.kraus)
-    v = np.zeros((ch.dout * m, ch.din), dtype=complex)
-    for i, k in enumerate(ch.kraus):
-        for a in range(ch.dout):
-            v[a * m + i, :] = k[a, :]
-    return v
+    return ch.kraus.swapaxes(0, 1).reshape(ch.dout * len(ch.kraus), ch.din)
 
 
 def classical_channel(n: np.ndarray) -> Channel:
@@ -248,14 +230,10 @@ def classical_channel(n: np.ndarray) -> Channel:
     if np.max(np.abs(n.sum(axis=0) - 1.0)) > 1e-9:
         raise NotStochastic("kernel columns must sum to 1")
     ny, nx = n.shape
-    kraus = []
-    for x in range(nx):
-        for y in range(ny):
-            if n[y, x] > 0.0:
-                e = np.zeros((ny, nx), dtype=complex)
-                e[y, x] = math.sqrt(n[y, x])
-                kraus.append(e)
-    return Channel(nx, ny, tuple(kraus))
+    xs, ys = np.nonzero(n.T > 0.0)  # input-major, as (x, y) pairs
+    kraus = np.zeros((len(xs), ny, nx), dtype=complex)
+    kraus[np.arange(len(xs)), ys, xs] = np.sqrt(n[ys, xs])
+    return Channel(nx, ny, kraus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,17 +284,13 @@ def kraus_change_of_basis(a, b, tol: float = 1e-8):
     when the two families define Choi matrices at least 1e-6 apart, i.e.
     different maps.
     """
-    a_ops = [matkit.asmatrix(x) for x in a]
-    b_ops = [matkit.asmatrix(x) for x in b]
-    shape = a_ops[0].shape
-    for x in a_ops + b_ops:
-        if x.shape != shape:
-            raise DimensionError("all Kraus operators must share one shape")
-    va = np.stack([x.reshape(-1) for x in a_ops], axis=1)
+    shape = matkit.asmatrix(a[0]).shape
+    # One flattened operator per column.
+    va, vb = (matkit.asstack(f, shape, "all Kraus operators must share one shape")
+              .reshape(len(f), -1).T for f in (a, b))
     sing = np.linalg.svd(va, compute_uv=False)
     if sing.size and sing[-1] <= 1e-10 * sing[0]:
         raise NotMinimal("first family is linearly dependent")
-    vb = np.stack([x.reshape(-1) for x in b_ops], axis=1)
     ja = va @ dagger(va)
     jb = vb @ dagger(vb)
     if np.linalg.norm(ja - jb) >= 1e-6:

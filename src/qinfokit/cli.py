@@ -70,17 +70,16 @@ def _cmd_schmidt(args) -> dict:
 def _cmd_channel_analyze(args) -> dict:
     doc = serialize.load_document(args.channel)
     ch = serialize.channel_from_doc(doc)
-    j = chan.choi(ch)
     return {
         "kind": "report",
         "analysis": "channel",
         "din": ch.din,
         "dout": ch.dout,
         "kraus_count": len(ch.kraus),
-        "is_cp": chan.is_cp(j),
+        "is_cp": chan.is_cp(ch),
         "is_tp": chan.is_tp(ch),
         "is_unital": chan.is_unital(ch),
-        "choi_rank": chan.choi_rank(j),
+        "choi_rank": chan.choi_rank(ch),
         "complementary_dout": len(ch.kraus),
     }
 

@@ -117,8 +117,7 @@ def petz_map(sigma: State, ch: Channel) -> Channel:
     t_sigma = ch(sigma.rho)
     t_half_inv = matkit.matrix_function(t_sigma, "pinv_sqrt_inv")
     sig_half = matkit.matrix_function(sigma.rho, "sqrt")
-    kraus = tuple(sig_half @ dagger(e) @ t_half_inv for e in ch.kraus)
-    return Channel(ch.dout, ch.din, kraus)
+    return Channel(ch.dout, ch.din, sig_half @ dagger(ch.kraus) @ t_half_inv)
 
 
 def ssa_petz_map(rho_bc: State, rho_b: State) -> Channel:
@@ -135,12 +134,9 @@ def ssa_petz_map(rho_bc: State, rho_b: State) -> Channel:
         raise DimensionError(f"rho_b dim {rho_b.dim} != B factor {db}")
     bc_half = matkit.matrix_function(rho_bc.rho, "sqrt")
     b_half_inv = matkit.matrix_function(rho_b.rho, "pinv_sqrt_inv")
-    kraus = []
-    for a in range(dc):
-        e = np.zeros((dc, 1), dtype=complex)
-        e[a, 0] = 1.0
-        kraus.append(bc_half @ np.kron(b_half_inv, e))
-    return Channel(db, db * dc, tuple(kraus))
+    # Slice a of the stack is rho_B^{-1/2} (x) |a>, which is db*dc x db.
+    lifts = np.einsum("ij,ab->aibj", b_half_inv, np.eye(dc))
+    return Channel(db, db * dc, bc_half @ lifts.reshape(dc, db * dc, db))
 
 
 def markov_state(spec) -> State:
@@ -187,11 +183,10 @@ def markov_reconstruction(rho_abc: State) -> np.ndarray:
     rho_b = rho_abc.marginal({1})
     transfer = ssa_petz_map(rho_bc, rho_b)
     rho_ab = matkit.partial_trace(rho_abc.rho, rho_abc.dims, {0, 1})
-    out = np.zeros((da * db * dc, da * db * dc), dtype=complex)
-    for k in transfer.kraus:
-        big = np.kron(np.eye(da), k)
-        out += big @ rho_ab @ dagger(big)
-    return out
+    # Slice k of the stack is I_A (x) K_k.
+    big = np.einsum("xy,kij->kxiyj", np.eye(da), transfer.kraus)
+    big = big.reshape(len(transfer.kraus), da * db * dc, da * db)
+    return np.sum(big @ rho_ab @ dagger(big), axis=0)
 
 
 def is_markov(rho_abc: State, tol: float = 1e-7) -> bool:
@@ -218,17 +213,13 @@ def kraus_commutant(kraus, tol: float = 1e-9) -> list[np.ndarray]:
     Computed as the null space of the stacked commutator superoperators;
     with row-major vectorization [X, B] maps to (I (x) B^T - B (x) I) vec X.
     """
-    ops = [matkit.asmatrix(b) for b in kraus]
-    n = ops[0].shape[0]
-    for b in ops:
-        if b.shape != (n, n):
-            raise DimensionError("commutant needs square operators")
+    n = matkit.asmatrix(kraus[0]).shape[0]
+    ops = matkit.asstack(kraus, (n, n), "commutant needs square operators")
+    both = np.stack([ops, dagger(ops)], axis=1).reshape(-1, n, n)  # B_0, B_0^dag, ...
     eye = np.eye(n)
-    rows = []
-    for b in ops:
-        for bb in (b, dagger(b)):
-            rows.append(np.kron(eye, bb.T) - np.kron(bb, eye))
-    stacked = np.vstack(rows)
+    rows = (np.einsum("ij,bkl->bikjl", eye, both.swapaxes(1, 2))
+            - np.einsum("bij,kl->bikjl", both, eye))
+    stacked = rows.reshape(-1, n * n)
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     s_max = s[0] if s.size and s[0] > 0 else 1.0
     return [

@@ -57,8 +57,31 @@ def asmatrix(m) -> np.ndarray:
     return a
 
 
+def asstack(mats, shape: tuple, mismatch: str) -> np.ndarray:
+    """Coerce a family of ``shape`` matrices (a sequence, or one stacked
+    array, kept without a copy if complex) to a complex (count, *shape)
+    array. A member of another shape raises DimensionError with
+    ``mismatch.format(member_shape, *shape)``; other members and
+    non-finite entries fail as in asmatrix."""
+    try:
+        stack = np.asarray(mats, dtype=complex)
+    except ValueError:  # ragged: members of different shapes
+        stack = None
+    if stack is None or stack.shape[1:] != tuple(shape):
+        # Name the member at fault; only an empty family gets through.
+        for m in mats:
+            m = asmatrix(m)
+            if m.shape != tuple(shape):
+                raise DimensionError(mismatch.format(m.shape, *shape))
+        return np.zeros((0, *shape), dtype=complex)
+    if not np.all(np.isfinite(stack)):
+        raise DimensionError("matrix has non-finite entries")
+    return stack
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(np.asarray(m)).swapaxes(-1, -2)
 
 
 def kron(a, b) -> np.ndarray:

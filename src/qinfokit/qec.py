@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matkit
 from .channels import Channel
-from .errors import DimensionError, KLViolated
+from .errors import DimensionError, DomainError, KLViolated, ProbabilityError
 from .matkit import dagger
 
 # Branches of the recovery with weight d_ii below this are dropped
@@ -142,13 +142,14 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Channel:
     # F_i W / sqrt(d_ii) = V_i W on every kept branch, m' x n x k.
     vws = np.tensordot(np.conj(u[keep]), ews, axes=1)
     vws /= np.sqrt(vals[keep])[:, None, None]
+    kraus = np.empty((len(vws) + 1, n, n), dtype=complex)
     # V_i^dag = P F_i^dag / sqrt(d_ii) = W (V_i W)^dag.
-    kraus = [w @ dagger(vw) for vw in vws]
+    np.matmul(w, dagger(vws), out=kraus[:-1])
     # sum V_i V_i^dag = sum (V_i W)(V_i W)^dag as one n x (m' k) product.
     vw_cols = vws.transpose(1, 0, 2).reshape(n, -1)
     q = np.eye(n) - vw_cols @ dagger(vw_cols)
-    kraus.append((q + dagger(q)) / 2.0)
-    return Channel(n, n, tuple(kraus))
+    kraus[-1] = (q + dagger(q)) / 2.0
+    return Channel(n, n, kraus)
 
 
 def _uniform_probs(errors, probs):
@@ -156,20 +157,30 @@ def _uniform_probs(errors, probs):
     if probs is None:
         return np.full(m, 1.0 / m)
     p = np.asarray(probs, dtype=float)
-    if p.shape != (m,) or p.min() < 0:
+    if p.shape != (m,):
         raise DimensionError("probabilities must match the error list")
-    return p / p.sum()
+    if np.any(p < 0):
+        raise ProbabilityError("probabilities must be nonnegative")
+    total = p.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ProbabilityError("probabilities must have a positive finite sum")
+    return p / total
 
 
 def noise_channel(errors, probs=None) -> Channel:
     """CPTP noise sum_i p_i E_i X E_i^dag for unitary-like error lists.
 
-    Probabilities default to uniform 1/m.
+    Probabilities default to uniform 1/m and are normalized to sum 1.
     """
     ops = _error_list(errors)
     p = _uniform_probs(ops, probs)
     n = ops[0].shape[0]
-    kraus = tuple(math.sqrt(pi) * e for pi, e in zip(p, ops))
+    # Written in place: an error list can be hundreds of megabytes.
+    kraus = np.empty((len(ops), n, n), dtype=complex)
+    for i, e in enumerate(ops):
+        if e.shape != (n, n):
+            raise DimensionError(f"Kraus operator {e.shape} != ({n}, {n})")
+        np.multiply(math.sqrt(p[i]), e, out=kraus[i])
     return Channel(n, n, kraus)
 
 
@@ -181,26 +192,25 @@ def verify_recovery(recovery: Channel, noise, code: Code,
     ``noise`` is a Kraus list (probabilities optional) or a Channel. The
     computation is compressed onto the subspace actually reachable from
     the code space, so it never touches full physical-dimension products
-    beyond an initial O(m^2 n^2 k) setup.
+    beyond an initial O(m^2 n^2 k) setup. Raises DomainError for
+    samples < 1, where nothing would be checked.
     """
-    if isinstance(noise, Channel):
-        noise_kraus = list(noise.kraus)
-    else:
-        ops = _error_list(noise)
-        p = _uniform_probs(ops, probs)
-        noise_kraus = [math.sqrt(pi) * e for pi, e in zip(p, ops)]
+    if samples < 1:
+        raise DomainError(f"verification needs samples >= 1, got {samples}")
+    if not isinstance(noise, Channel):
+        noise = noise_channel(noise, probs)
     w = code.isometry
     n, k = code.physical_dim, code.logical_dim
     if recovery.din != n or recovery.dout != n:
         raise DimensionError("recovery must act on the physical space")
-    for e in noise_kraus:
-        if e.shape != (n, n):
-            raise DimensionError("noise must act on the physical space")
+    if noise.din != n or noise.dout != n:
+        raise DimensionError("noise must act on the physical space")
 
-    # Columns reachable by (recovery o noise) from the code space: one
-    # n x (m k) product per recovery Kraus operator.
-    ew = np.hstack([e @ w for e in noise_kraus])  # n x (m k)
-    stack = np.hstack([w] + [r @ ew for r in recovery.kraus])
+    # Columns reachable by (recovery o noise) from the code space, laid
+    # side by side: the E_b W as n x (m k), then R_a E_b W, a-major.
+    ew = (noise.kraus @ w).swapaxes(0, 1).reshape(n, -1)
+    rew = (recovery.kraus @ ew).swapaxes(0, 1).reshape(n, -1)
+    stack = np.hstack([w, rew])
     basis = matkit.orthonormal_basis(stack)  # n x r
     w_c = dagger(basis) @ w  # r x k
     # Each k-column block of comp is one composed Kraus operator R_a E_b,

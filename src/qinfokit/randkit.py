@@ -105,7 +105,8 @@ def random_channel(din: int, dout: int, kraus_count: int, rng) -> chan.Channel:
     g = rng.standard_normal((big, din)) + 1j * rng.standard_normal((big, din))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
-    kraus = tuple(q[i::kraus_count, :] for i in range(kraus_count))
+    # Row a * kraus_count + i of the isometry is row a of Kraus operator i.
+    kraus = q.reshape(dout, kraus_count, din).swapaxes(0, 1)
     return chan.Channel(din, dout, kraus)
 
 

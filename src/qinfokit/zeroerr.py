@@ -17,14 +17,14 @@ program of G (theta~(S_G) = theta(G), Duan-Severini-Winter), and that is
 what is solved. Every other system, and every dc != n, takes the full
 (n dc)^2 program of ``theta_tilde_problems``.
 
-An ``OperatorSystem`` is held as a Hermitian basis, HS-orthonormal:
-I/sqrt(n) first, then a basis of the traceless Hermitian part of S, which
-the theta program takes as its constraint operators without further work.
+An ``OperatorSystem`` is held as one (k, n, n) stack of Hermitian
+matrices, HS-orthonormal: I/sqrt(n) first, then a basis of the traceless
+Hermitian part of S, which the theta program takes as its constraint
+operators without further work.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,40 +52,39 @@ _RANK_RTOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class OperatorSystem:
     """Self-adjoint unital matrix subspace S of M_dim, held as an
-    HS-orthonormal basis of Hermitian matrices: ``basis[0]`` is
-    I/sqrt(dim) and ``basis[1:]`` span the traceless Hermitian part of S.
+    HS-orthonormal basis of Hermitian matrices in one complex
+    (len(S), dim, dim) array: ``basis[0]`` is I/sqrt(dim) and
+    ``basis[1:]`` span the traceless Hermitian part of S.
 
-    Construction checks that layout (within 1e-10); ``operator_system``
-    builds it from any spanning list, ``graph_op_system`` writes that of
-    a graph system directly.
+    Construction checks that layout (within 1e-10) and finite entries; a
+    sequence of matrices is stacked, and a complex stack is kept without
+    a copy. ``operator_system`` builds it from any spanning list,
+    ``graph_op_system`` writes that of a graph system directly.
     """
 
     dim: int
-    basis: tuple = field(repr=False)
+    basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ops = tuple(matkit.asmatrix(bmat) for bmat in self.basis)
         n = self.dim
-        for bmat in ops:
-            if bmat.shape != (n, n):
-                raise DimensionError(f"basis element {bmat.shape} != ({n},{n})")
-        if not ops or np.linalg.norm(ops[0] - np.eye(n) / math.sqrt(n)) > 1e-10:
+        basis = matkit.asstack(self.basis, (n, n), "basis element {} != ({},{})")
+        if (not len(basis)
+                or np.linalg.norm(basis[0] - np.eye(n) / math.sqrt(n)) > 1e-10):
             raise DimensionError("basis[0] must be I/sqrt(dim)")
-        stack = np.stack(ops)
-        flat = stack.reshape(len(ops), -1)
-        if np.linalg.norm(flat.conj() @ flat.T - np.eye(len(ops))) > 1e-10:
+        flat = basis.reshape(len(basis), -1)
+        if np.linalg.norm(flat.conj() @ flat.T - np.eye(len(basis))) > 1e-10:
             raise DimensionError("basis is not HS-orthonormal")
-        if np.linalg.norm(stack - stack.conj().transpose(0, 2, 1)) > 1e-10:
+        if np.linalg.norm(basis - dagger(basis)) > 1e-10:
             raise DimensionError("basis elements must be Hermitian")
-        object.__setattr__(self, "basis", ops)
+        object.__setattr__(self, "basis", basis)
 
     def __len__(self) -> int:
         return len(self.basis)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         v = matkit.asmatrix(x).reshape(-1)
-        stack = np.stack([bmat.reshape(-1) for bmat in self.basis], axis=1)
-        return bool(np.linalg.norm(v - stack @ (dagger(stack) @ v)) <= tol)
+        flat = self.basis.reshape(len(self), -1)
+        return bool(np.linalg.norm(v - flat.T @ (flat.conj() @ v)) <= tol)
 
 
 def operator_system(dim: int, spanning) -> OperatorSystem:
@@ -99,12 +98,9 @@ def operator_system(dim: int, spanning) -> OperatorSystem:
     values below _RANK_RTOL times the largest of ``spanning`` count as zero.
     """
     n = dim
-    mats = [matkit.asmatrix(s) for s in spanning]
-    if n < 1 or not mats:
+    if n < 1 or not len(spanning):
         raise DimensionError("need dim >= 1 and at least one spanning matrix")
-    mats = np.stack(mats)
-    if mats.shape[1:] != (n, n):
-        raise DimensionError(f"spanning matrix {mats.shape[1:]} != ({n},{n})")
+    mats = matkit.asstack(spanning, (n, n), "spanning matrix {} != ({},{})")
     u, sv, _ = np.linalg.svd(mats.reshape(len(mats), -1).T, full_matrices=False)
     cut = _RANK_RTOL * sv[0]
     span = u[:, sv > cut]
@@ -123,8 +119,10 @@ def operator_system(dim: int, spanning) -> OperatorSystem:
     traceless = vt[sv_h > cut].view(complex).reshape(-1, n, n)
     if 1 + len(traceless) != span.shape[1]:
         raise DimensionError("operator system must be self-adjoint")
-    traceless = (traceless + traceless.conj().transpose(0, 2, 1)) / 2.0
-    return OperatorSystem(n, (eye,) + tuple(traceless))
+    basis = np.empty((1 + len(traceless), n, n), dtype=complex)
+    basis[0] = eye
+    basis[1:] = (traceless + dagger(traceless)) / 2.0
+    return OperatorSystem(n, basis)
 
 
 @dataclass(frozen=True)
@@ -172,10 +170,8 @@ def op_system_from_channel(ch: Channel) -> OperatorSystem:
     """span{E_i^dag E_j} of a trace-preserving channel (contains I)."""
     if not is_tp(ch):
         raise NotTracePreserving("operator system needs a TP channel")
-    spanning = [
-        dagger(ei) @ ej for ei in ch.kraus for ej in ch.kraus
-    ]
-    return operator_system(ch.din, spanning)
+    spanning = dagger(ch.kraus)[:, None] @ ch.kraus[None]  # [i, j] = E_i^dag E_j
+    return operator_system(ch.din, spanning.reshape(-1, ch.din, ch.din))
 
 
 def graph_op_system(g: Graph) -> OperatorSystem:
@@ -208,7 +204,7 @@ def graph_op_system(g: Graph) -> OperatorSystem:
         sym, asym = basis[n + 2 * p], basis[n + 2 * p + 1]
         sym[u, v] = sym[v, u] = 1.0 / math.sqrt(2.0)
         asym[u, v], asym[v, u] = 1j / math.sqrt(2.0), -1j / math.sqrt(2.0)
-    return OperatorSystem(n, tuple(basis))
+    return OperatorSystem(n, basis)
 
 
 def confusability_graph(kernel) -> Graph:
@@ -267,12 +263,11 @@ def verify_independent_states(s: OperatorSystem, psis) -> bool:
     for v in vecs:
         if v.shape != (s.dim,):
             raise DimensionError("states must live on the system's space")
-    for a, b in itertools.permutations(range(len(vecs)), 2):
-        op = np.outer(vecs[b], np.conj(vecs[a]))
-        for bmat in s.basis:
-            if abs(matkit.hs_inner(op, bmat)) > 1e-9:
-                return False
-    return True
+    # <psi_b| B |psi_a> = Tr[(|psi_b><psi_a|)^dag B] for every basis element B.
+    vecs = np.reshape(vecs, (-1, s.dim))
+    overlaps = np.einsum("bi,pij,aj->pba", vecs.conj(), s.basis, vecs)
+    off = ~np.eye(len(vecs), dtype=bool)
+    return not np.any(np.abs(overlaps[:, off]) > 1e-9)
 
 
 @dataclass(frozen=True)
@@ -346,7 +341,7 @@ def theta_tilde_problems(s: OperatorSystem, dc: int | None = None):
     hs = _unit_hermitian_basis(dc)
     stack = np.empty((1 + k * dc * dc, size, size), dtype=complex)
     stack[0] = np.eye(size)
-    np.einsum("pij,qab->pqiajb", np.reshape(traceless, (k, n, n)), hs,
+    np.einsum("pij,qab->pqiajb", traceless, hs,
               out=stack[1:].reshape(k, dc * dc, n, dc, n, dc))
     rhs = [float(n)] + [0.0] * (len(stack) - 1)
     return sdpcore.SDPProblem(_phi_projector(n, dc), stack, rhs)
@@ -363,7 +358,7 @@ def _graph_of(s: OperatorSystem):
     S = S_G with G = {(i, j) in P : i < j}. P is symmetric because the
     basis is Hermitian.
     """
-    mag = np.abs(np.stack(s.basis))
+    mag = np.abs(s.basis)
     off = (mag > _RANK_RTOL * mag.max()).any(axis=0)
     np.fill_diagonal(off, False)
     rows, cols = np.nonzero(off)
@@ -415,9 +410,10 @@ def theta_lower_from_witness(s: OperatorSystem, m) -> float:
     n = s.dim
     if mm.shape != (n, n):
         raise DimensionError(f"witness {mm.shape} != ({n},{n})")
-    for bmat in s.basis:
-        if abs(matkit.hs_inner(bmat, mm)) > 1e-8:
-            raise NotFeasibleWitness("witness is not orthogonal to S")
+    # Tr[B^dag M] for every basis element B.
+    overlaps = s.basis.reshape(len(s), -1).conj() @ mm.reshape(-1)
+    if np.max(np.abs(overlaps)) > 1e-8:
+        raise NotFeasibleWitness("witness is not orthogonal to S")
     vals = np.linalg.eigvalsh((mm + dagger(mm)) / 2.0 + np.eye(n))
     if vals.min() < -1e-9:
         raise NotFeasibleWitness("I + M is not PSD")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinfokit import channels as chan
 from qinfokit import matkit, states
 from qinfokit.errors import (
     ChoiTooLarge,
+    DimensionError,
     NotMinimal,
     NotPSD,
     NotStochastic,
@@ -93,6 +96,88 @@ def test_kraus_from_choi_rejects_non_psd():
 def test_choi_cap():
     with pytest.raises(ChoiTooLarge):
         chan.choi(chan.identity_channel(100))
+
+
+@st.composite
+def kraus_families(draw):
+    """(din, dout, stack) of 1-5 operators with din, dout in 1..4: fresh
+    Gaussian operators, zero operators, multiples of earlier ones and
+    earlier ones plus 1e-7 or 1e-2 of a fresh one (their squared singular
+    values fall either side of choi_rank's 1e-9), optionally made trace
+    preserving, or unital as the adjoint of a TP family."""
+    count = draw(st.integers(1, 5))
+    din, dout = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = rng.standard_normal((count, dout, din)) + 1j * rng.standard_normal(
+        (count, dout, din))
+    ops /= np.sqrt(count * din * dout)
+    for i in range(count):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "near"]))
+        if kind == "zero":
+            ops[i] = 0.0
+        elif kind == "repeat" and i:
+            ops[i] = draw(st.sampled_from([1.0, -0.5, 2j])) * ops[
+                draw(st.integers(0, i - 1))]
+        elif kind == "near" and i:
+            ops[i] = ops[draw(st.integers(0, i - 1))] + draw(
+                st.sampled_from([1e-7, 1e-2])) * ops[i]
+    mode = draw(st.sampled_from(["raw", "tp", "unital"]))
+    rows = ops.reshape(-1, din)
+    u, sv, vh = np.linalg.svd(rows, full_matrices=False)
+    if mode != "raw" and sv[-1] > 1e-6 * sv[0]:
+        # Right polar factor: K_i -> K_i (F^dag F)^(-1/2), which keeps the
+        # linear dependences among the K_i.
+        ops = (u @ vh).reshape(count, dout, din)
+        if mode == "unital":
+            return dout, din, ops.conj().swapaxes(1, 2)
+    return din, dout, ops
+
+
+@settings(max_examples=80, deadline=None)
+@given(kraus_families(), st.integers(0, 2 ** 32 - 1))
+def test_stack_route_matches_choi_route(family, seed):
+    din, dout, ops = family
+    ch = chan.Channel(din, dout, ops)
+    j = chan.choi(ch)
+    assert chan.choi_rank(ch) == chan.choi_rank(j)
+    assert chan.is_tp(ch) == chan.is_tp(j)
+    assert chan.is_unital(ch) == chan.is_unital(j)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((din, din)) + 1j * rng.standard_normal((din, din))
+    assert np.max(np.abs(ch(x) - j.apply(x))) <= 1e-12
+    v = chan.stinespring_isometry(ch)
+    env = matkit.partial_trace(v @ x @ matkit.dagger(v), (dout, len(ops)), {0})
+    assert np.max(np.abs(env - ch(x))) <= 1e-12
+
+
+def test_choi_rank_counts_independent_kraus():
+    e = np.array([[1.0, 2.0], [0.0, 1j]])
+    assert chan.choi_rank(chan.Channel(2, 2, (e, -3 * e, np.zeros((2, 2))))) == 1
+    assert chan.choi_rank(chan.Channel(2, 2, (np.zeros((2, 2)),))) == 0
+    assert chan.is_cp(chan.Channel(2, 2, (e,)))
+
+
+def test_channel_holds_one_kraus_stack():
+    stack = np.zeros((3, 2, 4), dtype=complex)
+    ch = chan.Channel(4, 2, stack)
+    assert ch.kraus is stack
+    listed = chan.Channel(4, 2, list(stack))
+    assert isinstance(listed.kraus, np.ndarray) and listed.kraus.shape == (3, 2, 4)
+
+
+@pytest.mark.parametrize("kraus, message", [
+    ((), "channel needs at least one Kraus operator"),
+    (np.zeros((0, 2, 2)), "channel needs at least one Kraus operator"),
+    ((np.eye(2), np.eye(3)), r"Kraus operator \(3, 3\) != \(2, 2\)"),
+    ((np.eye(2), np.ones((2, 3))), r"Kraus operator \(2, 3\) != \(2, 2\)"),
+    (np.zeros((2, 3, 3)), r"Kraus operator \(3, 3\) != \(2, 2\)"),
+    ((np.eye(2), np.ones(2)), "expected a matrix, got ndim=1"),
+    ((np.eye(2), np.diag([np.nan, 1.0])), "matrix has non-finite entries"),
+    (np.full((1, 2, 2), np.inf), "matrix has non-finite entries"),
+])
+def test_channel_rejections(kraus, message):
+    with pytest.raises(DimensionError, match=message):
+        chan.Channel(2, 2, kraus)
 
 
 # --- structural checks ------------------------------------------------------------

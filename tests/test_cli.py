@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qinfokit import cli, qec, serialize
-from qinfokit.channels import Channel
+from qinfokit.channels import Channel, identity_channel
 from qinfokit.errors import FormatError
 from qinfokit.randkit import haar_unitary
 
@@ -210,6 +211,16 @@ def test_channel_analyze_command(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["is_cp"] and rep["is_tp"] and rep["is_unital"]
     assert rep["choi_rank"] == 1
+
+
+def test_channel_analyze_above_choi_cap(tmp_path, capsys):
+    # din * dout = 10^4 > CHOI_CAP: the report never builds the Choi matrix.
+    path = write_doc(tmp_path / "id100.json",
+                     serialize.channel_to_doc(identity_channel(100)))
+    code, out, err = run_cli(capsys, "--json", "channel", "analyze", path)
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["choi_rank"] == 1 and rep["is_cp"] is True
 
 
 def test_werner_command(capsys):
@@ -577,6 +588,49 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
     assert code == 1
     rep = json.loads(err)
     assert rep["error"] == "KLViolated"
+
+
+def bit_flip_docs(tmp_path, probs=None):
+    """Code and error documents of the 3-qubit bit-flip code against
+    I and X on qubit 0."""
+    w = np.zeros((8, 2))
+    w[0, 0] = w[7, 1] = 1.0
+    cpath = write_doc(tmp_path / "code.json", serialize.code_to_doc(qec.Code(8, 2, w)))
+    doc = serialize.channel_to_doc(
+        Channel(8, 8, (np.eye(8), qec.pauli_on(3, 0, "X"))), probs)
+    return cpath, write_doc(tmp_path / "err.json", doc)
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_qec_recover_without_samples_exits_1(tmp_path, capsys, samples):
+    cpath, epath = bit_flip_docs(tmp_path)
+    code, out, err = run_cli(capsys, "--json", "qec", "recover", cpath, epath,
+                             "--verify", samples)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "DomainError",
+        "reason": f"verification needs samples >= 1, got {samples}",
+    }
+
+
+@pytest.mark.parametrize("probs, reason", [
+    ([0, 0], "probabilities must have a positive finite sum"),
+    ([1, -0.5], "probabilities must be nonnegative"),
+])
+def test_qec_recover_bad_probs_exit_1(tmp_path, capsys, probs, reason):
+    cpath, epath = bit_flip_docs(tmp_path, probs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "--json", "qec", "recover", cpath, epath)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ProbabilityError", "reason": reason}
+
+
+def test_qec_recover_probs_length_mismatch_exits_2(tmp_path, capsys):
+    cpath, epath = bit_flip_docs(tmp_path, [1.0])
+    code, out, err = run_cli(capsys, "--json", "qec", "recover", cpath, epath)
+    assert code == 2 and out == ""
+    assert err == "input error: errors: probs length mismatch\n"
 
 
 @pytest.mark.parametrize("option, value, reason", [

@@ -3,7 +3,7 @@ import pytest
 
 from qinfokit import qec
 from qinfokit.channels import is_tp
-from qinfokit.errors import KLViolated
+from qinfokit.errors import DimensionError, KLViolated, ProbabilityError
 from qinfokit.matkit import dagger
 from qinfokit.randkit import haar_unitary
 
@@ -251,3 +251,23 @@ def test_shor_recovery_and_rotation_error():
     assert qec.span_correction_check(code, ops, [rot])
     xx = qec.pauli_on(9, 0, "X") @ qec.pauli_on(9, 1, "X")
     assert not qec.span_correction_check(code, ops, [xx])
+
+
+@pytest.mark.parametrize("probs, error, message", [
+    ([1.0], DimensionError, "probabilities must match the error list"),
+    ([1.0, -0.5], ProbabilityError, "probabilities must be nonnegative"),
+    ([0.0, 0.0], ProbabilityError, "positive finite sum"),
+    ([np.inf, 1.0], ProbabilityError, "positive finite sum"),
+])
+def test_noise_channel_probability_errors(probs, error, message):
+    with pytest.raises(error, match=message):
+        qec.noise_channel([np.eye(2), qec.pauli_on(1, 0, "X")], probs)
+
+
+def test_noise_channel_stack_scales_errors():
+    x = qec.pauli_on(1, 0, "X")
+    ch = qec.noise_channel([np.eye(2), x], [3.0, 1.0])
+    assert ch.kraus.shape == (2, 2, 2)
+    assert np.allclose(ch.kraus[0], np.sqrt(0.75) * np.eye(2))
+    assert np.allclose(ch.kraus[1], 0.5 * x)
+    assert is_tp(ch)

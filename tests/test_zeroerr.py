@@ -174,10 +174,31 @@ def test_operator_system_scale_free(name, scale):
     (2, [np.eye(3)], r"spanning matrix \(3, 3\) != \(2,2\)"),
     (2, [], "at least one spanning matrix"),
     (0, [np.zeros((0, 0))], "need dim >= 1"),
+    (2, [np.eye(2), np.eye(3)], r"spanning matrix \(3, 3\) != \(2,2\)"),
+    (2, [np.eye(2), np.diag([np.nan, 1.0])], "matrix has non-finite entries"),
 ])
 def test_operator_system_rejections(dim, spanning, message):
     with pytest.raises(DimensionError, match=message):
         zeroerr.operator_system(dim, spanning)
+
+
+@pytest.mark.parametrize("basis, message", [
+    ((), r"basis\[0\] must be I/sqrt\(dim\)"),
+    (np.zeros((0, 2, 2)), r"basis\[0\] must be I/sqrt\(dim\)"),
+    ((np.eye(2) / math.sqrt(2), np.eye(3)), r"basis element \(3, 3\) != \(2,2\)"),
+    (np.zeros((1, 3, 3)), r"basis element \(3, 3\) != \(2,2\)"),
+    ((np.eye(2) / math.sqrt(2), np.diag([np.inf, 0.0])),
+     "matrix has non-finite entries"),
+])
+def test_operator_system_basis_rejections(basis, message):
+    with pytest.raises(DimensionError, match=message):
+        zeroerr.OperatorSystem(2, basis)
+
+
+def test_operator_system_holds_one_basis_stack():
+    s = zeroerr.graph_op_system(zeroerr.cycle_graph(5))
+    assert isinstance(s.basis, np.ndarray) and s.basis.shape == (15, 5, 5)
+    assert zeroerr.OperatorSystem(5, s.basis).basis is s.basis
 
 
 def test_operator_system_rejects_non_hermitian_basis():
