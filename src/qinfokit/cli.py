@@ -46,8 +46,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _cmd_schmidt(args) -> dict:
-    doc = serialize.load_document(args.state)
-    state = serialize.state_from_doc(doc)
+    state = serialize.read_document(args.state, serialize.state_from_doc)
     if isinstance(state, states.State):
         vals, vecs = np.linalg.eigh(state.rho)
         if vals[-1] < 1.0 - 1e-9:
@@ -68,8 +67,7 @@ def _cmd_schmidt(args) -> dict:
 
 
 def _cmd_channel_analyze(args) -> dict:
-    doc = serialize.load_document(args.channel)
-    ch = serialize.channel_from_doc(doc)
+    ch = serialize.read_document(args.channel, serialize.channel_from_doc)
     return {
         "kind": "report",
         "analysis": "channel",
@@ -85,8 +83,8 @@ def _cmd_channel_analyze(args) -> dict:
 
 
 def _cmd_qec_check(args) -> dict:
-    code = serialize.code_from_doc(serialize.load_document(args.code))
-    errors, _ = serialize.error_list_from_doc(serialize.load_document(args.errors))
+    code = serialize.read_document(args.code, serialize.code_from_doc)
+    errors, _ = serialize.read_document(args.errors, serialize.error_list_from_doc)
     report = qec.kl_check(code, errors, tol=args.tol)
     return {
         "kind": "report",
@@ -99,13 +97,14 @@ def _cmd_qec_check(args) -> dict:
 
 
 def _cmd_qec_recover(args) -> dict:
-    code = serialize.code_from_doc(serialize.load_document(args.code))
-    errors, probs = serialize.error_list_from_doc(serialize.load_document(args.errors))
+    code = serialize.read_document(args.code, serialize.code_from_doc)
+    errors, probs = serialize.read_document(args.errors,
+                                            serialize.error_list_from_doc)
     recovery = qec.build_recovery(code, errors)
     seed_rng = stream(args.seed, "qec-recover/logical-samples")
     deviation = qec.verify_recovery(
-        recovery, qec.noise_channel(errors, probs), code,
-        samples=args.verify, seed=int(seed_rng.integers(2 ** 31)),
+        recovery, errors, code, samples=args.verify,
+        seed=int(seed_rng.integers(2 ** 31)), probs=probs,
     )
     return {
         "kind": "report",
@@ -138,8 +137,8 @@ def _cmd_werner(args) -> dict:
 
 def _cmd_theta(args) -> dict:
     if args.input.endswith(".json"):
-        dim, spanning = serialize.system_from_doc(
-            serialize.load_document(args.input))
+        dim, spanning = serialize.read_document(args.input,
+                                                serialize.system_from_doc)
         system = zeroerr.operator_system(dim, spanning)
         source = "system"
     else:
@@ -163,7 +162,7 @@ def _cmd_theta(args) -> dict:
 
 
 def _cmd_ssa(args) -> dict:
-    state = serialize.state_from_doc(serialize.load_document(args.state))
+    state = serialize.read_document(args.state, serialize.state_from_doc)
     if isinstance(state, states.PureState):
         state = state.to_state()
     report = entropy.cond_mutual_info(state)
@@ -180,10 +179,10 @@ def _cmd_ssa(args) -> dict:
 
 
 def _cmd_petz(args) -> dict:
-    state = serialize.state_from_doc(serialize.load_document(args.state))
+    state = serialize.read_document(args.state, serialize.state_from_doc)
     if isinstance(state, states.PureState):
         state = state.to_state()
-    ch = serialize.channel_from_doc(serialize.load_document(args.channel))
+    ch = serialize.read_document(args.channel, serialize.channel_from_doc)
     recovery = entropy.petz_map(state, ch)
     pushed = ch(state.rho)
     recovered = recovery(pushed)
@@ -198,7 +197,7 @@ def _cmd_petz(args) -> dict:
 
 
 def _cmd_randomize(args) -> dict:
-    state = serialize.state_from_doc(serialize.load_document(args.state))
+    state = serialize.read_document(args.state, serialize.state_from_doc)
     if isinstance(state, states.PureState):
         state = state.to_state()
     rng = stream(args.seed, f"randomize/{args.sampler}")

@@ -77,14 +77,20 @@ def _family_scale(ops, n: int) -> float:
 
 
 def _code_images(code: Code, ops) -> np.ndarray:
-    """E_i W for the normalized error family, stacked as m x n x k."""
+    """E_i W, stacked as m x n x k."""
     w = code.isometry
     n = code.physical_dim
     for e in ops:
         if e.shape != (n, n):
             raise DimensionError(f"error operator {e.shape} != ({n}, {n})")
-    scale = _family_scale(ops, n)
-    return np.stack([e @ w / math.sqrt(scale) for e in ops])
+    return np.stack([e @ w for e in ops])
+
+
+def _normalized_images(code: Code, ops) -> np.ndarray:
+    """E_i W for the normalized error family, stacked as m x n x k."""
+    images = _code_images(code, ops)
+    images /= math.sqrt(_family_scale(ops, code.physical_dim))
+    return images
 
 
 def _kl_report(ews: np.ndarray, tol: float) -> KLReport:
@@ -109,7 +115,7 @@ def kl_check(code: Code, errors, tol: float = 1e-8) -> KLReport:
     uniform weights); the residual is
     max_ij || W^dag E_i^dag E_j W - alpha_ij I ||.
     """
-    return _kl_report(_code_images(code, _error_list(errors)), tol)
+    return _kl_report(_normalized_images(code, _error_list(errors)), tol)
 
 
 def build_recovery(code: Code, errors, tol: float = 1e-8) -> Channel:
@@ -120,7 +126,7 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Channel:
     d_ii > 0, and returns the trace-preserving channel with Kraus
     {V_i^dag} plus the completion Q = I - sum V_i V_i^dag.
     """
-    ews = _code_images(code, _error_list(errors))
+    ews = _normalized_images(code, _error_list(errors))
     report = _kl_report(ews, tol)
     if not report.passes:
         raise KLViolated(
@@ -189,26 +195,32 @@ def verify_recovery(recovery: Channel, noise, code: Code,
                     probs=None) -> float:
     """Max over sampled logical states of || (R o E)(W rho W^dag) - W rho W^dag ||_1.
 
-    ``noise`` is a Kraus list (probabilities optional) or a Channel. The
-    computation is compressed onto the subspace actually reachable from
-    the code space, so it never touches full physical-dimension products
-    beyond an initial O(m^2 n^2 k) setup. Raises DomainError for
-    samples < 1, where nothing would be checked.
+    ``noise`` is a Channel, or an error list E_b with probabilities p_b
+    (uniform by default, normalized to sum 1) that stands for the channel
+    with Kraus operators sqrt(p_b) E_b; only the sqrt(p_b) E_b W are
+    formed. The computation is compressed onto the subspace actually
+    reachable from the code space, so it never touches full
+    physical-dimension products beyond an initial O(m^2 n^2 k) setup.
+    Raises DomainError for samples < 1, where nothing would be checked.
     """
     if samples < 1:
         raise DomainError(f"verification needs samples >= 1, got {samples}")
-    if not isinstance(noise, Channel):
-        noise = noise_channel(noise, probs)
     w = code.isometry
     n, k = code.physical_dim, code.logical_dim
+    if isinstance(noise, Channel):
+        if noise.din != n or noise.dout != n:
+            raise DimensionError("noise must act on the physical space")
+        images = noise.kraus @ w
+    else:
+        ops = _error_list(noise)
+        weights = np.sqrt(_uniform_probs(ops, probs))
+        images = _code_images(code, ops) * weights[:, None, None]
     if recovery.din != n or recovery.dout != n:
         raise DimensionError("recovery must act on the physical space")
-    if noise.din != n or noise.dout != n:
-        raise DimensionError("noise must act on the physical space")
 
     # Columns reachable by (recovery o noise) from the code space, laid
     # side by side: the E_b W as n x (m k), then R_a E_b W, a-major.
-    ew = (noise.kraus @ w).swapaxes(0, 1).reshape(n, -1)
+    ew = images.swapaxes(0, 1).reshape(n, -1)
     rew = (recovery.kraus @ ew).swapaxes(0, 1).reshape(n, -1)
     stack = np.hstack([w, rew])
     basis = matkit.orthonormal_basis(stack)  # n x r

@@ -5,22 +5,40 @@ matrices are row-major nested arrays; dimensions are always explicit.
 Canonical output sorts keys and prints every real with %.17g, so
 serialize -> parse -> serialize is byte-identical.
 
-Dense matrices and vectors are validated and converted in bulk: a few
-whole-array passes check that rows are arrays of equal length, that every
-entry is a two-element array and that every scalar is a JSON number, and
-one conversion builds the complex array. Only when a check fails does the
-per-entry walk run, and it alone names the offending entry as
-``where[i][j]``, so diagnostics cost nothing on well-formed input.
+A document is read on one of two routes.
+
+* Bulk (``load_document``). Each bracketed run of numbers in the text
+  that holds a dense array of [re, im] pairs (a vector, a matrix, or
+  matrices nested in arrays) is checked and parsed at byte level into
+  one float64 array, with no Python object per number; ``json.loads``
+  reads the rest of the text. A vector lands in the tree as an (n, 2)
+  array and a matrix as an (rows, cols, 2) array, which
+  ``vector_from_doc`` and ``matrix_from_doc`` view as complex without a
+  copy; every array level above a matrix stays a Python list. A run
+  takes this route when its brackets are laid out as a rectangular
+  array's, every number is a finite JSON number that ``json.loads``
+  reads to the same float (an integer ``-0`` is not: it reads as +0.0),
+  and whitespace only sits next to brackets and commas. Canonical
+  output and ``json.dump`` output, with any separators or indent, pass.
+  A run that fails any check stays in the text for ``json.loads``.
+* Diagnostic. ``json.loads`` of the whole text, and a per-entry walk of
+  each matrix that names the offending entry as ``where[i][j]``. When
+  the text is not JSON, ``load_document`` reports the error from this
+  route; when a reader fails on the bulk tree, ``read_document`` reads
+  the document again on this route and raises the reader's error there.
+  Every diagnostic, ``path:line:col`` included, is therefore the one
+  this route gives, and well-formed input never pays for it.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import json
 import math
-from collections.abc import Iterable, Sized
+import re
+from collections.abc import Sized
 from contextlib import contextmanager
-from itertools import chain
 
 import numpy as np
 
@@ -40,21 +58,24 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-class _RealTexts(dict):
-    """float -> canonical text; each distinct value is formatted once."""
-
-    def __missing__(self, x: float) -> str:
-        text = self[x] = _fmt_float(x)
-        return text
+def _nested_text(cells: np.ndarray) -> str:
+    if cells.ndim == 1:
+        return "[" + ",".join(cells.tolist()) + "]"
+    return "[" + ",".join(map(_nested_text, cells)) + "]"
 
 
-def _float_pairs(seq) -> list | None:
-    """The reals of a non-empty run of [re, im] float pairs (a matrix row
-    or a vector), flattened; None for anything else."""
-    if not seq or set(map(type, seq)) != {list} or set(map(len, seq)) != {2}:
-        return None
-    flat = list(chain.from_iterable(seq))
-    return flat if set(map(type, flat)) == {float} else None
+def _array_text(a: np.ndarray) -> str:
+    """Canonical text of a real or complex array: that of its nested-list
+    form, with each complex entry as [re, im]. Each distinct entry is
+    formatted once."""
+    distinct, inverse = np.unique(a.reshape(-1), return_inverse=True)
+    if a.dtype.kind == "c":
+        texts = [f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]"
+                 for z in distinct.tolist()]
+    else:
+        texts = list(map(_fmt_float, distinct.tolist()))
+    cells = np.array(texts, dtype=object)[inverse.reshape(-1)]
+    return _nested_text(cells.reshape(a.shape))
 
 
 def canonical_dumps(doc) -> str:
@@ -62,28 +83,16 @@ def canonical_dumps(doc) -> str:
 
     JSON scalars are dispatched on their exact type; containers and any
     other type (numpy scalars, subclasses of the JSON types) go through
-    ``isinstance`` checks. A run of [re, im] float pairs is written by one
-    formatting call, and each distinct real is formatted once per call,
-    which matters for dense matrices with few distinct entries (Paulis,
-    projectors).
+    ``isinstance`` checks. A real or complex array is written as its
+    nested-list form, a complex entry as [re, im], with each distinct
+    entry formatted once, which matters for dense matrices with few
+    distinct entries (Paulis, projectors).
     """
-    reals = _RealTexts()
-
-    def render_dict(obj) -> str:
-        items = sorted(obj.items())
-        return "{" + ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items) + "}"
-
-    def render_list(obj) -> str:
-        flat = _float_pairs(obj)
-        if flat is None:
-            return "[" + ",".join(map(render, obj)) + "]"
-        template = "[" + ",".join(["[%s,%s]"] * len(obj)) + "]"
-        return template % tuple(map(reals.__getitem__, flat))
 
     def render(obj) -> str:
         kind = type(obj)
         if kind is float:
-            return reals[obj]
+            return _fmt_float(obj)
         if kind is int:
             return str(obj)
         if kind is str:
@@ -93,13 +102,16 @@ def canonical_dumps(doc) -> str:
         if obj is None:
             return "null"
         if isinstance(obj, dict):
-            return render_dict(obj)
+            items = sorted(obj.items())
+            return "{" + ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items) + "}"
         if isinstance(obj, (list, tuple)):
-            return render_list(obj)
+            return "[" + ",".join(map(render, obj)) + "]"
+        if isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.ndim:
+            return _array_text(obj)
         if isinstance(obj, (int, np.integer)):
             return str(int(obj))
         if isinstance(obj, (float, np.floating)):
-            return reals[float(obj)]
+            return _fmt_float(float(obj))
         if isinstance(obj, str):
             return json.dumps(obj)
         raise FormatError(f"cannot serialize {type(obj).__name__}")
@@ -125,6 +137,8 @@ def _gc_paused():
 
 
 def matrix_to_doc(m) -> list:
+    """The nested-list form of a matrix; ``canonical_dumps`` writes a
+    complex array as the same text without it."""
     m = np.asarray(m, dtype=complex)
     with _gc_paused():
         return np.stack([m.real, m.imag], -1).tolist()
@@ -153,37 +167,24 @@ def _pair_to_complex(obj, where: str) -> complex:
     raise FormatError(f"{where}: complex scalar must be [re, im]")
 
 
-def _bulk_pairs(rows: list, count: int) -> np.ndarray | None:
-    """The ``count`` [re, im] pairs held in a list of lists, as one flat
-    complex array; None when any pair is not two JSON numbers, so that the
-    caller's per-entry walk can name it.
-
-    Each check is one C-level pass over an iterator: no intermediate list
-    is built, so a large document's peak memory stays that of its tree.
-    """
-    def pairs():
-        return chain.from_iterable(rows)
-
-    if set(map(type, pairs())) != {list} or set(map(len, pairs())) != {2}:
+def _pairs_view(obj: np.ndarray, ndim: int) -> np.ndarray | None:
+    """A bulk-read float64 array of [re, im] pairs with ``ndim`` axes,
+    viewed as complex without the last axis; None for any other array."""
+    if obj.dtype != np.float64 or obj.ndim != ndim or obj.shape[-1] != 2:
         return None
-    if not set(map(type, chain.from_iterable(pairs()))) <= _REALS:
-        return None
-    try:
-        reals = np.fromiter(chain.from_iterable(pairs()), float, 2 * count)
-    except OverflowError:  # an integer beyond float range
-        return None
-    return reals.view(complex)
+    return np.ascontiguousarray(obj).view(complex)[..., 0]
 
 
 def matrix_from_doc(obj, where: str) -> np.ndarray:
+    if isinstance(obj, np.ndarray):
+        view = _pairs_view(obj, 3)
+        if view is None:
+            raise FormatError(f"{where}: matrix must be a nested array")
+        return view
     if not isinstance(obj, list) or not obj or not isinstance(obj[0], list):
         raise FormatError(f"{where}: matrix must be a nested array")
     rows = len(obj)
     cols = len(obj[0])
-    if set(map(type, obj)) == {list} and set(map(len, obj)) == {cols}:
-        flat = _bulk_pairs(obj, rows * cols)
-        if flat is not None:
-            return flat.reshape(rows, cols)
     out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, Sized):
@@ -196,11 +197,13 @@ def matrix_from_doc(obj, where: str) -> np.ndarray:
 
 
 def vector_from_doc(obj, where: str) -> np.ndarray:
+    if isinstance(obj, np.ndarray):
+        view = _pairs_view(obj, 2)
+        if view is None:
+            raise FormatError(f"{where}: vector must be a non-empty array")
+        return view
     if not isinstance(obj, list) or not obj:
         raise FormatError(f"{where}: vector must be a non-empty array")
-    flat = _bulk_pairs([obj], len(obj))
-    if flat is not None:
-        return flat
     return np.array([_pair_to_complex(z, f"{where}[{k}]")
                      for k, z in enumerate(obj)])
 
@@ -220,22 +223,15 @@ def _need_int(doc: dict, key: str, where: str) -> int:
 
 def state_to_doc(state) -> dict:
     if isinstance(state, PureState):
-        return {
-            "kind": "state",
-            "dims": list(state.dims),
-            "vec": vector_to_doc(state.vec),
-        }
-    return {
-        "kind": "state",
-        "dims": list(state.dims),
-        "rho": matrix_to_doc(state.rho),
-    }
+        return {"kind": "state", "dims": list(state.dims), "vec": state.vec}
+    return {"kind": "state", "dims": list(state.dims), "rho": state.rho}
 
 
 def state_from_doc(doc: dict, where: str = "state"):
     dims = _need(doc, "dims", where)
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
-        raise FormatError(f"{where}: dims must be a list of integers")
+    if not isinstance(dims, list) or not all(type(d) is int and d > 0
+                                             for d in dims):
+        raise FormatError(f"{where}: dims must be a list of positive integers")
     if "vec" in doc:
         return PureState(tuple(dims), vector_from_doc(doc["vec"], f"{where}.vec"))
     rho = matrix_from_doc(_need(doc, "rho", where), f"{where}.rho")
@@ -247,24 +243,26 @@ def channel_to_doc(ch: Channel, probs=None) -> dict:
         "kind": "channel",
         "din": ch.din,
         "dout": ch.dout,
-        "kraus": [matrix_to_doc(k) for k in ch.kraus],
+        "kraus": list(ch.kraus),
     }
     if probs is not None:
         doc["probs"] = [float(p) for p in probs]
     return doc
 
 
+def _matrix_list(doc: dict, key: str, where: str) -> list:
+    """The matrices of a non-empty array field, named ``where.key[i]``."""
+    value = _need(doc, key, where)
+    if not isinstance(value, list) or not value:
+        raise FormatError(f"{where}: {key} must be a non-empty array")
+    return [matrix_from_doc(m, f"{where}.{key}[{i}]")
+            for i, m in enumerate(value)]
+
+
 def channel_from_doc(doc: dict, where: str = "channel") -> Channel:
     din = _need_int(doc, "din", where)
     dout = _need_int(doc, "dout", where)
-    kraus_doc = _need(doc, "kraus", where)
-    if not isinstance(kraus_doc, list) or not kraus_doc:
-        raise FormatError(f"{where}: kraus must be a non-empty array")
-    kraus = tuple(
-        matrix_from_doc(k, f"{where}.kraus[{i}]")
-        for i, k in enumerate(kraus_doc)
-    )
-    return Channel(din, dout, kraus)
+    return Channel(din, dout, tuple(_matrix_list(doc, "kraus", where)))
 
 
 def system_from_doc(doc: dict, where: str = "system") -> tuple:
@@ -272,13 +270,7 @@ def system_from_doc(doc: dict, where: str = "system") -> tuple:
     dim = _need_int(doc, "dim", where)
     if dim <= 0:
         raise FormatError(f"{where}: dim must be positive")
-    basis_doc = _need(doc, "basis", where)
-    if not isinstance(basis_doc, list) or not basis_doc:
-        raise FormatError(f"{where}: basis must be a non-empty array")
-    spanning = [
-        matrix_from_doc(b, f"{where}.basis[{i}]")
-        for i, b in enumerate(basis_doc)
-    ]
+    spanning = _matrix_list(doc, "basis", where)
     for i, mat in enumerate(spanning):
         if mat.shape != (dim, dim):
             raise FormatError(
@@ -292,7 +284,7 @@ def code_to_doc(code: Code) -> dict:
         "kind": "code",
         "physical_dim": code.physical_dim,
         "logical_dim": code.logical_dim,
-        "isometry": matrix_to_doc(code.isometry),
+        "isometry": code.isometry,
     }
 
 
@@ -306,11 +298,9 @@ def code_from_doc(doc: dict, where: str = "code") -> Code:
 
 def error_list_from_doc(doc: dict, where: str = "errors"):
     """Kraus-style error list; probabilities optional."""
-    ops_doc = _need(doc, "kraus", where)
-    if not isinstance(ops_doc, Iterable):
+    if not isinstance(_need(doc, "kraus", where), list):
         raise FormatError(f"{where}: kraus must be an array")
-    ops = [matrix_from_doc(k, f"{where}.kraus[{i}]")
-           for i, k in enumerate(ops_doc)]
+    ops = _matrix_list(doc, "kraus", where)
     probs = doc.get("probs")
     if probs is not None:
         if isinstance(probs, Sized) and len(probs) != len(ops):
@@ -349,7 +339,169 @@ def graph_from_edge_list(text: str) -> Graph:
     return Graph(max_v + 1, frozenset(edges))
 
 
-def load_document(path: str) -> dict:
+# --- the bulk route -----------------------------------------------------------
+
+_RUN_BYTES = b"-+.0123456789eE,[] \t\n\r"
+# Maps each byte that cannot be part of a run of numbers to 1, others to 0.
+_OUTSIDE_RUN = bytes(byte not in _RUN_BYTES for byte in range(256))
+_NUMBER_BYTES = b"-+.0123456789eE"
+_WHITESPACE = b" \t\n\r"
+# Whitespace between two number characters would join two numbers.
+_SPLIT_NUMBER = re.compile(rb"[-+.0-9eE][ \t\n\r]+[-+.0-9eE]")
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+# Deeper runs are left to json.loads; this bounds the shape search.
+_MAX_NDIM = 32
+# Bytes per block of the grammar tests (their masks stay in cache).
+_BLOCK = 1 << 16
+
+
+def _shape_of(skeleton: bytes) -> tuple | None:
+    """The shape of the rectangular array whose first entry along every
+    axis has the layout that ``skeleton`` (a run with its numbers
+    deleted) starts with; None when the first entries fit no shape."""
+    ndim = len(skeleton) - len(skeleton.lstrip(b"["))
+    if not 2 <= ndim <= _MAX_NDIM:
+        return None
+    shape, inner = [], 0
+    for depth in range(1, ndim + 1):
+        # The first array of this depth opens at ndim - depth and closes
+        # at the first run of depth closing brackets.
+        size = skeleton.find(b"]" * depth) + 2 * depth - ndim
+        count, rest = divmod(size - 1, inner + 1)
+        if count < 1 or rest:
+            return None
+        shape.append(count)
+        inner = size
+    return tuple(reversed(shape))
+
+
+def _skeleton(shape: tuple) -> bytes:
+    """The brackets and commas of an array of this shape."""
+    text = b""
+    for count in reversed(shape):
+        text = b"[" + b",".join([text] * count) + b"]"
+    return text
+
+
+def _json_numbers(run: bytes) -> bool:
+    """Whether each number of a whitespace-free run that float() reads is
+    a JSON number that json.loads reads to the same float (the numbers
+    float() rejects fail np.loadtxt, which reads them alike).
+
+    float() also accepts a leading '+', a '.' without a digit on each side
+    and leading zeros; an integer -0 is read as +0.0 by json.loads and as
+    -0.0 by float(). The run is tested in blocks that overlap by the
+    three bytes a test looks back and ahead, which keeps the byte masks
+    small and in cache.
+    """
+    a = np.frombuffer(run, np.uint8)
+    plus, dot = b"+" in run, b"." in run
+    return all(_json_block(a[i:i + _BLOCK + 3], plus, dot)
+               for i in range(0, len(a) - 3, _BLOCK))
+
+
+def _json_block(a: np.ndarray, plus: bool, dot: bool) -> bool:
+    """The tests of ``_json_numbers`` on one block of a run's bytes; a
+    test is skipped when the byte it is about does not occur."""
+    digit = (a >= 48) & (a <= 57)
+    if plus and ((a[1:] == 43) & (a[:-1] != 101) & (a[:-1] != 69)).any():
+        return False  # a '+' that is not an exponent's sign
+    if dot and ((a[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any():
+        return False
+    # Each 0 at a[2:-1] (a run starts with "[["), with the bytes around it.
+    prev, after = a[1:-2], a[3:]
+    minus = prev == 45
+    suspect = (a[2:-1] == 48) & (digit[3:] | minus)
+    if not suspect.any():
+        return True
+    # A 0 followed by a digit may not start an integer part, after '[',
+    # ',' or a '-' that is not an exponent's sign; "-0" before ',' or ']'
+    # is an integer -0 (or an exponent -0, also left to json.loads).
+    sign = minus & (a[:-3] != 101) & (a[:-3] != 69)
+    starts = (prev == 44) | (prev == 91) | sign
+    ends = (after == 44) | (after == 93)
+    return not (suspect & ((digit[3:] & starts) | (minus & ends))).any()
+
+
+def _dense_array(run: bytes) -> np.ndarray | None:
+    """The float64 array written by a bracketed run of numbers, when it is
+    a dense array of [re, im] pairs that takes the bulk route; None
+    otherwise."""
+    if any(space in run for space in (b" ", b"\t", b"\n", b"\r")):
+        if _SPLIT_NUMBER.search(run):
+            return None
+        run = run.translate(None, _WHITESPACE)
+    if not run.startswith(b"[["):
+        return None
+    skeleton = run.translate(None, _NUMBER_BYTES)
+    shape = _shape_of(skeleton)
+    if shape is None or shape[-1] != 2 or _skeleton(shape) != skeleton:
+        return None
+    del skeleton
+    if not _json_numbers(run):
+        return None
+    # One line per matrix row keeps np.loadtxt's line buffer small. It
+    # strips blanks around each field, so a bracket blanked between two
+    # numbers ("0]5", "5[1", which the skeleton cannot show) fails it.
+    lines = run.replace(b"]],[[", b"\n").translate(_BLANK_BRACKETS)
+    try:
+        values = np.loadtxt(io.BytesIO(lines), delimiter=",", ndmin=1)
+    except ValueError:
+        return None
+    if values.size != math.prod(shape) or not np.isfinite(values).all():
+        return None  # 1e999 and huge integers keep their diagnostics
+    return values.reshape(shape)
+
+
+def _nest(values: np.ndarray):
+    """Vectors and matrices as arrays, the levels above them as lists."""
+    return values if values.ndim <= 3 else [_nest(v) for v in values]
+
+
+def _bulk_loads(text: str):
+    """json.loads of ``text``, with each dense array read in bulk.
+
+    A run starts at a '[' and ends at the last ']' before the first byte
+    that no number, bracket, comma or whitespace has. The runs that pass
+    are replaced by ``NaN``, a constant json.loads hands to
+    ``parse_constant``, which returns them in text order. A text that
+    spells NaN or Infinity itself, or a run inside a string, sends the
+    whole text to json.loads.
+    """
+    data = text.encode()
+    outside = data.translate(_OUTSIDE_RUN)
+    spans = []
+    start = data.find(b"[")
+    while start >= 0:
+        end = outside.find(1, start)
+        if end < 0:
+            end = len(data)
+        # A span without a "]" is empty and holds no array.
+        spans.append((start, data.rfind(b"]", start, end) + 1))
+        start = data.find(b"[", end)
+    del outside
+    pieces, arrays, last = [], [], 0
+    for start, close in spans:
+        values = _dense_array(data[start:close])
+        if values is not None:
+            pieces += (data[last:start], b"NaN")
+            arrays.append(_nest(values))
+            last = close
+    pieces.append(data[last:])
+    skeleton = b"".join(pieces)
+    if not arrays or skeleton.count(b"NaN") != len(arrays) or b"Infinity" in skeleton:
+        return json.loads(text)
+    placed = iter(arrays)
+    try:
+        doc = json.loads(skeleton.decode(), parse_constant=lambda _: next(placed))
+    except json.JSONDecodeError:
+        return json.loads(text)  # raises at the error's place in the text
+    if next(placed, None) is not None:
+        return json.loads(text)
+    return doc
+
+
+def _load(path: str, loads) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -357,9 +509,29 @@ def load_document(path: str) -> dict:
         raise FormatError(f"{path}: {exc}") from exc
     try:
         with _gc_paused():
-            doc = json.loads(text)
+            doc = loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
     return doc
+
+
+def load_document(path: str) -> dict:
+    """The JSON object in the file at ``path``, read on the bulk route."""
+    return _load(path, _bulk_loads)
+
+
+def read_document(path: str, reader):
+    """``reader`` applied to the document at ``path``.
+
+    When the reader raises FormatError on the bulk tree, the document is
+    read again on the diagnostic route, so the error raised (or, should
+    the reader pass there, the result) is that route's.
+    """
+    doc = load_document(path)
+    try:
+        return reader(doc)
+    except FormatError:
+        pass
+    return reader(_load(path, json.loads))

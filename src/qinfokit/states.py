@@ -25,6 +25,13 @@ from .matkit import dagger
 STATE_TOL = 1e-10
 
 
+def _checked_dims(dims) -> tuple:
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise DimensionError(f"subsystem dimensions {dims} must be positive")
+    return dims
+
+
 @dataclass(frozen=True, eq=False)
 class State:
     """Density matrix with an ordered list of subsystem dimensions."""
@@ -33,7 +40,7 @@ class State:
     rho: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _checked_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         rho = matkit.asmatrix(self.rho)
         total = math.prod(dims)
@@ -70,7 +77,7 @@ class PureState:
     vec: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _checked_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
         total = math.prod(dims)

@@ -124,6 +124,36 @@ def test_canonical_dumps_dense_matrices_match_reference_renderer():
     for m in (qec.one_paulis(3)[5], rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))):
         doc = {"kind": "channel", "kraus": [serialize.matrix_to_doc(m)], "din": 8}
         assert serialize.canonical_dumps(doc) == _reference_dumps(doc)
+        # The array itself is written as the same text.
+        assert serialize.canonical_dumps({**doc, "kraus": [m]}) == _reference_dumps(doc)
+
+
+_ARRAY_REALS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e300, 1e17, 1e-5]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), min_size=1, max_size=3), data=st.data())
+def test_canonical_dumps_arrays_match_reference_renderer(shape, data):
+    count = 2 * int(np.prod(shape))
+    reals = np.array(data.draw(st.lists(_ARRAY_REALS, min_size=count, max_size=count)),
+                     dtype=float)
+    z = reals.view(complex).reshape(shape)
+    pairs = np.stack([z.real, z.imag], -1)  # the bulk reader's form
+    listed = {"a": pairs.tolist()}
+    want = _outcome(_reference_dumps, listed)
+    assert _outcome(serialize.canonical_dumps, {"a": z}) == want
+    assert _outcome(serialize.canonical_dumps, {"a": pairs}) == want
+    assert _outcome(serialize.canonical_dumps, {"a": z.real}) == _outcome(
+        _reference_dumps, {"a": z.real.tolist()})
+
+
+def test_canonical_dumps_rejects_other_arrays():
+    for a in (np.arange(3), np.array(1.5 + 0j), np.array([True])):
+        with pytest.raises(FormatError, match="cannot serialize ndarray"):
+            serialize.canonical_dumps({"a": a})
 
 
 def test_state_doc_roundtrip(tmp_path):
@@ -374,8 +404,7 @@ def test_qec_recover_shor_command(tmp_path, capsys):
     cpath = write_doc(tmp_path / "shor.json",
                       serialize.code_to_doc(qec.shor_code()))
     epath = write_doc(tmp_path / "one_paulis.json", {
-        "kind": "channel", "din": 512, "dout": 512,
-        "kraus": [serialize.matrix_to_doc(e) for e in qec.one_paulis(9)],
+        "kind": "channel", "din": 512, "dout": 512, "kraus": qec.one_paulis(9),
     })
     code_rc, out, _ = run_cli(
         capsys, "--json", "qec", "recover", cpath, epath, "--verify", "50"
@@ -572,6 +601,44 @@ def test_non_array_error_list_exits_2(tmp_path, capsys, kraus):
     assert err == "input error: errors: kraus must be an array\n"
 
 
+@pytest.mark.parametrize("kraus, message", [
+    ({}, "kraus must be an array"),
+    ("ab", "kraus must be an array"),
+    ([], "kraus must be a non-empty array"),
+], ids=["object", "string", "empty"])
+@pytest.mark.parametrize("command", ["check", "recover"])
+def test_error_list_must_be_a_non_empty_array(tmp_path, capsys, kraus, message,
+                                              command):
+    w = np.zeros((8, 2))
+    w[0, 0] = w[7, 1] = 1.0
+    cpath = write_doc(tmp_path / "code.json", serialize.code_to_doc(qec.Code(8, 2, w)))
+    epath = write_doc(tmp_path / "err.json", {"kind": "channel", "din": 8,
+                                              "dout": 8, "kraus": kraus})
+    code, out, err = run_cli(capsys, "qec", command, cpath, epath)
+    assert code == 2 and out == ""
+    assert err == f"input error: errors: {message}\n"
+
+
+@pytest.mark.parametrize("dims", [[True, 2], [0, 2], [-1, -2], [2, "2"], "22", None])
+def test_state_dims_must_be_positive_integers(tmp_path, capsys, dims):
+    doc = bell_doc()
+    doc["dims"] = dims
+    path = write_doc(tmp_path / "bell.json", doc)
+    code, out, err = run_cli(capsys, "schmidt", path)
+    assert code == 2 and out == ""
+    assert err == "input error: state: dims must be a list of positive integers\n"
+
+
+def test_bulk_tree_errors_read_as_on_the_diagnostic_route(tmp_path, capsys):
+    # A vector where the matrix belongs is a valid dense array for the bulk
+    # reader; the message is still the per-entry walk's.
+    path = write_doc(tmp_path / "bad.json", {
+        "kind": "state", "dims": [2], "rho": [[1, 0], [0, 0]]})
+    code, _, err = run_cli(capsys, "schmidt", path)
+    assert code == 2
+    assert err == "input error: state.rho[0][0]: complex scalar must be [re, im]\n"
+
+
 def test_analysis_failure_exits_1(tmp_path, capsys):
     # Uncorrectable error set: recovery synthesis fails with a
     # machine-readable reason.
@@ -599,6 +666,16 @@ def bit_flip_docs(tmp_path, probs=None):
     doc = serialize.channel_to_doc(
         Channel(8, 8, (np.eye(8), qec.pauli_on(3, 0, "X"))), probs)
     return cpath, write_doc(tmp_path / "err.json", doc)
+
+
+def test_qec_recover_builds_no_noise_channel(tmp_path, capsys, monkeypatch):
+    def no_channel(*args):
+        raise AssertionError("noise_channel was built")
+
+    monkeypatch.setattr(qec, "noise_channel", no_channel)
+    cpath, epath = bit_flip_docs(tmp_path, [3.0, 1.0])
+    code, out, _ = run_cli(capsys, "--json", "qec", "recover", cpath, epath)
+    assert code == 0 and json.loads(out)["recovered"]
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

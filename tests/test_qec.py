@@ -122,6 +122,30 @@ def test_verify_recovery_matches_direct_evaluation():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_verify_recovery_reads_an_error_list_without_its_channel(monkeypatch):
+    # sqrt(p_b) E_b W is formed from the list directly; the deviation is
+    # that of the noise channel with Kraus operators sqrt(p_b) E_b.
+    code = repetition_code()
+    rec = qec.build_recovery(code, bit_flips())
+    errors = [np.eye(8), qec.pauli_on(3, 0, "X") @ qec.pauli_on(3, 1, "X"),
+              qec.pauli_on(3, 2, "Y")]
+    probs = [5.0, 3.0, 2.0]
+    want = qec.verify_recovery(rec, qec.noise_channel(errors, probs), code,
+                               samples=6, seed=7)
+
+    def no_channel(*args):
+        raise AssertionError("noise_channel was built")
+
+    monkeypatch.setattr(qec, "noise_channel", no_channel)
+    got = qec.verify_recovery(rec, errors, code, samples=6, seed=7, probs=probs)
+    assert want > 0.1
+    assert got == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ProbabilityError, match="nonnegative"):
+        qec.verify_recovery(rec, errors, code, probs=[1.0, -1.0, 1.0])
+    with pytest.raises(DimensionError, match=r"error operator \(4, 4\) != \(8, 8\)"):
+        qec.verify_recovery(rec, [np.eye(4)], code)
+
+
 def test_verify_recovery_identity_noise():
     code = repetition_code()
     rec = qec.build_recovery(code, bit_flips())

@@ -1,0 +1,375 @@
+"""The two document-reading routes of ``serialize``.
+
+The bulk route (``load_document`` and the ``*_from_doc`` readers on its
+tree, through ``read_document``) must give the same arrays, bit for bit,
+or the same FormatError text as the diagnostic route it replaced:
+``json.loads`` of the whole text and a per-entry walk of each matrix. A
+copy of that route is kept below as the oracle.
+"""
+
+import json
+import re
+from collections.abc import Sized
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qinfokit import qec, serialize
+from qinfokit.channels import Channel
+from qinfokit.errors import FormatError
+from qinfokit.randkit import random_channel, random_pure, random_state
+
+
+# --- the diagnostic route as it stood before the bulk route (the oracle) -------
+
+def _reference_load(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level must be an object")
+    return doc
+
+
+def _reference_pair(obj, where):
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        re, im = obj
+        if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+                and not isinstance(re, bool) and not isinstance(im, bool)):
+            try:
+                return complex(float(re), float(im))
+            except OverflowError:
+                raise FormatError(f"{where}: real out of range") from None
+    raise FormatError(f"{where}: complex scalar must be [re, im]")
+
+
+def _reference_matrix(obj, where):
+    if not isinstance(obj, list) or not obj or not isinstance(obj[0], list):
+        raise FormatError(f"{where}: matrix must be a nested array")
+    rows, cols = len(obj), len(obj[0])
+    out = np.zeros((rows, cols), dtype=complex)
+    for i, row in enumerate(obj):
+        if not isinstance(row, Sized):
+            raise FormatError(f"{where}[{i}]: matrix row must be an array")
+        if len(row) != cols:
+            raise FormatError(f"{where}: ragged matrix at row {i}")
+        for j, z in enumerate(row):
+            out[i, j] = _reference_pair(z, f"{where}[{i}][{j}]")
+    return out
+
+
+def _reference_vector(obj, where):
+    if not isinstance(obj, list) or not obj:
+        raise FormatError(f"{where}: vector must be a non-empty array")
+    return np.array([_reference_pair(z, f"{where}[{k}]")
+                     for k, z in enumerate(obj)])
+
+
+def _reader(matrix, vector):
+    """Reads the test format {"m": matrix, "v": vector, "k": [matrices]}."""
+
+    def read(doc):
+        if not isinstance(doc.get("k"), list):
+            raise FormatError("doc: k must be an array")
+        return ([matrix(doc.get("m"), "doc.m"), vector(doc.get("v"), "doc.v")]
+                + [matrix(x, f"doc.k[{i}]") for i, x in enumerate(doc["k"])])
+
+    return read
+
+
+def _outcome(read):
+    try:
+        arrays = read()
+    except FormatError as exc:
+        return str(exc)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _both_routes(path):
+    bulk = _outcome(lambda: serialize.read_document(
+        path, _reader(serialize.matrix_from_doc, serialize.vector_from_doc)))
+    reference = _outcome(lambda: _reader(_reference_matrix, _reference_vector)(
+        _reference_load(path)))
+    return bulk, reference
+
+
+# --- generated and mutated documents ------------------------------------------
+
+_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-5, 1e17, 1e300, 0.1]),
+    st.integers(-2 ** 70, 2 ** 70),
+)
+
+# Tokens that some float parser reads, but json.loads reads differently or
+# not at all, and a few that both read alike.
+_TOKENS = [
+    "nan", "NaN", "inf", "-Infinity", "+1", "1.", ".5", "-.5", "01", "-01",
+    "00", "-0", "-0.0", "0", "1e999", "-1e999", "1" * 400, "9" * 300, "1e-0",
+    "0e5", "-0e0", "1E5", "1e+5", "1.5e-07", "true", "null", '"s"', "1_0",
+    "[]", "[1,0,0]", "[1]",
+]
+
+_SPACES = [" ", "\n", "\t", "\r\n", "\r", "  "]
+
+
+def _pairs(draw, count):
+    return [[draw(_REALS), draw(_REALS)] for _ in range(count)]
+
+
+@st.composite
+def _documents(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    doc = {
+        "m": [_pairs(draw, cols) for _ in range(rows)],
+        "v": _pairs(draw, draw(st.integers(1, 4))),
+        "k": [[_pairs(draw, cols) for _ in range(rows)]
+              for _ in range(draw(st.integers(0, 2)))],
+        "s": draw(st.sampled_from(["x"] * 6 + ["[[1,0]]", "NaN", "[[1,0],[0,1]]"])),
+    }
+    # Shape mutations on the tree: a triple, a ragged row, an empty pair
+    # or row, a scalar where a pair or a row belongs.
+    target = draw(st.sampled_from(["m", "v", "k"] + [None] * 5))
+    if target == "k" and doc["k"]:
+        matrix = doc["k"][0]
+    elif target == "m":
+        matrix = doc["m"]
+    else:
+        matrix = None
+    if matrix is not None:
+        kind = draw(st.sampled_from(["triple", "ragged", "empty pair",
+                                     "empty row", "scalar", "pair as row"]))
+        i = draw(st.integers(0, len(matrix) - 1))
+        if kind == "triple":
+            matrix[i][0] = matrix[i][0] + [1.0]
+        elif kind == "ragged" and len(matrix) > 1:
+            matrix[i] = matrix[i] + [[0, 0]]
+        elif kind == "empty pair":
+            matrix[i][0] = []
+        elif kind == "empty row":
+            matrix[i] = []
+        elif kind == "scalar":
+            matrix[i][0] = 1.5
+        elif kind == "pair as row":
+            matrix[i] = [1, 0]
+    elif target == "v":
+        doc["v"][0] = draw(st.sampled_from([[], [1, 2, 3], [[1, 0]], 0.5]))
+    layout = draw(st.sampled_from(["canonical", "spaced", "indent"]))
+    if layout == "canonical":
+        text = serialize.canonical_dumps(doc)
+    elif layout == "spaced":
+        text = json.dumps(doc)
+    else:
+        text = json.dumps(doc, indent=draw(st.integers(0, 2)))
+    # Text mutations: one number token replaced, whitespace put inside or
+    # between tokens, or a syntax error after the arrays.
+    kind = draw(st.sampled_from(["token", "space", "byte", "syntax"] + [None] * 4))
+    spans = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*", text)]
+    if kind == "token" and spans:
+        start, end = draw(st.sampled_from(spans))
+        text = text[:start] + draw(st.sampled_from(_TOKENS)) + text[end:]
+    elif kind in ("space", "byte"):
+        at = draw(st.integers(1, len(text) - 1))
+        insert = _SPACES if kind == "space" else list("05-+.e,[]")
+        text = text[:at] + draw(st.sampled_from(insert)) + text[at:]
+    elif kind == "syntax":
+        at = draw(st.sampled_from([len(text) - 2, len(text) - 1, text.index('"v"')]))
+        text = text[:at] + draw(st.sampled_from(["x", ",", "]", "}", "[["])) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_documents())
+def test_bulk_route_matches_reference_route(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("token", _TOKENS,
+                         ids=lambda t: t if len(t) < 12 else f"{t[0]}*{len(t)}")
+def test_each_grammar_trap_matches_reference_route(tmp_path, token):
+    doc = {"m": [[[0.5, token], [1, 0]], [[0, 0], [1, 0]]],
+           "v": [[1, 0], [0, 0]], "k": []}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace(json.dumps(token), token))
+    bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("matrix", [
+    "[[[1,0]5,[2,3]]]", "[[5[1,0]]]", "[[[1,0]] 5]", "[[[1,0],,[2,3]]]",
+    "[[[1,0]],[]]", "[[[1, 0], [2 3]]]", "[[[1,0]],[[1,0]]", "[[[1,0]][[1,0]]]",
+    "[[[1,-0],[2e-05,3]]]", "[ [ [1 ,0] ] ]",
+])
+def test_malformed_runs_match_reference_route(tmp_path, matrix):
+    path = tmp_path / "doc.json"
+    path.write_text('{"m": %s, "v": [[1, 0]], "k": []}' % matrix)
+    bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("prefix", ["\ufeff", "\x00", " \n"])
+def test_leading_bytes_match_reference_route(tmp_path, prefix):
+    path = tmp_path / "doc.json"
+    path.write_text(prefix + '{"m": [[[1,0]]], "v": [[1, 0]], "k": []}')
+    bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("token, valid", [
+    ("01", False), ("-01", False), ("-0", False), ("+1", False), ("1.", False),
+    (".5", False), ("-.5", False), ("1.e5", False),
+    ("0", True), ("-0.5", True), ("10", True), ("1e-05", True), ("1e+5", True),
+])
+def test_grammar_tests_see_across_block_boundaries(token, valid):
+    # The byte tests run in blocks; put the token at every offset around
+    # the first block boundary of a long run.
+    pairs = b",[1,1]" * ((serialize._BLOCK - 100) // 6)
+    for at in range(serialize._BLOCK - 8, serialize._BLOCK + 4):
+        head = b"[[" + b"1" * (at - len(pairs) - 7) + b",1]"
+        run = head + pairs + b",[" + token.encode() + b",1]]"
+        assert run[at:at + len(token)] == token.encode()
+        assert serialize._json_numbers(run) is valid
+
+
+def test_non_ascii_text_keeps_the_bulk_route(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"s": "\u00e9t\u00e9 [1] \u2192", "m": [[[1,0],[0.5,-2]]],'
+                    ' "v": [[1, 0]], "k": [], "t": "\u00fc"}', encoding="utf-8")
+    bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+    tree = serialize.load_document(str(path))
+    assert isinstance(tree["m"], np.ndarray) and tree["t"] == "\u00fc"
+    assert tree["s"] == "\u00e9t\u00e9 [1] \u2192"
+
+
+def test_syntax_error_after_large_array_keeps_its_location(tmp_path):
+    m = np.arange(2 * 40 * 40, dtype=float).reshape(40, 40, 2) / 7
+    text = json.dumps({"m": m.tolist(), "v": [[1, 0]], "k": []}, indent=1)
+    path = tmp_path / "doc.json"
+    path.write_text(text[:-1] + "\n  ,x}")
+    bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+    assert reference.startswith(f"{path}:{text.count(chr(10)) + 2}:")
+
+
+def test_bulk_arrays_keep_the_sign_of_zero(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"m": [[[-0.0, 0], [0.0, -0e3]]], "v": [[-0.0, 1]], "k": []}')
+    bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+    doc = serialize.load_document(str(path))
+    assert np.signbit(doc["m"]).tolist() == [[[True, False], [False, True]]]
+
+
+# --- canonical documents take the bulk route ------------------------------------
+
+def _canonical_documents():
+    rng = np.random.default_rng(150)
+    w = np.zeros((8, 2))
+    w[0, 0] = w[7, 1] = 1.0
+    return [
+        (serialize.state_to_doc(random_state((2, 3), rng)), serialize.state_from_doc),
+        (serialize.state_to_doc(random_pure((2, 2), rng)), serialize.state_from_doc),
+        (serialize.channel_to_doc(random_channel(2, 3, 2, rng), [0.5, 0.5]),
+         serialize.channel_from_doc),
+        ({"kind": "channel", "din": 8, "dout": 8,
+          "kraus": [1j * qec.pauli_on(3, 1, "Y"), -qec.pauli_on(3, 2, "Z")]},
+         serialize.error_list_from_doc),
+        # Exponents, with leading zeros and signs, and subnormals.
+        ({"kraus": [np.array([[1e-05 - 3e-07j, 1e300], [5e-324, -2.5e-320j]]),
+                    np.array([[0.5, -1e-100], [1e17, -0.0]], dtype=complex)]},
+         serialize.error_list_from_doc),
+        (serialize.code_to_doc(qec.Code(8, 2, w)), serialize.code_from_doc),
+        ({"dim": 2, "basis": [np.eye(2, dtype=complex), qec.pauli_on(1, 0, "X")]},
+         serialize.system_from_doc),
+    ]
+
+
+@pytest.mark.parametrize("layout", ["canonical", "spaced", "indent"])
+def test_canonical_documents_never_enter_the_diagnostic_route(tmp_path, monkeypatch,
+                                                              layout):
+    def walk(*args):
+        raise AssertionError("the per-entry walk ran")
+
+    def load(path, loads):
+        assert loads is serialize._bulk_loads, "the diagnostic route ran"
+        return real_load(path, loads)
+
+    real_load = serialize._load
+    monkeypatch.setattr(serialize, "_pair_to_complex", walk)
+    monkeypatch.setattr(serialize, "_load", load)
+    for i, (doc, reader) in enumerate(_canonical_documents()):
+        text = serialize.canonical_dumps(doc)
+        if layout == "spaced":
+            text = json.dumps(json.loads(text))
+        elif layout == "indent":
+            text = json.dumps(json.loads(text), indent=2)
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(text)
+        tree = serialize.load_document(str(path))
+        leaves = [v for v in tree.values() if isinstance(v, np.ndarray)]
+        leaves += [x for v in tree.values() if isinstance(v, list)
+                   for x in v if isinstance(x, np.ndarray)]
+        assert leaves and all(a.dtype == np.float64 for a in leaves)
+        serialize.read_document(str(path), reader)
+
+
+def test_bulk_tree_keeps_lists_above_matrices(tmp_path):
+    doc = {"kind": "channel", "din": 2, "dout": 2,
+           "kraus": [np.eye(2, dtype=complex)] * 2, "probs": [0.5, 0.5]}
+    path = tmp_path / "c.json"
+    path.write_text(serialize.canonical_dumps(doc))
+    tree = serialize.load_document(str(path))
+    assert type(tree["kraus"]) is list and type(tree["probs"]) is list
+    assert [k.shape for k in tree["kraus"]] == [(2, 2, 2), (2, 2, 2)]
+    ops, probs = serialize.error_list_from_doc(tree)
+    assert probs == [0.5, 0.5]
+    # A complex view of the parsed numbers, not a copy.
+    assert all(np.shares_memory(op, k) for op, k in zip(ops, tree["kraus"]))
+
+
+@pytest.mark.parametrize("read, value", [
+    (serialize.matrix_from_doc, np.zeros((2, 2))),
+    (serialize.matrix_from_doc, np.zeros((2, 2, 3))),
+    (serialize.matrix_from_doc, np.zeros((1, 2, 2, 2))),
+    (serialize.matrix_from_doc, np.eye(2, dtype=complex)),
+    (serialize.vector_from_doc, np.zeros((2, 2, 2))),
+    (serialize.vector_from_doc, np.zeros(2)),
+])
+def test_arrays_of_other_shapes_raise_format_error(read, value):
+    with pytest.raises(FormatError):
+        read(value, "where")
+
+
+def test_canonical_rewrite_of_a_bulk_tree_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(151)
+    ch = random_channel(3, 2, 2, rng)
+    text = serialize.canonical_dumps(serialize.channel_to_doc(ch))
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert serialize.canonical_dumps(serialize.load_document(str(path))) == text
+    back = serialize.channel_from_doc(serialize.load_document(str(path)))
+    assert serialize.canonical_dumps(serialize.channel_to_doc(back)) == text
+    assert np.array_equal(back.kraus, ch.kraus)
+
+
+def test_bulk_reader_gives_the_reference_arrays_for_a_pauli_list(tmp_path):
+    ops = [np.eye(8), 1j * qec.pauli_on(3, 0, "X"), -qec.pauli_on(3, 2, "Y")]
+    path = tmp_path / "e.json"
+    path.write_text(serialize.canonical_dumps(
+        serialize.channel_to_doc(Channel(8, 8, ops))))
+    got, _ = serialize.read_document(str(path), serialize.error_list_from_doc)
+    want = [_reference_matrix(k, "k") for k in _reference_load(str(path))["kraus"]]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qinfokit import matkit, states
-from qinfokit.errors import BelowValidRange, CutOutOfRange, FOutOfRange
+from qinfokit.errors import BelowValidRange, CutOutOfRange, DimensionError, FOutOfRange
 from qinfokit.randkit import haar_unitary, random_pure, random_state
 from qinfokit.states import PureState, State
 
@@ -11,6 +11,14 @@ def bell() -> PureState:
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / np.sqrt(2)
     return PureState((2, 2), v)
+
+
+@pytest.mark.parametrize("dims", [(0, 2), (-1, -2), (2, 0)])
+def test_states_need_positive_dimensions(dims):
+    with pytest.raises(DimensionError, match="must be positive"):
+        State(dims, np.eye(1))
+    with pytest.raises(DimensionError, match="must be positive"):
+        PureState(dims, np.ones(1))
 
 
 # --- Schmidt decomposition ----------------------------------------------------
