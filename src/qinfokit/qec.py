@@ -94,16 +94,15 @@ def _normalized_images(code: Code, ops) -> np.ndarray:
 
 
 def _kl_report(ews: np.ndarray, tol: float) -> KLReport:
-    m, _, k = ews.shape
-    alpha = np.zeros((m, m), dtype=complex)
-    max_resid = 0.0
-    eye = np.eye(k)
-    for i in range(m):
-        for j in range(m):
-            blk = dagger(ews[i]) @ ews[j]
-            alpha[i, j] = np.trace(blk) / k
-            resid = np.linalg.norm(blk - alpha[i, j] * eye)
-            max_resid = max(max_resid, float(resid))
+    m, n, k = ews.shape
+    # One Gram product of all m k columns; block (i, j) of the (m, k, m, k)
+    # view is W^dag E_i^dag E_j W.
+    cols = ews.transpose(1, 0, 2).reshape(n, m * k)
+    blocks = (dagger(cols) @ cols).reshape(m, k, m, k)
+    alpha = np.einsum("iaja->ij", blocks) / k
+    for a in range(k):
+        blocks[:, a, :, a] -= alpha
+    max_resid = float(np.linalg.norm(blocks, axis=(1, 3)).max())
     return KLReport(max_resid <= tol, alpha, max_resid)
 
 
@@ -201,6 +200,9 @@ def verify_recovery(recovery: Channel, noise, code: Code,
     formed. The computation is compressed onto the subspace actually
     reachable from the code space, so it never touches full
     physical-dimension products beyond an initial O(m^2 n^2 k) setup.
+    That subspace is ``matkit.orthonormal_basis`` of [W, R_a E_b W]; for a
+    correcting recovery it is the code space itself (rank k), which the
+    certified range sketch there finds without an SVD of the whole stack.
     Raises DomainError for samples < 1, where nothing would be checked.
     """
     if samples < 1:

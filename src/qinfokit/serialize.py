@@ -297,13 +297,17 @@ def code_from_doc(doc: dict, where: str = "code") -> Code:
 
 
 def error_list_from_doc(doc: dict, where: str = "errors"):
-    """Kraus-style error list; probabilities optional."""
-    if not isinstance(_need(doc, "kraus", where), list):
+    """Kraus-style error list; probabilities optional.
+
+    ``probs`` is checked before any matrix is read: its checks need only
+    the number of Kraus operators.
+    """
+    kraus = _need(doc, "kraus", where)
+    if not isinstance(kraus, list):
         raise FormatError(f"{where}: kraus must be an array")
-    ops = _matrix_list(doc, "kraus", where)
     probs = doc.get("probs")
     if probs is not None:
-        if isinstance(probs, Sized) and len(probs) != len(ops):
+        if isinstance(probs, Sized) and len(probs) != len(kraus):
             raise FormatError(f"{where}: probs length mismatch")
         if not isinstance(probs, list) or not set(map(type, probs)) <= _REALS:
             raise FormatError(f"{where}: probs must be an array of numbers")
@@ -311,7 +315,7 @@ def error_list_from_doc(doc: dict, where: str = "errors"):
             probs = [float(p) for p in probs]
         except OverflowError:
             raise FormatError(f"{where}: probs out of range") from None
-    return ops, probs
+    return _matrix_list(doc, "kraus", where), probs
 
 
 def graph_from_edge_list(text: str) -> Graph:
@@ -353,6 +357,8 @@ _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 _MAX_NDIM = 32
 # Bytes per block of the grammar tests (their masks stay in cache).
 _BLOCK = 1 << 16
+# Entries per chunk of the in-place int64 -> float64 conversion.
+_CAST_CHUNK = 1 << 16
 
 
 def _shape_of(skeleton: bytes) -> tuple | None:
@@ -444,13 +450,37 @@ def _dense_array(run: bytes) -> np.ndarray | None:
     # strips blanks around each field, so a bracket blanked between two
     # numbers ("0]5", "5[1", which the skeleton cannot show) fails it.
     lines = run.replace(b"]],[[", b"\n").translate(_BLANK_BRACKETS)
-    try:
-        values = np.loadtxt(io.BytesIO(lines), delimiter=",", ndmin=1)
-    except ValueError:
-        return None
+    values = None
+    if b"." not in run and b"e" not in run and b"E" not in run:
+        values = _integer_floats(lines)
+    if values is None:
+        try:
+            values = np.loadtxt(io.BytesIO(lines), delimiter=",", ndmin=1)
+        except ValueError:
+            return None
     if values.size != math.prod(shape) or not np.isfinite(values).all():
         return None  # 1e999 and huge integers keep their diagnostics
     return values.reshape(shape)
+
+
+def _integer_floats(lines: bytes) -> np.ndarray | None:
+    """The values of lines of integers as float64; None when one of them
+    does not fit int64.
+
+    np.loadtxt reads integers faster as int64 than as float64. They are
+    converted in place, a chunk at a time, so no second array of the run's
+    size is held; int64 -> float64 rounds to nearest, as float() does on
+    the decimal text.
+    """
+    try:
+        ints = np.loadtxt(io.BytesIO(lines), delimiter=",", ndmin=1,
+                          dtype=np.int64).reshape(-1)
+    except ValueError:
+        return None
+    floats = ints.view(np.float64)
+    for i in range(0, ints.size, _CAST_CHUNK):
+        floats[i:i + _CAST_CHUNK] = ints[i:i + _CAST_CHUNK]
+    return floats
 
 
 def _nest(values: np.ndarray):
@@ -534,4 +564,5 @@ def read_document(path: str, reader):
         return reader(doc)
     except FormatError:
         pass
+    del doc  # the bulk tree is not needed while the text is read again
     return reader(_load(path, json.loads))

@@ -1,7 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qinfokit import matkit
+import qinfokit
+from qinfokit import matkit, qec, serialize
 from qinfokit.errors import DimensionError, NegativeEigenvalue, NotHermitian
 
 
@@ -241,3 +249,125 @@ def test_trace_norm_duality():
     attained = abs(np.trace(xi @ sign_op))
     assert matkit.norm(sign_op, "operator") <= 1.0 + 1e-12
     assert attained == pytest.approx(matkit.norm(xi, "trace"), abs=1e-10)
+
+
+# --- orthonormal_basis ----------------------------------------------------------
+
+def _reference_basis(a, tol):
+    """orthonormal_basis by the dense SVD alone (the reference)."""
+    if a.size == 0:
+        return np.zeros((a.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, :int(np.sum(s > tol * s[0]))]
+
+
+def _orthonormal_columns(rng, rows, cols):
+    return np.linalg.qr(rand_c(rng, rows, cols))[0]
+
+
+@st.composite
+def _spans(draw):
+    """(A, tol, rank or None): low-rank inputs with 1e-14 noise, full-rank
+    tall and wide ones, real ones, zero and column-free ones, and inputs
+    whose smallest singular value sits 1% above or below tol * s_0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["noisy", "full", "real", "zero", "empty",
+                                 "above", "below"]))
+    rank = draw(st.integers(1, 40))
+    rows = draw(st.integers(rank + 8, 90))
+    cols = draw(st.integers(rank + 8, 90))
+    if kind == "noisy":
+        a = rand_c(rng, rows, rank) @ rand_c(rng, rank, cols)
+        return a + 1e-14 * rand_c(rng, rows, cols), 1e-10, rank
+    if kind == "full":
+        rows, cols = draw(st.permutations([rows, draw(st.integers(1, 90))]))
+        return rand_c(rng, rows, cols), 1e-10, None
+    if kind == "real":
+        a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        return a, 1e-10, rank
+    if kind == "zero":
+        return np.zeros((rows, cols)), 1e-10, 0
+    if kind == "empty":
+        return np.zeros((rows, 0), dtype=complex), 1e-10, 0
+    # With tol = 1e-3 the smallest kept direction is resolved to ~1e-13.
+    tol = 1e-3
+    last = tol * (1.01 if kind == "above" else 0.99)
+    values = np.append(np.geomspace(1.0, 1e-2, rank), last)
+    a = (_orthonormal_columns(rng, rows, rank + 1) * values) @ matkit.dagger(
+        _orthonormal_columns(rng, cols, rank + 1))
+    return a, tol, rank + 1 if kind == "above" else rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_spans())
+def test_orthonormal_basis_matches_dense_svd(case):
+    a, tol, rank = case
+    got = matkit.orthonormal_basis(a, tol)
+    want = _reference_basis(a, tol)
+    assert got.shape == want.shape
+    if rank is not None:
+        assert got.shape[1] == rank
+    assert np.abs(got @ matkit.dagger(got) - want @ matkit.dagger(want)).max(initial=0) <= 1e-12
+    assert np.abs(matkit.dagger(got) @ got - np.eye(got.shape[1])).max(initial=0) <= 1e-12
+    assert got.tobytes() == matkit.orthonormal_basis(a, tol).tobytes()
+
+
+def test_orthonormal_basis_keeps_a_weak_tail_beyond_the_sketch():
+    # 32 unit singular values and 8 at 1e-6: the sketch holds the first 32,
+    # leaving a residual far below s_0 but above its bound, so every
+    # direction above tol * s_0 must still be kept.
+    rng = np.random.default_rng(32)
+    values = np.r_[np.ones(32), np.full(8, 1e-6)]
+    a = (_orthonormal_columns(rng, 100, 40) * values) @ matkit.dagger(
+        _orthonormal_columns(rng, 120, 40))
+    basis = matkit.orthonormal_basis(a)
+    assert basis.shape == (100, 40)
+    assert np.linalg.norm(a - basis @ (matkit.dagger(basis) @ a), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("rank, full_svd", [(2, False), (31, False), (200, True)])
+def test_orthonormal_basis_full_svd_only_above_sketch_rank(monkeypatch, rank, full_svd):
+    rng = np.random.default_rng(31)
+    a = rand_c(rng, 512, rank) @ rand_c(rng, rank, 600)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    basis = matkit.orthonormal_basis(a)
+    assert basis.shape == (512, rank)
+    assert ((512, 600) in shapes) is full_svd
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test extra only: the package and a qec recover whose
+    # range goes through the sketch (64 x 114 stack) must not import it.
+    w = np.zeros((64, 2))
+    w[0, 0] = w[63, 1] = 1.0
+    code = tmp_path / "code.json"
+    code.write_text(serialize.canonical_dumps(
+        serialize.code_to_doc(qec.Code(64, 2, w))))
+    errors = tmp_path / "errors.json"
+    errors.write_text(serialize.canonical_dumps({
+        "kind": "channel", "din": 64, "dout": 64,
+        "kraus": [np.eye(64, dtype=complex)] + [qec.pauli_on(6, i, "X") for i in range(6)],
+    }))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qinfokit\n"
+        "from qinfokit import cli\n"
+        f"sys.exit(cli.run(['--json', 'qec', 'recover', {str(code)!r}, "
+        f"{str(errors)!r}, '--verify', '5']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(qinfokit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["recovered"] and report["max_deviation"] <= 1e-8

@@ -262,11 +262,54 @@ def test_shor_kl_check_and_binary_blocks():
             assert np.linalg.norm(blk - blk[0, 0] * np.eye(2)) <= 1e-10
 
 
+def _loop_kl_report(ews):
+    """alpha and the largest residual by one k x k product per pair (the
+    reference for the single Gram product of _kl_report)."""
+    m, _, k = ews.shape
+    alpha = np.zeros((m, m), dtype=complex)
+    max_resid = 0.0
+    for i in range(m):
+        for j in range(m):
+            blk = dagger(ews[i]) @ ews[j]
+            alpha[i, j] = np.trace(blk) / k
+            resid = np.linalg.norm(blk - alpha[i, j] * np.eye(k))
+            max_resid = max(max_resid, float(resid))
+    return alpha, max_resid
+
+
+def _kl_cases():
+    rng = np.random.default_rng(40)
+    shor = qec.shor_code()
+    w3, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    w1 = np.zeros((4, 1), dtype=complex)
+    w1[0, 0] = 1.0
+    return [
+        (shor, qec.one_paulis(9)),
+        (shor, [qec.pauli_on(9, 0, "X") @ qec.pauli_on(9, 1, "X"), np.eye(512)]),
+        (repetition_code(), bit_flips()),
+        (repetition_code(), bit_flips() + [qec.pauli_on(3, 0, "Z")]),
+        (qec.Code(6, 3, w3), [haar_unitary(6, rng) for _ in range(5)]),
+        (qec.Code(4, 1, w1), [haar_unitary(4, rng) for _ in range(3)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_kl_report_matches_pairwise_loop(case):
+    code, ops = _kl_cases()[case]
+    ews = qec._normalized_images(code, ops)
+    alpha, max_resid = _loop_kl_report(ews)
+    report = qec._kl_report(ews, 1e-8)
+    assert np.abs(report.alpha - alpha).max() <= 1e-14
+    assert abs(report.max_residual - max_resid) <= 1e-14
+    assert report.passes is (max_resid <= 1e-8)
+
+
 def test_shor_recovery_and_rotation_error():
     code = qec.shor_code()
     ops = qec.one_paulis(9)
     rec = qec.build_recovery(code, ops)
     assert is_tp(rec)
+    assert len(rec.kraus) == 23
     dev = qec.verify_recovery(rec, ops, code, samples=10, seed=5)
     assert dev <= 1e-8
     theta = 0.3

@@ -118,6 +118,12 @@ _TOKENS = [
     "[]", "[1,0,0]", "[1]",
 ]
 
+# Integers at the edges of int64 and of exact doubles, and beyond int64;
+# runs of integers alone are parsed as int64.
+_INTEGERS = [str(2 ** 53 + 1), str(-(2 ** 53 + 1)), str(2 ** 63 - 1),
+             str(-(2 ** 63 - 1)), str(-2 ** 63), str(2 ** 63), str(10 ** 20),
+             "1" * 400, "-0"]
+
 _SPACES = [" ", "\n", "\t", "\r\n", "\r", "  "]
 
 
@@ -241,6 +247,46 @@ def test_grammar_tests_see_across_block_boundaries(token, valid):
         run = head + pairs + b",[" + token.encode() + b",1]]"
         assert run[at:at + len(token)] == token.encode()
         assert serialize._json_numbers(run) is valid
+
+
+@pytest.mark.parametrize("token", _INTEGERS,
+                         ids=lambda t: t if len(t) < 24 else f"{t[0]}*{len(t)}")
+@pytest.mark.parametrize("text", [
+    '{"m": [[[1,7],[1,0]],[[0,-1],[%s,0]]], "v": [[1,0],[0,5]], "k": [[[[2,0]]]]}',
+    '{"m": [[[1,7],[1,0]]], "v": [[1,0],[0,%s]], "k": [[[[2,0]]]]}',
+], ids=["matrix", "vector"])
+def test_integer_runs_match_reference_route(tmp_path, token, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text % token)
+    bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+
+
+def test_integer_runs_across_cast_chunks_match_reference_route(tmp_path):
+    # More entries than one chunk of the in-place int64 -> float64 cast,
+    # with values that doubles round.
+    rng = np.random.default_rng(152)
+    count = serialize._CAST_CHUNK + 1000
+    m = rng.integers(-2 ** 63, 2 ** 63 - 1, size=(count // 20, 10, 2),
+                     endpoint=True).tolist()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"m": m, "v": [[1, 0]], "k": [m]}))
+    bulk, reference = _both_routes(str(path))
+    assert isinstance(bulk, list) and bulk == reference
+    assert isinstance(serialize.load_document(str(path))["m"], np.ndarray)
+
+
+def test_probs_are_checked_before_any_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("a matrix was read")
+
+    monkeypatch.setattr(serialize, "matrix_from_doc", no_matrix)
+    doc = {"kraus": [np.zeros((2, 2, 2))] * 3, "probs": [1.0]}
+    with pytest.raises(FormatError, match="^errors: probs length mismatch$"):
+        serialize.error_list_from_doc(doc)
+    doc["probs"] = [1.0, "x", 1.0]
+    with pytest.raises(FormatError, match="probs must be an array of numbers"):
+        serialize.error_list_from_doc(doc)
 
 
 def test_non_ascii_text_keeps_the_bulk_route(tmp_path):
