@@ -221,10 +221,15 @@ def verify_recovery(recovery: Channel, noise, code: Code,
         raise DimensionError("recovery must act on the physical space")
 
     # Columns reachable by (recovery o noise) from the code space, laid
-    # side by side: the E_b W as n x (m k), then R_a E_b W, a-major.
+    # side by side: W, then R_a E_b W, a-major, each R_a times the E_b W
+    # as n x (m k) written into its own column block.
     ew = images.swapaxes(0, 1).reshape(n, -1)
-    rew = (recovery.kraus @ ew).swapaxes(0, 1).reshape(n, -1)
-    stack = np.hstack([w, rew])
+    width = ew.shape[1]
+    stack = np.empty((n, k + len(recovery.kraus) * width),
+                     np.result_type(w, recovery.kraus, ew))
+    stack[:, :k] = w
+    for a, r in enumerate(recovery.kraus):
+        np.matmul(r, ew, out=stack[:, k + a * width:k + (a + 1) * width])
     basis = matkit.orthonormal_basis(stack)  # n x r
     w_c = dagger(basis) @ w  # r x k
     # Each k-column block of comp is one composed Kraus operator R_a E_b,

@@ -5,29 +5,35 @@ matrices are row-major nested arrays; dimensions are always explicit.
 Canonical output sorts keys and prints every real with %.17g, so
 serialize -> parse -> serialize is byte-identical.
 
-A document is read on one of two routes.
+A document is read as bytes, on one of two routes.
 
-* Bulk (``load_document``). Each bracketed run of numbers in the text
+* Bulk (``load_document``). Each bracketed run of numbers in the bytes
   that holds a dense array of [re, im] pairs (a vector, a matrix, or
   matrices nested in arrays) is checked and parsed at byte level into
   one float64 array, with no Python object per number; ``json.loads``
-  reads the rest of the text. A vector lands in the tree as an (n, 2)
-  array and a matrix as an (rows, cols, 2) array, which
-  ``vector_from_doc`` and ``matrix_from_doc`` view as complex without a
-  copy; every array level above a matrix stays a Python list. A run
-  takes this route when its brackets are laid out as a rectangular
-  array's, every number is a finite JSON number that ``json.loads``
-  reads to the same float (an integer ``-0`` is not: it reads as +0.0),
-  and whitespace only sits next to brackets and commas. Canonical
-  output and ``json.dump`` output, with any separators or indent, pass.
-  A run that fails any check stays in the text for ``json.loads``.
-* Diagnostic. ``json.loads`` of the whole text, and a per-entry walk of
-  each matrix that names the offending entry as ``where[i][j]``. When
-  the text is not JSON, ``load_document`` reports the error from this
-  route; when a reader fails on the bulk tree, ``read_document`` reads
-  the document again on this route and raises the reader's error there.
-  Every diagnostic, ``path:line:col`` included, is therefore the one
-  this route gives, and well-formed input never pays for it.
+  reads the rest of the text. A run is read in chunks of whole
+  outermost elements, up to ``_CHUNK`` bytes each, straight into its
+  array, so the reader holds the bytes, the arrays and one chunk's
+  work at a time. UTF-8 is validated only when a byte is not ASCII. A
+  vector lands in the tree as an (n, 2) array and a matrix as an
+  (rows, cols, 2) array, which ``vector_from_doc`` and
+  ``matrix_from_doc`` view as complex without a copy; every array level
+  above a matrix stays a Python list. A run takes this route when its
+  brackets are laid out as a rectangular array's, every number is a
+  finite JSON number that ``json.loads`` reads to the same float (an
+  integer ``-0`` is not: it reads as +0.0), and whitespace only sits
+  next to brackets and commas. Canonical output and ``json.dump``
+  output, with any separators or indent, pass. A run that fails any
+  check stays in the text for ``json.loads``.
+* Diagnostic. ``json.loads`` of the whole text, decoded as a file
+  opened in text mode reads it (UTF-8, universal newlines), and a
+  per-entry walk of each matrix that names the offending entry as
+  ``where[i][j]``. When the text is not JSON, ``load_document`` reports
+  the error from this route; when a reader fails on the bulk tree,
+  ``read_document`` reads the document again on this route and raises
+  the reader's error there. Every diagnostic, ``path:line:col``
+  included, is therefore the one this route gives, and well-formed
+  input never pays for it.
 """
 
 from __future__ import annotations
@@ -357,8 +363,10 @@ _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 _MAX_NDIM = 32
 # Bytes per block of the grammar tests (their masks stay in cache).
 _BLOCK = 1 << 16
-# Entries per chunk of the in-place int64 -> float64 conversion.
-_CAST_CHUNK = 1 << 16
+# Bytes of text per chunk of a run (whole outermost elements): a run is
+# checked and parsed one chunk at a time into its array, so no copy of
+# the whole run is made.
+_CHUNK = 1 << 20
 
 
 def _shape_of(skeleton: bytes) -> tuple | None:
@@ -389,19 +397,21 @@ def _skeleton(shape: tuple) -> bytes:
     return text
 
 
-def _json_numbers(run: bytes) -> bool:
-    """Whether each number of a whitespace-free run that float() reads is
-    a JSON number that json.loads reads to the same float (the numbers
-    float() rejects fail np.loadtxt, which reads them alike).
+def _json_numbers(data: bytes, start: int, end: int) -> bool:
+    """Whether each number in ``data[start:end]``, a whitespace-free run
+    or stretch of one, that float() reads is a JSON number that
+    json.loads reads to the same float (the numbers float() rejects fail
+    np.loadtxt, which reads them alike).
 
     float() also accepts a leading '+', a '.' without a digit on each side
     and leading zeros; an integer -0 is read as +0.0 by json.loads and as
-    -0.0 by float(). The run is tested in blocks that overlap by the
-    three bytes a test looks back and ahead, which keeps the byte masks
-    small and in cache.
+    -0.0 by float(). A test looks up to two bytes back and one ahead, so
+    the first two bytes and the last are only context. The bytes are
+    tested in place, in blocks that overlap by three bytes, which keeps
+    the byte masks small and in cache.
     """
-    a = np.frombuffer(run, np.uint8)
-    plus, dot = b"+" in run, b"." in run
+    a = np.frombuffer(data, np.uint8, end - start, start)
+    plus, dot = data.find(b"+", start, end) >= 0, data.find(b".", start, end) >= 0
     return all(_json_block(a[i:i + _BLOCK + 3], plus, dot)
                for i in range(0, len(a) - 3, _BLOCK))
 
@@ -414,7 +424,7 @@ def _json_block(a: np.ndarray, plus: bool, dot: bool) -> bool:
         return False  # a '+' that is not an exponent's sign
     if dot and ((a[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any():
         return False
-    # Each 0 at a[2:-1] (a run starts with "[["), with the bytes around it.
+    # Each 0 at a[2:-1], with the bytes around it.
     prev, after = a[1:-2], a[3:]
     minus = prev == 45
     suspect = (a[2:-1] == 48) & (digit[3:] | minus)
@@ -429,58 +439,104 @@ def _json_block(a: np.ndarray, plus: bool, dot: bool) -> bool:
     return not (suspect & ((digit[3:] & starts) | (minus & ends))).any()
 
 
-def _dense_array(run: bytes) -> np.ndarray | None:
-    """The float64 array written by a bracketed run of numbers, when it is
-    a dense array of [re, im] pairs that takes the bulk route; None
-    otherwise."""
-    if any(space in run for space in (b" ", b"\t", b"\n", b"\r")):
-        if _SPLIT_NUMBER.search(run):
-            return None
-        run = run.translate(None, _WHITESPACE)
-    if not run.startswith(b"[["):
-        return None
-    skeleton = run.translate(None, _NUMBER_BYTES)
-    shape = _shape_of(skeleton)
-    if shape is None or shape[-1] != 2 or _skeleton(shape) != skeleton:
-        return None
-    del skeleton
-    if not _json_numbers(run):
-        return None
-    # One line per matrix row keeps np.loadtxt's line buffer small. It
-    # strips blanks around each field, so a bracket blanked between two
-    # numbers ("0]5", "5[1", which the skeleton cannot show) fails it.
-    lines = run.replace(b"]],[[", b"\n").translate(_BLANK_BRACKETS)
-    values = None
-    if b"." not in run and b"e" not in run and b"E" not in run:
-        values = _integer_floats(lines)
-    if values is None:
-        try:
-            values = np.loadtxt(io.BytesIO(lines), delimiter=",", ndmin=1)
-        except ValueError:
-            return None
-    if values.size != math.prod(shape) or not np.isfinite(values).all():
-        return None  # 1e999 and huge integers keep their diagnostics
-    return values.reshape(shape)
+def _dense_array(data: bytes, start: int, close: int) -> np.ndarray | None:
+    """The float64 array written by the bracketed run of numbers
+    ``data[start:close]``, when it is a dense array of [re, im] pairs that
+    takes the bulk route; None otherwise.
 
-
-def _integer_floats(lines: bytes) -> np.ndarray | None:
-    """The values of lines of integers as float64; None when one of them
-    does not fit int64.
-
-    np.loadtxt reads integers faster as int64 than as float64. They are
-    converted in place, a chunk at a time, so no second array of the run's
-    size is held; int64 -> float64 rounds to nearest, as float() does on
-    the decimal text.
+    The layout of one outermost element comes from the first one. The
+    run is then read in chunks of whole outermost elements, at most
+    ``_CHUNK`` bytes each unless one element is longer: every chunk is
+    checked and parsed on its own and written into its rows of the
+    array.
     """
+    if any(data.find(space, start, close) >= 0 for space in _WHITESPACE):
+        if _SPLIT_NUMBER.search(data, start, close):
+            return None
+        data = data[start:close].translate(None, _WHITESPACE)
+        start, close = 0, len(data)
+    head = data[start:min(close, start + _MAX_NDIM + 1)]
+    ndim = len(head) - len(head.lstrip(b"["))
+    if not 2 <= ndim <= _MAX_NDIM:
+        return None
+    inner = b"]" * (ndim - 1)
+    first = data.find(inner, start, close)
+    if first < 0:
+        return None
+    unit = data[start + 1:first + ndim - 1].translate(None, _NUMBER_BYTES)
+    shape = _shape_of(b"[" + unit + b"]")
+    if shape is None or shape[-1] != 2 or _skeleton(shape[1:]) != unit:
+        return None
+    # Outermost elements meet at ']],[[' with ndim - 1 brackets a side,
+    # which no other place in the array has.
+    boundary = inner + b"," + b"[" * (ndim - 1)
+    count = data.count(boundary, start, close) + 1
+    if count * len(unit) > close - start:
+        return None  # too few bytes for that many elements
+    values = np.empty((count,) + shape[1:])
+    rows, done, begin = values.reshape(count, -1), 0, start + 1
+    while begin < close:
+        if close - begin <= _CHUNK:
+            end = close - 1
+        else:
+            # The whole elements within _CHUNK bytes, or one longer element.
+            cut = data.rfind(boundary, begin, begin + _CHUNK)
+            if cut < 0:
+                cut = data.find(boundary, begin + _CHUNK - len(boundary), close)
+            end = close - 1 if cut < 0 else cut + ndim - 1
+        chunk = data[begin:end]
+        skeleton = chunk.translate(None, _NUMBER_BYTES)
+        elements, rest = divmod(len(skeleton) + 1, len(unit) + 1)
+        if rest or skeleton != b",".join([unit] * elements):
+            return None
+        del skeleton
+        # A grammar test looks at most three bytes across a cut.
+        if not _json_numbers(data, max(begin - 3, start), min(end + 3, close)):
+            return None
+        parsed = _chunk_values(chunk)
+        if parsed is None or parsed.size != elements * rows.shape[1]:
+            return None
+        rows[done:done + elements] = parsed.reshape(elements, -1)
+        del chunk, parsed  # so one chunk's work is held at a time
+        done, begin = done + elements, end + 1
+    return values
+
+
+def _lines(chunk: bytes):
+    """The lines np.loadtxt reads for a checked chunk: one per matrix row,
+    with its brackets blanked, made one at a time.
+
+    Short lines keep np.loadtxt's line buffer small, and making them one
+    at a time keeps a second copy of the chunk out of memory. np.loadtxt
+    strips blanks around each field, so a bracket blanked between two
+    numbers ("0]5", "5[1", which the skeleton cannot show) fails it.
+    """
+    start = 0
+    while (end := chunk.find(b"]],[[", start)) >= 0:
+        yield chunk[start:end].translate(_BLANK_BRACKETS)
+        start = end + 5
+    yield chunk[start:].translate(_BLANK_BRACKETS)
+
+
+def _chunk_values(chunk: bytes) -> np.ndarray | None:
+    """The numbers of a checked chunk of a run in text order; None when
+    np.loadtxt rejects one or one is not finite.
+
+    A chunk of integers alone is parsed as int64, which np.loadtxt reads
+    faster than float64, and as float64 when one does not fit. int64 ->
+    float64 rounds to nearest, as float() does on the decimal text.
+    """
+    if b"." not in chunk and b"e" not in chunk and b"E" not in chunk:
+        try:
+            return np.loadtxt(_lines(chunk), delimiter=",", ndmin=1, dtype=np.int64)
+        except ValueError:
+            pass
     try:
-        ints = np.loadtxt(io.BytesIO(lines), delimiter=",", ndmin=1,
-                          dtype=np.int64).reshape(-1)
+        values = np.loadtxt(_lines(chunk), delimiter=",", ndmin=1)
     except ValueError:
         return None
-    floats = ints.view(np.float64)
-    for i in range(0, ints.size, _CAST_CHUNK):
-        floats[i:i + _CAST_CHUNK] = ints[i:i + _CAST_CHUNK]
-    return floats
+    # 1e999 and huge integers keep their diagnostics.
+    return values if np.isfinite(values).all() else None
 
 
 def _nest(values: np.ndarray):
@@ -488,17 +544,26 @@ def _nest(values: np.ndarray):
     return values if values.ndim <= 3 else [_nest(v) for v in values]
 
 
-def _bulk_loads(text: str):
-    """json.loads of ``text``, with each dense array read in bulk.
+def _json_loads(data: bytes):
+    """json.loads of the document's text (the diagnostic route), decoded as
+    a file opened in text mode reads it: UTF-8 with universal newlines, so
+    ``path:line:col`` counts lines and columns as that does."""
+    return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+
+
+def _bulk_loads(data: bytes):
+    """json.loads of the document's bytes ``data``, with each dense array
+    read in bulk.
 
     A run starts at a '[' and ends at the last ']' before the first byte
     that no number, bracket, comma or whitespace has. The runs that pass
     are replaced by ``NaN``, a constant json.loads hands to
     ``parse_constant``, which returns them in text order. A text that
     spells NaN or Infinity itself, or a run inside a string, sends the
-    whole text to json.loads.
+    whole text to json.loads. A run is read chunk by chunk straight into
+    its array (``_dense_array``), so the reader holds the bytes, the
+    arrays and one chunk's work at a time.
     """
-    data = text.encode()
     outside = data.translate(_OUTSIDE_RUN)
     spans = []
     start = data.find(b"[")
@@ -512,7 +577,7 @@ def _bulk_loads(text: str):
     del outside
     pieces, arrays, last = [], [], 0
     for start, close in spans:
-        values = _dense_array(data[start:close])
+        values = _dense_array(data, start, close)
         if values is not None:
             pieces += (data[last:start], b"NaN")
             arrays.append(_nest(values))
@@ -520,26 +585,28 @@ def _bulk_loads(text: str):
     pieces.append(data[last:])
     skeleton = b"".join(pieces)
     if not arrays or skeleton.count(b"NaN") != len(arrays) or b"Infinity" in skeleton:
-        return json.loads(text)
+        return _json_loads(data)
     placed = iter(arrays)
     try:
         doc = json.loads(skeleton.decode(), parse_constant=lambda _: next(placed))
     except json.JSONDecodeError:
-        return json.loads(text)  # raises at the error's place in the text
+        return _json_loads(data)  # raises at the error's place in the text
     if next(placed, None) is not None:
-        return json.loads(text)
+        return _json_loads(data)
     return doc
 
 
 def _load(path: str, loads) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.isascii():
+            data.decode("utf-8")  # raises as a text-mode read would
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     try:
         with _gc_paused():
-            doc = loads(text)
+            doc = loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -565,4 +632,4 @@ def read_document(path: str, reader):
     except FormatError:
         pass
     del doc  # the bulk tree is not needed while the text is read again
-    return reader(_load(path, json.loads))
+    return reader(_load(path, _json_loads))

@@ -9,6 +9,7 @@ copy of that route is kept below as the oracle.
 
 import json
 import re
+import tracemalloc
 from collections.abc import Sized
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_each_grammar_trap_matches_reference_route(tmp_path, token):
 @pytest.mark.parametrize("matrix", [
     "[[[1,0]5,[2,3]]]", "[[5[1,0]]]", "[[[1,0]] 5]", "[[[1,0],,[2,3]]]",
     "[[[1,0]],[]]", "[[[1, 0], [2 3]]]", "[[[1,0]],[[1,0]]", "[[[1,0]][[1,0]]]",
-    "[[[1,-0],[2e-05,3]]]", "[ [ [1 ,0] ] ]",
+    "[[[1,-0],[2e-05,3]]]", "[ [ [1 ,0] ] ]", "[[[1,0],[2,3]],[[4,5,6],[7]]]",
 ])
 def test_malformed_runs_match_reference_route(tmp_path, matrix):
     path = tmp_path / "doc.json"
@@ -246,7 +247,7 @@ def test_grammar_tests_see_across_block_boundaries(token, valid):
         head = b"[[" + b"1" * (at - len(pairs) - 7) + b",1]"
         run = head + pairs + b",[" + token.encode() + b",1]]"
         assert run[at:at + len(token)] == token.encode()
-        assert serialize._json_numbers(run) is valid
+        assert serialize._json_numbers(run, 0, len(run)) is valid
 
 
 @pytest.mark.parametrize("token", _INTEGERS,
@@ -263,17 +264,212 @@ def test_integer_runs_match_reference_route(tmp_path, token, text):
 
 
 def test_integer_runs_across_cast_chunks_match_reference_route(tmp_path):
-    # More entries than one chunk of the in-place int64 -> float64 cast,
-    # with values that doubles round.
+    # Runs of more than one chunk of text, each chunk parsed as int64 and
+    # cast into the run's array, with values that doubles round.
     rng = np.random.default_rng(152)
-    count = serialize._CAST_CHUNK + 1000
-    m = rng.integers(-2 ** 63, 2 ** 63 - 1, size=(count // 20, 10, 2),
+    m = rng.integers(-2 ** 63, 2 ** 63 - 1, size=(serialize._CHUNK // 256, 10, 2),
                      endpoint=True).tolist()
+    assert len(json.dumps(m, separators=(",", ":"))) > serialize._CHUNK
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"m": m, "v": [[1, 0]], "k": [m]}))
     bulk, reference = _both_routes(str(path))
     assert isinstance(bulk, list) and bulk == reference
     assert isinstance(serialize.load_document(str(path))["m"], np.ndarray)
+
+
+# --- runs read in chunks ------------------------------------------------------
+
+def _chunk_doc(count=6, rows=3, pairs=40):
+    """A test document of small integers; a chunk of 16 bytes holds one
+    matrix of "k", one row of "m" or three pairs of "v"."""
+    rng = np.random.default_rng(153)
+    k = rng.integers(-9, 10, size=(count, rows, rows, 2)).tolist()
+    return {"m": k[0], "v": rng.integers(-9, 10, size=(pairs, 2)).tolist(), "k": k}
+
+
+def _chunked_routes(monkeypatch, path, chunk=16):
+    """Both routes' outcomes with ``chunk`` bytes per chunk, and the number
+    of chunks the bulk route parsed."""
+    parse = serialize._chunk_values
+    calls = []
+
+    def counted(text):
+        calls.append(len(text))
+        return parse(text)
+
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    monkeypatch.setattr(serialize, "_chunk_values", counted)
+    bulk, reference = _both_routes(str(path))
+    return bulk, reference, len(calls)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_documents(), chunk=st.integers(1, 40))
+def test_bulk_route_in_small_chunks_matches_reference_route(tmp_path, text, chunk):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_CHUNK", chunk)
+        bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("layout", ["canonical", "spaced", "indent"])
+def test_runs_of_several_chunks_match_reference_route(tmp_path, monkeypatch, layout):
+    doc = _chunk_doc()
+    text = {"canonical": serialize.canonical_dumps(doc), "spaced": json.dumps(doc),
+            "indent": json.dumps(doc, indent=2)}[layout]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    bulk, reference, chunks = _chunked_routes(monkeypatch, path)
+    assert isinstance(bulk, list) and bulk == reference
+    assert chunks >= 6 + 3 + 10  # every run spans several chunks
+    tree = serialize.load_document(str(path))
+    assert isinstance(tree["v"], np.ndarray) and isinstance(tree["k"][0], np.ndarray)
+
+
+@pytest.mark.parametrize("token", ["01", "-0", "+1", ".5", "1.", "1e999", "nan",
+                                   "1" * 400, "true", "[1,0]", "[]"],
+                         ids=lambda t: t if len(t) < 12 else f"{t[0]}*{len(t)}")
+@pytest.mark.parametrize("field", ["k", "m", "v"])
+def test_bad_token_in_the_last_chunk_only_matches_reference_route(
+        tmp_path, monkeypatch, token, field):
+    doc = _chunk_doc()
+    if field == "k":
+        doc["k"][-1][-1][-1][0] = 777
+    elif field == "m":
+        doc["m"][-1][-1][0] = 777
+    else:
+        doc["v"][-1][0] = 777
+    path = tmp_path / "doc.json"
+    path.write_text(serialize.canonical_dumps(doc).replace("777", token))
+    bulk, reference, chunks = _chunked_routes(monkeypatch, path)
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("token", ["01", "00", "-01", ".5", "+1"])
+def test_grammar_traps_at_every_pair_of_a_chunked_vector(tmp_path, monkeypatch, token):
+    # Some of the pairs start a chunk, where the tests need the bytes
+    # before the cut.
+    pairs = [[1, 0]] * 12
+    for i in range(len(pairs)):
+        path = tmp_path / f"doc{i}.json"
+        text = json.dumps({"m": [[[1, 0]]], "v": pairs, "k": []}, separators=(",", ":"))
+        at = text.index('"v"') + 5 + 6 * i + 1
+        path.write_text(text[:at] + token + text[at + 1:])
+        bulk, reference, _ = _chunked_routes(monkeypatch, path, chunk=7)
+        assert bulk == reference
+
+
+def test_wrong_layout_of_the_same_length_in_a_later_chunk(tmp_path, monkeypatch):
+    doc = _chunk_doc()
+    text = serialize.canonical_dumps(doc)
+    row = json.dumps(doc["k"][-1][-1], separators=(",", ":"))
+    assert text.count(row) == 1
+    # [[a,b],[c,d],[e,f]] -> [[a,b,c],[d],[e,f]]: same brackets and commas
+    # in another order.
+    pairs = doc["k"][-1][-1]
+    bad = "[[%d,%d,%d],[%d],[%d,%d]]" % (*pairs[0], *pairs[1], *pairs[2])
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace(row, bad))
+    bulk, reference, _ = _chunked_routes(monkeypatch, path)
+    assert isinstance(reference, str) and bulk == reference
+
+
+@pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1, 10 ** 20, 2 ** 53 + 1,
+                                   -2 ** 63])
+def test_int64_overflow_in_a_later_chunk_only_matches_reference_route(
+        tmp_path, monkeypatch, value):
+    doc = _chunk_doc()
+    doc["k"][-2][1][0][1] = value
+    doc["v"][-3][0] = value
+    path = tmp_path / "doc.json"
+    path.write_text(serialize.canonical_dumps(doc))
+    bulk, reference, chunks = _chunked_routes(monkeypatch, path)
+    assert isinstance(bulk, list) and bulk == reference
+    assert chunks >= 6 + 4
+    tree = serialize.load_document(str(path))
+    assert isinstance(tree["v"], np.ndarray) and isinstance(tree["k"][0], np.ndarray)
+
+
+@pytest.mark.parametrize("old, new", [
+    # An element nested one level deeper holds an outer boundary inside it.
+    ("]]],[[[", "]]],[[[["),
+    ("]]],[[[", "]]]],[[["),
+    # A row boundary inside a matrix spelled as an outer boundary.
+    ("]],[[", "]]],[[["),
+    ("]]],[[[", "]],[["),
+])
+@pytest.mark.parametrize("at", [0, 1, 3, -1])
+def test_boundaries_at_the_wrong_depth_match_reference_route(
+        tmp_path, monkeypatch, old, new, at):
+    doc = _chunk_doc()
+    k = serialize.canonical_dumps({"k": doc["k"]})[5:-2]
+    places = [m.start() for m in re.finditer(re.escape(old), k)]
+    place = places[at]
+    # The malformed run, with one bracket more or fewer at the other end
+    # where that keeps its brackets balanced.
+    k = k[:place] + new + k[place + len(old):]
+    k = k[:-1] if k.count("[") < k.count("]") else k
+    k = k + "]" * (k.count("[") - k.count("]"))
+    path = tmp_path / "doc.json"
+    path.write_text('{"m": %s, "v": [[1,0]], "k": %s}'
+                    % (json.dumps(doc["m"]), k))
+    bulk, reference, _ = _chunked_routes(monkeypatch, path)
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("doc", [
+    {"m": [[[1, 0]] * 40], "v": [[1, 0]], "k": [[[[2, 5]] * 30] * 4]},
+    {"m": [[[1, 0.5]]], "v": [[-3, 0]], "k": [[[[2, 5]]]]},
+], ids=["long", "single"])
+def test_one_element_outer_runs_match_reference_route(tmp_path, monkeypatch, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    bulk, reference, chunks = _chunked_routes(monkeypatch, path)
+    assert isinstance(bulk, list) and bulk == reference
+    assert chunks == 3  # one chunk per run, however long its element
+
+
+def test_load_document_peak_is_text_output_and_a_few_chunks(tmp_path):
+    # The reader holds the bytes, the arrays and one chunk's work at a
+    # time; a copy of the whole run or of the text would exceed this.
+    rng = np.random.default_rng(154)
+    kraus = (rng.integers(-4, 5, size=(8, 256, 256))
+             + 1j * rng.integers(-4, 5, size=(8, 256, 256))) / 8
+    path = tmp_path / "k.json"
+    path.write_text(serialize.canonical_dumps({"kraus": kraus}))
+    tracemalloc.start()
+    try:
+        doc = serialize.load_document(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.stack(doc["kraus"]).view(complex)[..., 0], kraus)
+    assert peak <= kraus.nbytes + path.stat().st_size + 4 * serialize._CHUNK
+
+
+@pytest.mark.parametrize("data", [
+    b'{\r\n "m": [[[1,0],\r\n [2,3]]],\r\n "v": [[1, 0]],\r\n "k": []\r\n}\r\n',
+    b'{\r\n "m": [[[1,0]]],\r\n "v": [[1, 0]] x,\r\n "k": []}',
+    b'{\r "m": [[[1,0],\r [2,3]]],\r "v": [[1, 0]],\r "k": []\r}',
+    b'{\r "m": [[[1,0]]],\r\r "v": [[1, 0]],\n\r "k": [] ,}',
+    b'{"s": "a\rb", "m": [[[1,0]]], "v": [[1, 0]], "k": []}',
+    b'\xef\xbb\xbf{"m": [[[1,0]]], "v": [[1, 0]], "k": []}',
+    b'{"s": "\xc3\xa9t\xc3\xa9",\r\n "m": [[[1,0]]], "v": [[1, 0]], "k": [] ]',
+    b'{"s": "\xff", "m": [[[1,0]]], "v": [[1, 0]], "k": []}',
+    b'{"m": [[[1,0]]], "v": [[1, 0]], "k": [], "s": "\xe2\x82',
+    b'{"m": [[[1,0]]], "v": [[1, \xc3\x28]], "k": []} x',
+], ids=["crlf", "crlf-error", "cr", "cr-error", "cr-in-string", "bom",
+        "utf8-crlf-error", "invalid-utf8", "truncated-utf8", "invalid-in-run"])
+def test_byte_reads_match_reference_route(tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+    if isinstance(reference, str) and b"\r" in data and b" x," in data:
+        assert reference.startswith(f"{path}:3:")
 
 
 def test_probs_are_checked_before_any_matrix(monkeypatch):
