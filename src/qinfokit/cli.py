@@ -46,7 +46,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _cmd_schmidt(args) -> dict:
-    state = serialize.read_document(args.state, serialize.state_from_doc)
+    state = serialize.state_from_doc(serialize.load_document(args.state))
     if isinstance(state, states.State):
         vals, vecs = np.linalg.eigh(state.rho)
         if vals[-1] < 1.0 - 1e-9:
@@ -67,7 +67,7 @@ def _cmd_schmidt(args) -> dict:
 
 
 def _cmd_channel_analyze(args) -> dict:
-    ch = serialize.read_document(args.channel, serialize.channel_from_doc)
+    ch = serialize.channel_from_doc(serialize.load_document(args.channel))
     return {
         "kind": "report",
         "analysis": "channel",
@@ -83,8 +83,8 @@ def _cmd_channel_analyze(args) -> dict:
 
 
 def _cmd_qec_check(args) -> dict:
-    code = serialize.read_document(args.code, serialize.code_from_doc)
-    errors, _ = serialize.read_document(args.errors, serialize.error_list_from_doc)
+    code = serialize.code_from_doc(serialize.load_document(args.code))
+    errors, _ = serialize.error_list_from_doc(serialize.load_document(args.errors))
     report = qec.kl_check(code, errors, tol=args.tol)
     return {
         "kind": "report",
@@ -97,9 +97,9 @@ def _cmd_qec_check(args) -> dict:
 
 
 def _cmd_qec_recover(args) -> dict:
-    code = serialize.read_document(args.code, serialize.code_from_doc)
-    errors, probs = serialize.read_document(args.errors,
-                                            serialize.error_list_from_doc)
+    code = serialize.code_from_doc(serialize.load_document(args.code))
+    errors, probs = serialize.error_list_from_doc(
+        serialize.load_document(args.errors))
     recovery = qec.build_recovery(code, errors)
     seed_rng = stream(args.seed, "qec-recover/logical-samples")
     deviation = qec.verify_recovery(
@@ -137,13 +137,13 @@ def _cmd_werner(args) -> dict:
 
 def _cmd_theta(args) -> dict:
     if args.input.endswith(".json"):
-        dim, spanning = serialize.read_document(args.input,
-                                                serialize.system_from_doc)
+        dim, spanning = serialize.system_from_doc(
+            serialize.load_document(args.input))
         system = zeroerr.operator_system(dim, spanning)
         source = "system"
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            graph = serialize.graph_from_edge_list(fh.read())
+        graph = serialize.graph_from_edge_list(
+            serialize.read_bytes(args.input).decode("utf-8"))
         system = zeroerr.graph_op_system(graph)
         source = "graph"
     result = zeroerr.theta_tilde(system, dc=args.dc)
@@ -162,7 +162,7 @@ def _cmd_theta(args) -> dict:
 
 
 def _cmd_ssa(args) -> dict:
-    state = serialize.read_document(args.state, serialize.state_from_doc)
+    state = serialize.state_from_doc(serialize.load_document(args.state))
     if isinstance(state, states.PureState):
         state = state.to_state()
     report = entropy.cond_mutual_info(state)
@@ -179,10 +179,10 @@ def _cmd_ssa(args) -> dict:
 
 
 def _cmd_petz(args) -> dict:
-    state = serialize.read_document(args.state, serialize.state_from_doc)
+    state = serialize.state_from_doc(serialize.load_document(args.state))
     if isinstance(state, states.PureState):
         state = state.to_state()
-    ch = serialize.read_document(args.channel, serialize.channel_from_doc)
+    ch = serialize.channel_from_doc(serialize.load_document(args.channel))
     recovery = entropy.petz_map(state, ch)
     pushed = ch(state.rho)
     recovered = recovery(pushed)
@@ -197,7 +197,7 @@ def _cmd_petz(args) -> dict:
 
 
 def _cmd_randomize(args) -> dict:
-    state = serialize.read_document(args.state, serialize.state_from_doc)
+    state = serialize.state_from_doc(serialize.load_document(args.state))
     if isinstance(state, states.PureState):
         state = state.to_state()
     rng = stream(args.seed, f"randomize/{args.sampler}")
@@ -329,6 +329,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0.0 <= args.tol < np.inf:
+            parser.error(f"argument --tol: must be finite and >= 0, got {args.tol}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

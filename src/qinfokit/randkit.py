@@ -409,6 +409,8 @@ def sample_randomizing_family(rho_ab: State, n_unitaries: int, rng,
     elements of the Weyl basis (all d^2 of them when n_unitaries = d^2,
     which randomizes exactly).
     """
+    if n_unitaries < 1:
+        raise DomainError("n_unitaries must be >= 1")
     if len(rho_ab.dims) != 2:
         raise DimensionError("need a bipartite state")
     da = rho_ab.dims[0]

@@ -5,35 +5,33 @@ matrices are row-major nested arrays; dimensions are always explicit.
 Canonical output sorts keys and prints every real with %.17g, so
 serialize -> parse -> serialize is byte-identical.
 
-A document is read as bytes, on one of two routes.
+A document is read as bytes, once (``load_document``). Each bracketed
+run of numbers in the bytes that holds a dense array of [re, im] pairs
+(a vector, a matrix, or matrices nested in arrays) is checked and parsed
+at byte level into one float64 array, with no Python object per number;
+``json.loads`` reads the rest of the text. A run is read in chunks of
+whole outermost elements, up to ``_CHUNK`` bytes each, straight into its
+array, so the reader holds the bytes, the arrays and one chunk's work at
+a time. UTF-8 is validated only when a byte is not ASCII. A vector lands
+in the tree as an (n, 2) array and a matrix as an (rows, cols, 2) array,
+which ``vector_from_doc`` and ``matrix_from_doc`` view as complex
+without a copy; every array level above a matrix stays a Python list. A
+run takes this route when its brackets are laid out as a rectangular
+array's, every number is a finite JSON number that ``json.loads`` reads
+to the same float (an integer ``-0`` is not: it reads as +0.0), and
+whitespace only sits next to brackets and commas. Canonical output and
+``json.dump`` output, with any separators or indent, pass. A run that
+fails any check stays in the text for ``json.loads``.
 
-* Bulk (``load_document``). Each bracketed run of numbers in the bytes
-  that holds a dense array of [re, im] pairs (a vector, a matrix, or
-  matrices nested in arrays) is checked and parsed at byte level into
-  one float64 array, with no Python object per number; ``json.loads``
-  reads the rest of the text. A run is read in chunks of whole
-  outermost elements, up to ``_CHUNK`` bytes each, straight into its
-  array, so the reader holds the bytes, the arrays and one chunk's
-  work at a time. UTF-8 is validated only when a byte is not ASCII. A
-  vector lands in the tree as an (n, 2) array and a matrix as an
-  (rows, cols, 2) array, which ``vector_from_doc`` and
-  ``matrix_from_doc`` view as complex without a copy; every array level
-  above a matrix stays a Python list. A run takes this route when its
-  brackets are laid out as a rectangular array's, every number is a
-  finite JSON number that ``json.loads`` reads to the same float (an
-  integer ``-0`` is not: it reads as +0.0), and whitespace only sits
-  next to brackets and commas. Canonical output and ``json.dump``
-  output, with any separators or indent, pass. A run that fails any
-  check stays in the text for ``json.loads``.
-* Diagnostic. ``json.loads`` of the whole text, decoded as a file
-  opened in text mode reads it (UTF-8, universal newlines), and a
-  per-entry walk of each matrix that names the offending entry as
-  ``where[i][j]``. When the text is not JSON, ``load_document`` reports
-  the error from this route; when a reader fails on the bulk tree,
-  ``read_document`` reads the document again on this route and raises
-  the reader's error there. Every diagnostic, ``path:line:col``
-  included, is therefore the one this route gives, and well-formed
-  input never pays for it.
+When the text is not JSON, or spells NaN or Infinity, the whole text
+falls back to ``json.loads``, decoded as a file opened in text mode
+reads it (UTF-8, universal newlines), so a syntax error's
+``path:line:col`` is the one that reading gives. The readers walk each
+matrix entry by entry, naming the offending entry as ``where[i][j]``.
+A bulk array that a reader cannot view as what it expects (a vector
+where a matrix belongs, say) is walked as the nested lists that
+``json.loads`` reads from the same text, so every diagnostic is the one
+the plain JSON tree gives.
 """
 
 from __future__ import annotations
@@ -173,20 +171,25 @@ def _pair_to_complex(obj, where: str) -> complex:
     raise FormatError(f"{where}: complex scalar must be [re, im]")
 
 
-def _pairs_view(obj: np.ndarray, ndim: int) -> np.ndarray | None:
-    """A bulk-read float64 array of [re, im] pairs with ``ndim`` axes,
-    viewed as complex without the last axis; None for any other array."""
+def _from_bulk(obj, ndim: int):
+    """``obj`` as a reader takes it: a bulk-read float64 array of [re, im]
+    pairs with ``ndim`` axes as a complex view without the last axis; any
+    other array, or a list that ``_nest`` split one into, as the nested
+    lists json.loads reads from its text, for the per-entry walk; any
+    other value as it is."""
+    if isinstance(obj, list) and obj and isinstance(obj[0], np.ndarray):
+        return [x.tolist() if isinstance(x, np.ndarray) else x for x in obj]
+    if not isinstance(obj, np.ndarray):
+        return obj
     if obj.dtype != np.float64 or obj.ndim != ndim or obj.shape[-1] != 2:
-        return None
+        return obj.tolist()
     return np.ascontiguousarray(obj).view(complex)[..., 0]
 
 
 def matrix_from_doc(obj, where: str) -> np.ndarray:
+    obj = _from_bulk(obj, 3)
     if isinstance(obj, np.ndarray):
-        view = _pairs_view(obj, 3)
-        if view is None:
-            raise FormatError(f"{where}: matrix must be a nested array")
-        return view
+        return obj
     if not isinstance(obj, list) or not obj or not isinstance(obj[0], list):
         raise FormatError(f"{where}: matrix must be a nested array")
     rows = len(obj)
@@ -203,11 +206,9 @@ def matrix_from_doc(obj, where: str) -> np.ndarray:
 
 
 def vector_from_doc(obj, where: str) -> np.ndarray:
+    obj = _from_bulk(obj, 2)
     if isinstance(obj, np.ndarray):
-        view = _pairs_view(obj, 2)
-        if view is None:
-            raise FormatError(f"{where}: vector must be a non-empty array")
-        return view
+        return obj
     if not isinstance(obj, list) or not obj:
         raise FormatError(f"{where}: vector must be a non-empty array")
     return np.array([_pair_to_complex(z, f"{where}[{k}]")
@@ -259,7 +260,8 @@ def channel_to_doc(ch: Channel, probs=None) -> dict:
 def _matrix_list(doc: dict, key: str, where: str) -> list:
     """The matrices of a non-empty array field, named ``where.key[i]``."""
     value = _need(doc, key, where)
-    if not isinstance(value, list) or not value:
+    # A bulk array here (a vector, or one matrix) is read row by row.
+    if not isinstance(value, (list, np.ndarray)) or not len(value):
         raise FormatError(f"{where}: {key} must be a non-empty array")
     return [matrix_from_doc(m, f"{where}.{key}[{i}]")
             for i, m in enumerate(value)]
@@ -309,7 +311,7 @@ def error_list_from_doc(doc: dict, where: str = "errors"):
     the number of Kraus operators.
     """
     kraus = _need(doc, "kraus", where)
-    if not isinstance(kraus, list):
+    if not isinstance(kraus, (list, np.ndarray)):
         raise FormatError(f"{where}: kraus must be an array")
     probs = doc.get("probs")
     if probs is not None:
@@ -545,9 +547,9 @@ def _nest(values: np.ndarray):
 
 
 def _json_loads(data: bytes):
-    """json.loads of the document's text (the diagnostic route), decoded as
-    a file opened in text mode reads it: UTF-8 with universal newlines, so
-    ``path:line:col`` counts lines and columns as that does."""
+    """json.loads of the document's text, decoded as a file opened in text
+    mode reads it: UTF-8 with universal newlines, so ``path:line:col``
+    counts lines and columns as that does."""
     return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
 
 
@@ -596,7 +598,9 @@ def _bulk_loads(data: bytes):
     return doc
 
 
-def _load(path: str, loads) -> dict:
+def read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``, which must be UTF-8 text; a file
+    that cannot be read raises FormatError naming the path."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -604,32 +608,17 @@ def _load(path: str, loads) -> dict:
             data.decode("utf-8")  # raises as a text-mode read would
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    return data
+
+
+def load_document(path: str) -> dict:
+    """The JSON object in the file at ``path``."""
+    data = read_bytes(path)
     try:
         with _gc_paused():
-            doc = loads(data)
+            doc = _bulk_loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
     return doc
-
-
-def load_document(path: str) -> dict:
-    """The JSON object in the file at ``path``, read on the bulk route."""
-    return _load(path, _bulk_loads)
-
-
-def read_document(path: str, reader):
-    """``reader`` applied to the document at ``path``.
-
-    When the reader raises FormatError on the bulk tree, the document is
-    read again on the diagnostic route, so the error raised (or, should
-    the reader pass there, the result) is that route's.
-    """
-    doc = load_document(path)
-    try:
-        return reader(doc)
-    except FormatError:
-        pass
-    del doc  # the bulk tree is not needed while the text is read again
-    return reader(_load(path, _json_loads))

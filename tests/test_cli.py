@@ -1,4 +1,6 @@
+import builtins
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -725,6 +727,105 @@ def test_tailbound_domain_errors_exit_1(capsys, option, value, reason):
     )
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "DomainError", "reason": reason}
+
+
+@pytest.mark.parametrize("sampler", ["haar", "weyl"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_randomize_without_unitaries_exits_1(tmp_path, capsys, sampler, count):
+    path = write_doc(tmp_path / "bell.json", bell_doc())
+    code, out, err = run_cli(capsys, "--json", "randomize", path,
+                             "--n-unitaries", count, "--sampler", sampler)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "DomainError",
+                               "reason": "n_unitaries must be >= 1"}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-inf"])
+def test_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    cpath, epath = bit_flip_docs(tmp_path)
+    code, out, err = run_cli(capsys, f"--tol={tol}", "qec", "recover", cpath, epath)
+    assert code == 2 and out == ""
+    assert "argument --tol: must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "0"], ["--tol=-0"], ["--tol", "1e-6"]])
+def test_zero_and_default_tolerances_are_valid(tmp_path, capsys, tol):
+    cpath, epath = bit_flip_docs(tmp_path)
+    code, out, _ = run_cli(capsys, *tol, "--json", "qec", "recover", cpath, epath)
+    assert code == 0 and json.loads(out)["recovered"]
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("invalid-utf8", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_edge_list_read_errors_exit_2(tmp_path, capsys, kind, reason):
+    path = tmp_path / "graph.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "invalid-utf8":
+        path.write_bytes(b"0 1\n1 \xff2\n")
+    code, out, err = run_cli(capsys, "theta", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {path}: ") and reason in err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("probs", "errors: probs length mismatch"),
+    ("shape", "errors.kraus[0][0][0]: complex scalar must be [re, im]"),
+    ("entry", "errors.kraus[1][7][7]: complex scalar must be [re, im]"),
+])
+def test_reader_errors_read_each_document_once(tmp_path, capsys, monkeypatch,
+                                               case, message):
+    # A probs mismatch, one matrix where the list belongs, or a bad entry
+    # in the last matrix.
+    cpath, epath = bit_flip_docs(tmp_path, [0.5, 0.5])
+    doc = json.loads((tmp_path / "err.json").read_text())
+    if case == "probs":
+        doc["probs"] = [1.0]
+    elif case == "shape":
+        doc["kraus"] = doc["kraus"][0]
+        del doc["probs"]
+    else:
+        doc["kraus"][-1][-1][-1] = [0, True]
+    write_doc(tmp_path / "err.json", doc)
+    opened = []
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", counted_open)
+    code, out, err = run_cli(capsys, "qec", "check", cpath, epath)
+    monkeypatch.undo()
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
+    assert opened.count(cpath) == 1 and opened.count(epath) == 1
+
+
+def test_probs_mismatch_peak_is_text_and_arrays(tmp_path, capsys):
+    # The error list is read once, on the bulk route: the peak is about
+    # the document's bytes and its arrays, with no JSON tree of its
+    # numbers.
+    rng = np.random.default_rng(155)
+    kraus = (rng.integers(-4, 5, size=(8, 256, 256))
+             + 1j * rng.integers(-4, 5, size=(8, 256, 256))) / 8
+    w = np.zeros((256, 2))
+    w[0, 0] = w[255, 1] = 1.0
+    cpath = write_doc(tmp_path / "code.json", serialize.code_to_doc(qec.Code(256, 2, w)))
+    epath = tmp_path / "err.json"
+    write_doc(epath, {"kind": "channel", "din": 256, "dout": 256, "kraus": kraus,
+                      "probs": [1.0]})
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "qec", "check", cpath, str(epath))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and err == "input error: errors: probs length mismatch\n"
+    assert peak <= kraus.nbytes + epath.stat().st_size + 4 * serialize._CHUNK
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,10 +1,10 @@
-"""The two document-reading routes of ``serialize``.
+"""The document reader of ``serialize`` against the diagnostic route.
 
-The bulk route (``load_document`` and the ``*_from_doc`` readers on its
-tree, through ``read_document``) must give the same arrays, bit for bit,
-or the same FormatError text as the diagnostic route it replaced:
-``json.loads`` of the whole text and a per-entry walk of each matrix. A
-copy of that route is kept below as the oracle.
+``load_document`` and the ``*_from_doc`` readers on its tree must give
+the same arrays, bit for bit, or the same FormatError text as the
+diagnostic route they replaced: ``json.loads`` of the whole text and a
+per-entry walk of each matrix. A copy of that route is kept below as the
+oracle.
 """
 
 import json
@@ -95,8 +95,8 @@ def _outcome(read):
 
 
 def _both_routes(path):
-    bulk = _outcome(lambda: serialize.read_document(
-        path, _reader(serialize.matrix_from_doc, serialize.vector_from_doc)))
+    read = _reader(serialize.matrix_from_doc, serialize.vector_from_doc)
+    bulk = _outcome(lambda: read(serialize.load_document(path)))
     reference = _outcome(lambda: _reader(_reference_matrix, _reference_vector)(
         _reference_load(path)))
     return bulk, reference
@@ -218,6 +218,8 @@ def test_each_grammar_trap_matches_reference_route(tmp_path, token):
     "[[[1,0]5,[2,3]]]", "[[5[1,0]]]", "[[[1,0]] 5]", "[[[1,0],,[2,3]]]",
     "[[[1,0]],[]]", "[[[1, 0], [2 3]]]", "[[[1,0]],[[1,0]]", "[[[1,0]][[1,0]]]",
     "[[[1,-0],[2e-05,3]]]", "[ [ [1 ,0] ] ]", "[[[1,0],[2,3]],[[4,5,6],[7]]]",
+    # Dense arrays of the wrong depth: a vector, and four axes.
+    "[[1,0],[2,3]]", "[[[[1,0]],[[2,3]]]]",
 ])
 def test_malformed_runs_match_reference_route(tmp_path, matrix):
     path = tmp_path / "doc.json"
@@ -545,13 +547,11 @@ def test_canonical_documents_never_enter_the_diagnostic_route(tmp_path, monkeypa
     def walk(*args):
         raise AssertionError("the per-entry walk ran")
 
-    def load(path, loads):
-        assert loads is serialize._bulk_loads, "the diagnostic route ran"
-        return real_load(path, loads)
+    def whole_text(*args):
+        raise AssertionError("the whole text went to json.loads")
 
-    real_load = serialize._load
     monkeypatch.setattr(serialize, "_pair_to_complex", walk)
-    monkeypatch.setattr(serialize, "_load", load)
+    monkeypatch.setattr(serialize, "_json_loads", whole_text)
     for i, (doc, reader) in enumerate(_canonical_documents()):
         text = serialize.canonical_dumps(doc)
         if layout == "spaced":
@@ -565,7 +565,40 @@ def test_canonical_documents_never_enter_the_diagnostic_route(tmp_path, monkeypa
         leaves += [x for v in tree.values() if isinstance(v, list)
                    for x in v if isinstance(x, np.ndarray)]
         assert leaves and all(a.dtype == np.float64 for a in leaves)
-        serialize.read_document(str(path), reader)
+        reader(tree)
+
+
+@pytest.mark.parametrize("reader, field, text", [
+    (serialize.error_list_from_doc, "kraus",
+     '{"kraus": [[[1,0],[0,0]],[[0,0],[1,0]]]}'),
+    (serialize.error_list_from_doc, "kraus",
+     '{"kraus": [[1,0],[0,1]], "probs": [1, 1]}'),
+    (serialize.channel_from_doc, "kraus",
+     '{"din": 1, "dout": 1, "kraus": [[[[[1,0]]]]]}'),
+    (serialize.state_from_doc, "rho",
+     '{"dims": [2], "rho": [[[[1,0],[0,0]],[[0,0],[1,0]]]]}'),
+    (serialize.state_from_doc, "rho", '{"dims": [2], "rho": [[1,0],[0,0]]}'),
+    (serialize.state_from_doc, "vec", '{"dims": [2], "vec": [[[1,0],[0,0]]]}'),
+    (serialize.state_from_doc, "dims", '{"dims": [[2,2]], "vec": [[1,0],[0,0]]}'),
+], ids=["kraus-one-matrix", "kraus-vector", "kraus-5d", "rho-4d", "rho-vector",
+        "vec-matrix", "dims-pair"])
+def test_wrong_shapes_for_the_readers_match_reference_route(tmp_path, reader, field,
+                                                            text):
+    # The field is a dense array of the wrong depth, which the bulk tree
+    # holds as an array (or as the list of arrays a run of four or more
+    # axes is split into); the reader's error is the plain tree's.
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    tree = serialize.load_document(str(path))
+    value = tree[field]
+    while isinstance(value, list):
+        value = value[0]
+    assert isinstance(value, np.ndarray)
+    with pytest.raises(FormatError) as reference:
+        reader(_reference_load(str(path)))
+    with pytest.raises(FormatError) as bulk:
+        reader(tree)
+    assert str(bulk.value) == str(reference.value)
 
 
 def test_bulk_tree_keeps_lists_above_matrices(tmp_path):
@@ -612,6 +645,6 @@ def test_bulk_reader_gives_the_reference_arrays_for_a_pauli_list(tmp_path):
     path = tmp_path / "e.json"
     path.write_text(serialize.canonical_dumps(
         serialize.channel_to_doc(Channel(8, 8, ops))))
-    got, _ = serialize.read_document(str(path), serialize.error_list_from_doc)
+    got, _ = serialize.error_list_from_doc(serialize.load_document(str(path)))
     want = [_reference_matrix(k, "k") for k in _reference_load(str(path))["kraus"]]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
