@@ -20,10 +20,9 @@ print(f"correctability condition: passes={report.passes},"
       f" residual={report.max_residual:.2e}")
 
 recovery = qec.build_recovery(code, paulis)
-print(f"recovery channel synthesized: {len(recovery.kraus)} Kraus operators")
+print(f"recovery channel synthesized: {recovery.kraus_count} Kraus operators")
 
-dev = qec.verify_recovery(recovery, qec.noise_channel(paulis), code,
-                          samples=50, seed=0)
+dev = qec.verify_recovery(recovery, paulis, code, samples=50, seed=0)
 print(f"worst recovery deviation over 50 random logical states: {dev:.2e}")
 
 theta = 0.3

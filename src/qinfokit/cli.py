@@ -106,12 +106,14 @@ def _cmd_qec_recover(args) -> dict:
         recovery, errors, code, samples=args.verify,
         seed=int(seed_rng.integers(2 ** 31)), probs=probs,
     )
+    certified = qec.certified_deviation(recovery, errors, code, probs=probs)
     return {
         "kind": "report",
         "analysis": "qec-recover",
-        "recovery_kraus_count": len(recovery.kraus),
+        "recovery_kraus_count": recovery.kraus_count,
         "samples": args.verify,
         "max_deviation": float(deviation),
+        "certified_deviation": float(certified),
         "recovered": bool(deviation <= max(args.tol, 1e-8)),
     }
 

@@ -237,9 +237,15 @@ def _sketched_range(a: np.ndarray, tol: float):
     q, _ = np.linalg.qr(a @ omega)
     b = dagger(q) @ a
     u, s, _ = np.linalg.svd(b, full_matrices=False)
-    resid = q @ b
-    resid -= a
-    if np.linalg.norm(resid) > SKETCH_RTOL * tol * s[0]:
+    # ||A - QB||_F taken over column blocks the size of Q, not from a copy
+    # of A. ||A||_F^2 - ||B||_F^2 would need no blocks, but cancellation
+    # leaves it an error near 1e-8 ||A||, far above the threshold.
+    sq = 0.0
+    for j in range(0, a.shape[1], SKETCH_WIDTH):
+        block = q @ b[:, j:j + SKETCH_WIDTH]
+        block -= a[:, j:j + SKETCH_WIDTH]
+        sq += float(np.vdot(block, block).real)
+    if math.sqrt(sq) > SKETCH_RTOL * tol * s[0]:
         return None
     return q @ u, s
 

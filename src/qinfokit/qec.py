@@ -4,7 +4,10 @@ code corpus.
 Codes are carried as isometries W (physical_dim x logical_dim), never as
 full projectors, so Shor-scale checks cost O(m^2 n^2 k) with k the logical
 dimension: every heavy product has an n x (multiple of k) factor, and no
-two n x n matrices are ever multiplied.
+two n x n matrices are ever multiplied. A recovery is carried the same
+way, as W and the n x k images V_i W of its branches (``Recovery``), and
+verified without forming an n x n matrix; its dense Kraus operators are
+written out only on request.
 """
 
 from __future__ import annotations
@@ -117,13 +120,43 @@ def kl_check(code: Code, errors, tol: float = 1e-8) -> KLReport:
     return _kl_report(_normalized_images(code, _error_list(errors)), tol)
 
 
-def build_recovery(code: Code, errors, tol: float = 1e-8) -> Channel:
+@dataclass(frozen=True, eq=False)
+class Recovery:
+    """Recovery channel of ``build_recovery``, held in factored form.
+
+    With C = [V_1 W, ..., V_m' W] (n x m'k, orthonormal columns), its Kraus
+    operators are the branches V_i^dag = W (V_i W)^dag, each of rank k,
+    and the completion Q = I - C C^dag. ``channel()`` writes them out as
+    m' + 1 dense n x n matrices.
+    """
+
+    isometry: np.ndarray = field(repr=False)  # W, n x k
+    branch_images: np.ndarray = field(repr=False)  # C, n x m'k
+    branches: int
+
+    @property
+    def kraus_count(self) -> int:
+        return self.branches + 1
+
+    def channel(self) -> Channel:
+        w, c = self.isometry, self.branch_images
+        n, k = w.shape
+        vws = c.reshape(n, self.branches, k).swapaxes(0, 1)  # V_i W
+        kraus = np.empty((self.kraus_count, n, n), dtype=complex)
+        np.matmul(w, dagger(vws), out=kraus[:-1])
+        q = np.eye(n) - c @ dagger(c)
+        kraus[-1] = (q + dagger(q)) / 2.0
+        return Channel(n, n, kraus)
+
+
+def build_recovery(code: Code, errors, tol: float = 1e-8) -> Recovery:
     """Recovery channel from the constructive correctability proof.
 
     Diagonalizes alpha as U alpha U^dag = D, forms F_i = sum_j conj(U)_ij E_j
     and partial isometries V_i = F_i P / sqrt(d_ii) on the branches with
     d_ii > 0, and returns the trace-preserving channel with Kraus
-    {V_i^dag} plus the completion Q = I - sum V_i V_i^dag.
+    {V_i^dag} plus the completion Q = I - sum V_i V_i^dag, as a Recovery
+    that holds only W and the V_i W: no n x n matrix is formed.
     """
     ews = _normalized_images(code, _error_list(errors))
     report = _kl_report(ews, tol)
@@ -131,7 +164,6 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Channel:
         raise KLViolated(
             f"correctability residual {report.max_residual:.3e} > {tol:.1e}"
         )
-    w = code.isometry
     n = code.physical_dim
     # Descending eigenvalue order with a deterministic phase fix keeps the
     # branch layout reproducible under degeneracies.
@@ -147,14 +179,8 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Channel:
     # F_i W / sqrt(d_ii) = V_i W on every kept branch, m' x n x k.
     vws = np.tensordot(np.conj(u[keep]), ews, axes=1)
     vws /= np.sqrt(vals[keep])[:, None, None]
-    kraus = np.empty((len(vws) + 1, n, n), dtype=complex)
-    # V_i^dag = P F_i^dag / sqrt(d_ii) = W (V_i W)^dag.
-    np.matmul(w, dagger(vws), out=kraus[:-1])
-    # sum V_i V_i^dag = sum (V_i W)(V_i W)^dag as one n x (m' k) product.
-    vw_cols = vws.transpose(1, 0, 2).reshape(n, -1)
-    q = np.eye(n) - vw_cols @ dagger(vw_cols)
-    kraus[-1] = (q + dagger(q)) / 2.0
-    return Channel(n, n, kraus)
+    return Recovery(code.isometry, vws.swapaxes(0, 1).reshape(n, -1),
+                    len(vws))
 
 
 def _uniform_probs(errors, probs):
@@ -189,24 +215,13 @@ def noise_channel(errors, probs=None) -> Channel:
     return Channel(n, n, kraus)
 
 
-def verify_recovery(recovery: Channel, noise, code: Code,
-                    samples: int = 50, seed: int = 0,
-                    probs=None) -> float:
-    """Max over sampled logical states of || (R o E)(W rho W^dag) - W rho W^dag ||_1.
-
-    ``noise`` is a Channel, or an error list E_b with probabilities p_b
-    (uniform by default, normalized to sum 1) that stands for the channel
-    with Kraus operators sqrt(p_b) E_b; only the sqrt(p_b) E_b W are
-    formed. The computation is compressed onto the subspace actually
-    reachable from the code space, so it never touches full
-    physical-dimension products beyond an initial O(m^2 n^2 k) setup.
-    That subspace is ``matkit.orthonormal_basis`` of [W, R_a E_b W]; for a
-    correcting recovery it is the code space itself (rank k), which the
-    certified range sketch there finds without an SVD of the whole stack.
-    Raises DomainError for samples < 1, where nothing would be checked.
+def _compressed_map(recovery: Recovery, noise, code: Code, probs):
+    """(w_c, comp) for recovery o noise on the code space: an orthonormal
+    basis B of the subspace reachable from it, w_c = B^dag W (r x k), and
+    the composed Kraus operators R_a E_b W compressed to B^dag R_a E_b W,
+    r x k blocks side by side, a-major with the completion last.
+    ``noise`` and ``probs`` are as in ``verify_recovery``.
     """
-    if samples < 1:
-        raise DomainError(f"verification needs samples >= 1, got {samples}")
     w = code.isometry
     n, k = code.physical_dim, code.logical_dim
     if isinstance(noise, Channel):
@@ -216,25 +231,48 @@ def verify_recovery(recovery: Channel, noise, code: Code,
     else:
         ops = _error_list(noise)
         weights = np.sqrt(_uniform_probs(ops, probs))
-        images = _code_images(code, ops) * weights[:, None, None]
-    if recovery.din != n or recovery.dout != n:
-        raise DimensionError("recovery must act on the physical space")
+        images = _code_images(code, ops)
+        images *= weights[:, None, None]
+    if not np.array_equal(recovery.isometry, w):
+        raise DimensionError("recovery was built for another code")
 
-    # Columns reachable by (recovery o noise) from the code space, laid
-    # side by side: W, then R_a E_b W, a-major, each R_a times the E_b W
-    # as n x (m k) written into its own column block.
-    ew = images.swapaxes(0, 1).reshape(n, -1)
-    width = ew.shape[1]
-    stack = np.empty((n, k + len(recovery.kraus) * width),
-                     np.result_type(w, recovery.kraus, ew))
-    stack[:, :k] = w
-    for a, r in enumerate(recovery.kraus):
-        np.matmul(r, ew, out=stack[:, k + a * width:k + (a + 1) * width])
-    basis = matkit.orthonormal_basis(stack)  # n x r
-    w_c = dagger(basis) @ w  # r x k
+    ew = images.swapaxes(0, 1).reshape(n, -1)  # [E_b W], n x mk
+    c = recovery.branch_images
+    # R_a E_b W = W (V_a W)^dag E_b W: the k x k core (V_a W)^dag E_b W is
+    # block (a, b) of C^dag [E_b W], and Q E_b W = E_b W - C C^dag E_b W.
+    cores = dagger(c) @ ew
+    completion = ew - c @ cores
+    # Every R_a E_b W lies in the span of W, so [W, Q E_b W] spans the
+    # reachable subspace.
+    basis = matkit.orthonormal_basis(np.hstack([w, completion]))  # n x r
+    w_c = dagger(basis) @ w
+    branch_blocks = w_c @ cores.reshape(recovery.branches, k, -1)
+    comp = np.hstack([*branch_blocks, dagger(basis) @ completion])
+    return w_c, comp
+
+
+def verify_recovery(recovery: Recovery, noise, code: Code,
+                    samples: int = 50, seed: int = 0,
+                    probs=None) -> float:
+    """Max over sampled logical states of || (R o E)(W rho W^dag) - W rho W^dag ||_1.
+
+    ``noise`` is a Channel, or an error list E_b with probabilities p_b
+    (uniform by default, normalized to sum 1) that stands for the channel
+    with Kraus operators sqrt(p_b) E_b; only the sqrt(p_b) E_b W are
+    formed. The computation is compressed onto the subspace reachable
+    from the code space: ``matkit.orthonormal_basis`` of [W, Q E_b W],
+    n x (k + mk), built from the factored recovery with no n x n matrix.
+    For a correcting recovery it is the code space itself (rank k), which
+    the certified range sketch there finds without an SVD of the whole
+    stack. Raises DomainError for samples < 1, where nothing would be
+    checked, and DimensionError for a recovery built for another code.
+    """
+    if samples < 1:
+        raise DomainError(f"verification needs samples >= 1, got {samples}")
+    w_c, comp = _compressed_map(recovery, noise, code, probs)
+    k = code.logical_dim
     # Each k-column block of comp is one composed Kraus operator R_a E_b,
     # compressed to r x k.
-    comp = dagger(basis) @ stack[:, k:]
     blocks = comp.reshape(len(comp), -1, k)
 
     rng = np.random.default_rng(seed)
@@ -250,14 +288,35 @@ def verify_recovery(recovery: Channel, noise, code: Code,
     return worst
 
 
+def certified_deviation(recovery: Recovery, noise, code: Code,
+                        probs=None) -> float:
+    """Sample-free bound ||J_c - J_0||_1 on every deviation that
+    ``verify_recovery`` can sample.
+
+    J_c is the unnormalized Choi matrix (input x output) of the compressed
+    composed map rho -> sum_c C_c rho C_c^dag, and J_0 the one of
+    rho -> w_c rho w_c^dag. The trace norm of the Choi matrix of a map
+    bounds its diamond norm (Watrous, The Theory of Quantum Information,
+    ch. 3), which bounds the trace-norm deviation on every logical state.
+    ``noise`` and ``probs`` are as in ``verify_recovery``.
+    """
+    w_c, comp = _compressed_map(recovery, noise, code, probs)
+    r, k = w_c.shape
+    # Column c of vecs is vec(C_c) with the input index slow, so
+    # J_c = vecs vecs^dag.
+    vecs = comp.reshape(r, -1, k).transpose(2, 0, 1).reshape(k * r, -1)
+    vec0 = w_c.T.reshape(-1, 1)
+    return matkit.norm(vecs @ dagger(vecs) - vec0 @ dagger(vec0), "trace")
+
+
 def span_correction_check(code: Code, base_errors, new_errors,
                           tol: float = 1e-8) -> bool:
     """True when every new error lies in span{base errors} and the
     recovery built from the base set still corrects the new noise.
 
     Membership is decided by least-squares projection residual; the new
-    operators are combined with uniform weights into a noise channel for
-    the recovery simulation.
+    operators, with uniform weights, are the noise for the recovery
+    simulation.
     """
     base = _error_list(base_errors)
     new = _error_list(new_errors)
@@ -268,7 +327,7 @@ def span_correction_check(code: Code, base_errors, new_errors,
         if resid > tol * max(1.0, np.linalg.norm(e)):
             return False
     recovery = build_recovery(code, base)
-    deviation = verify_recovery(recovery, noise_channel(new), code, samples=16)
+    deviation = verify_recovery(recovery, new, code, samples=16)
     return deviation <= 1e-7
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,24 @@ def test_orthonormal_basis_full_svd_only_above_sketch_rank(monkeypatch, rank, fu
     basis = matkit.orthonormal_basis(a)
     assert basis.shape == (512, rank)
     assert ((512, 600) in shapes) is full_svd
+
+
+def test_orthonormal_basis_sketch_residual_copies_no_input():
+    # The shape of the qec-shor9 reachable stack before recovery was
+    # factored: a rank-2 512 x 1290 input (10.6 MB). The sketch's residual
+    # is taken block by block, so the traced peak stays far below one
+    # copy of the input (2.8 MB, against 13.1 MB with a full-size residual).
+    rng = np.random.default_rng(33)
+    a = rand_c(rng, 512, 2) @ rand_c(rng, 2, 1290)
+    matkit.orthonormal_basis(a)  # lazy set-up outside the peak
+    tracemalloc.start()
+    try:
+        basis = matkit.orthonormal_basis(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.shape == (512, 2)
+    assert peak < a.nbytes / 2
 
 
 def test_package_runs_without_scipy(tmp_path):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinfokit import qec
 from qinfokit.channels import is_tp
@@ -52,7 +56,7 @@ def test_kl_check_fails_on_uncorrectable():
 
 def test_recovery_identity_error():
     code = repetition_code()
-    rec = qec.build_recovery(code, [np.eye(8)])
+    rec = qec.build_recovery(code, [np.eye(8)]).channel()
     assert is_tp(rec)
     rng = np.random.default_rng(50)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -65,7 +69,7 @@ def test_recovery_identity_error():
 def test_recovery_repetition_bit_flips():
     code = repetition_code()
     rec = qec.build_recovery(code, bit_flips())
-    assert is_tp(rec)
+    assert is_tp(rec.channel())
     dev = qec.verify_recovery(rec, bit_flips(), code, samples=20, seed=1)
     assert dev <= 1e-9
 
@@ -76,7 +80,7 @@ def test_recovery_partial_isometry_relations():
     errors = bit_flips()
     rec = qec.build_recovery(code, errors)
     proj = code.projector()
-    vs = [dagger(k) for k in rec.kraus[:-1]]  # Kraus are V_i^dag, then Q
+    vs = [dagger(k) for k in rec.channel().kraus[:-1]]  # V_i^dag, then Q
     for i, vi in enumerate(vs):
         for j, vj in enumerate(vs):
             want = proj if i == j else np.zeros_like(proj)
@@ -115,7 +119,7 @@ def test_verify_recovery_matches_direct_evaluation():
         rho = g @ dagger(g)
         rho /= np.real(np.trace(rho))
         sigma = w @ rho @ dagger(w)
-        diff = rec(noise(sigma)) - sigma
+        diff = rec.channel()(noise(sigma)) - sigma
         want = max(want, float(np.abs(np.linalg.eigvalsh(diff)).sum()))
     got = qec.verify_recovery(rec, noise, code, samples=6, seed=7)
     assert want > 0.1
@@ -178,6 +182,112 @@ def test_recovery_basis_independence():
     dev = qec.verify_recovery(rec_conj, qec.noise_channel(conj_errors), code,
                               samples=10, seed=4)
     assert dev <= 1e-8
+
+
+@st.composite
+def recovery_cases(draw):
+    """A random code, a random error family that it corrects, and noise
+    that the recovery built from that family corrects (trace-preserving
+    on the code space, in the family's span) or not (random contractions),
+    with the flag saying which."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    n = k * m + draw(st.integers(0, 2))
+    v = haar_unitary(n, rng)
+    code = qec.Code(n, k, v[:, :k])
+    # E_b = v S_b v^dag with S_b swapping coordinate blocks 0 and b sends
+    # the code space onto mutually orthogonal images; a unitary on the
+    # left and linear mixing keep the family correctable, and more
+    # members than images make alpha singular (a dropped branch).
+    base = []
+    for b in range(m):
+        perm = np.arange(n)
+        perm[:k], perm[b * k:(b + 1) * k] = perm[b * k:(b + 1) * k], perm[:k].copy()
+        base.append(v @ np.eye(n)[perm] @ dagger(v))
+    u = haar_unitary(n, rng)
+    count = m + draw(st.integers(0, 1))
+    mix = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
+    errors = [u @ sum(c * e for c, e in zip(row, base)) for row in mix]
+    corrected = draw(st.booleans())
+    if corrected:
+        # Unit rows make each member an isometry on the code space, so
+        # the noise is trace preserving there for any probabilities.
+        mix = rng.standard_normal((len(errors), m)) + 1j * rng.standard_normal((len(errors), m))
+        mix /= np.linalg.norm(mix, axis=1, keepdims=True)
+        noise = [u @ sum(c * e for c, e in zip(row, base)) for row in mix]
+    else:
+        noise = []
+        for _ in range(draw(st.integers(1, 3))):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            noise.append(g / np.linalg.norm(g, 2))
+    probs = rng.uniform(0.1, 1.0, len(noise))
+    return code, errors, noise, probs, corrected
+
+
+@settings(max_examples=60, deadline=None)
+@given(recovery_cases(), st.integers(0, 2 ** 31 - 1))
+def test_factored_verification_matches_dense_channels(case, seed):
+    # Reference: the dense recovery channel after the full n x n noise
+    # channel, on the same sampled logical states, and the Choi matrix of
+    # rho -> R(N(W rho W^dag)) - W rho W^dag on (input x output).
+    code, errors, noise, probs, corrected = case
+    rec = qec.build_recovery(code, errors)
+    dense = rec.channel()
+    noise_ch = qec.noise_channel(noise, probs)
+    w, n, k = code.isometry, code.physical_dim, code.logical_dim
+
+    def delta(rho):
+        sigma = w @ rho @ dagger(w)
+        return dense(noise_ch(sigma)) - sigma
+
+    rng = np.random.default_rng(seed)
+    want = 0.0
+    for _ in range(4):
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        rho = g @ dagger(g)
+        rho /= np.real(np.trace(rho))
+        want = max(want, float(np.abs(np.linalg.eigvalsh(delta(rho))).sum()))
+    choi = np.zeros((k * n, k * n), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            unit = np.zeros((k, k))
+            unit[i, j] = 1.0
+            choi[i * n:(i + 1) * n, j * n:(j + 1) * n] = delta(unit)
+    want_cert = float(np.abs(np.linalg.eigvalsh(choi)).sum())
+
+    got = qec.verify_recovery(rec, noise, code, samples=4, seed=seed, probs=probs)
+    cert = qec.certified_deviation(rec, noise, code, probs=probs)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert cert == pytest.approx(want_cert, abs=1e-12)
+    assert got <= cert + 1e-12
+    if corrected:
+        assert cert <= 1e-10
+
+
+def test_sampled_deviation_stays_below_the_certificate():
+    # Noise the recovery does not correct: every sampled deviation is
+    # bounded by the sample-free certificate.
+    rng = np.random.default_rng(61)
+    code = repetition_code()
+    rec = qec.build_recovery(code, bit_flips())
+    for _ in range(20):
+        noise = [haar_unitary(8, rng) for _ in range(int(rng.integers(1, 4)))]
+        probs = rng.uniform(0.1, 1.0, len(noise))
+        dev = qec.verify_recovery(rec, noise, code, samples=50,
+                                  seed=int(rng.integers(2 ** 31)), probs=probs)
+        cert = qec.certified_deviation(rec, noise, code, probs=probs)
+        assert 0.01 < dev <= cert
+
+
+def test_verify_recovery_rejects_a_recovery_for_another_code():
+    rec = qec.build_recovery(repetition_code(), bit_flips())
+    w = np.zeros((8, 2), dtype=complex)
+    w[1, 0] = w[6, 1] = 1.0
+    with pytest.raises(DimensionError, match="another code"):
+        qec.verify_recovery(rec, bit_flips(), qec.Code(8, 2, w))
+    with pytest.raises(DimensionError, match="another code"):
+        qec.certified_deviation(rec, [np.eye(4)], qec.Code(4, 2, np.eye(4)[:, :2]))
 
 
 def _block_diag(a, b):
@@ -308,8 +418,9 @@ def test_shor_recovery_and_rotation_error():
     code = qec.shor_code()
     ops = qec.one_paulis(9)
     rec = qec.build_recovery(code, ops)
-    assert is_tp(rec)
-    assert len(rec.kraus) == 23
+    dense = rec.channel()
+    assert is_tp(dense)
+    assert rec.kraus_count == len(dense.kraus) == 23
     dev = qec.verify_recovery(rec, ops, code, samples=10, seed=5)
     assert dev <= 1e-8
     theta = 0.3
@@ -318,6 +429,37 @@ def test_shor_recovery_and_rotation_error():
     assert qec.span_correction_check(code, ops, [rot])
     xx = qec.pauli_on(9, 0, "X") @ qec.pauli_on(9, 1, "X")
     assert not qec.span_correction_check(code, ops, [xx])
+
+
+def test_shor_certified_deviation_and_an_uncorrected_error():
+    code = qec.shor_code()
+    ops = qec.one_paulis(9)
+    rec = qec.build_recovery(code, ops)
+    assert qec.certified_deviation(rec, ops, code) <= 1e-12
+    # X on qubits 0 and 1 lies outside the span the recovery was built
+    # for: verification against it fails, within the certificate.
+    xx = qec.pauli_on(9, 0, "X") @ qec.pauli_on(9, 1, "X")
+    dev = qec.verify_recovery(rec, [xx], code, samples=50, seed=6)
+    assert 0.1 < dev <= qec.certified_deviation(rec, [xx], code)
+
+
+def test_shor_recovery_allocates_no_dense_operator():
+    # The factored recovery, its verification and its certificate form
+    # nothing n x n: the traced peak stays below one 512 x 512 complex
+    # array (4.19 MB), where the dense Kraus stack alone was 96 MB.
+    code = qec.shor_code()
+    ops = qec.one_paulis(9)
+    # The first call imports numpy.random; keep that out of the peak.
+    qec.verify_recovery(qec.build_recovery(code, ops), ops, code, samples=1)
+    tracemalloc.start()
+    try:
+        rec = qec.build_recovery(code, ops)
+        qec.verify_recovery(rec, ops, code, samples=50, seed=5)
+        qec.certified_deviation(rec, ops, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 16
 
 
 @pytest.mark.parametrize("probs, error, message", [
