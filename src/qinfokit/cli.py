@@ -102,19 +102,18 @@ def _cmd_qec_recover(args) -> dict:
         serialize.load_document(args.errors))
     recovery = qec.build_recovery(code, errors)
     seed_rng = stream(args.seed, "qec-recover/logical-samples")
-    deviation = qec.verify_recovery(
-        recovery, errors, code, samples=args.verify,
+    check = qec.verify_recovery(
+        recovery, errors, samples=args.verify,
         seed=int(seed_rng.integers(2 ** 31)), probs=probs,
     )
-    certified = qec.certified_deviation(recovery, errors, code, probs=probs)
     return {
         "kind": "report",
         "analysis": "qec-recover",
         "recovery_kraus_count": recovery.kraus_count,
         "samples": args.verify,
-        "max_deviation": float(deviation),
-        "certified_deviation": float(certified),
-        "recovered": bool(deviation <= max(args.tol, 1e-8)),
+        "max_deviation": float(check.max_deviation),
+        "certified_deviation": float(check.certified_deviation),
+        "recovered": bool(check.max_deviation <= max(args.tol, 1e-8)),
     }
 
 

@@ -6,8 +6,9 @@ full projectors, so Shor-scale checks cost O(m^2 n^2 k) with k the logical
 dimension: every heavy product has an n x (multiple of k) factor, and no
 two n x n matrices are ever multiplied. A recovery is carried the same
 way, as W and the n x k images V_i W of its branches (``Recovery``), and
-verified without forming an n x n matrix; its dense Kraus operators are
-written out only on request.
+verified without forming an n x n matrix: the sampled deviations and
+their sample-free certificate are read off one small Choi matrix of the
+deviation map. Its dense Kraus operators are written out only on request.
 """
 
 from __future__ import annotations
@@ -79,10 +80,9 @@ def _family_scale(ops, n: int) -> float:
     return total / n
 
 
-def _code_images(code: Code, ops) -> np.ndarray:
+def _code_images(w: np.ndarray, ops) -> np.ndarray:
     """E_i W, stacked as m x n x k."""
-    w = code.isometry
-    n = code.physical_dim
+    n = len(w)
     for e in ops:
         if e.shape != (n, n):
             raise DimensionError(f"error operator {e.shape} != ({n}, {n})")
@@ -91,7 +91,7 @@ def _code_images(code: Code, ops) -> np.ndarray:
 
 def _normalized_images(code: Code, ops) -> np.ndarray:
     """E_i W for the normalized error family, stacked as m x n x k."""
-    images = _code_images(code, ops)
+    images = _code_images(code.isometry, ops)
     images /= math.sqrt(_family_scale(ops, code.physical_dim))
     return images
 
@@ -215,29 +215,38 @@ def noise_channel(errors, probs=None) -> Channel:
     return Channel(n, n, kraus)
 
 
-def _compressed_map(recovery: Recovery, noise, code: Code, probs):
-    """(w_c, comp) for recovery o noise on the code space: an orthonormal
-    basis B of the subspace reachable from it, w_c = B^dag W (r x k), and
-    the composed Kraus operators R_a E_b W compressed to B^dag R_a E_b W,
-    r x k blocks side by side, a-major with the completion last.
-    ``noise`` and ``probs`` are as in ``verify_recovery``.
+@dataclass(frozen=True)
+class RecoveryCheck:
+    """Outcome of ``verify_recovery``: the largest sampled deviation and
+    the sample-free bound on every one of them."""
+
+    max_deviation: float
+    certified_deviation: float
+
+
+def _compressed_map(recovery: Recovery, noise, probs) -> np.ndarray:
+    """J = J_c - J_0, the unnormalized Choi matrix (input x output) of the
+    deviation map rho -> (R o N)(W rho W^dag) - W rho W^dag compressed onto
+    an orthonormal basis B of the subspace reachable from the code space,
+    as a (k, r, k, r) array: the deviation of rho is
+    sum_ij rho_ij J[i, :, j, :]. ``noise`` and ``probs`` are as in
+    ``verify_recovery``.
     """
-    w = code.isometry
-    n, k = code.physical_dim, code.logical_dim
+    w, c = recovery.isometry, recovery.branch_images
+    n, k = w.shape
     if isinstance(noise, Channel):
+        if probs is not None:
+            raise DomainError("probs weight an error list, not a Channel")
         if noise.din != n or noise.dout != n:
             raise DimensionError("noise must act on the physical space")
         images = noise.kraus @ w
     else:
         ops = _error_list(noise)
         weights = np.sqrt(_uniform_probs(ops, probs))
-        images = _code_images(code, ops)
+        images = _code_images(w, ops)
         images *= weights[:, None, None]
-    if not np.array_equal(recovery.isometry, w):
-        raise DimensionError("recovery was built for another code")
 
     ew = images.swapaxes(0, 1).reshape(n, -1)  # [E_b W], n x mk
-    c = recovery.branch_images
     # R_a E_b W = W (V_a W)^dag E_b W: the k x k core (V_a W)^dag E_b W is
     # block (a, b) of C^dag [E_b W], and Q E_b W = E_b W - C C^dag E_b W.
     cores = dagger(c) @ ew
@@ -246,67 +255,47 @@ def _compressed_map(recovery: Recovery, noise, code: Code, probs):
     # reachable subspace.
     basis = matkit.orthonormal_basis(np.hstack([w, completion]))  # n x r
     w_c = dagger(basis) @ w
-    branch_blocks = w_c @ cores.reshape(recovery.branches, k, -1)
-    comp = np.hstack([*branch_blocks, dagger(basis) @ completion])
-    return w_c, comp
+    # The composed Kraus operators compressed to r x k blocks side by
+    # side: the branches w_c (V_a W)^dag E_b W, then B^dag Q E_b W.
+    kraus = np.hstack([*w_c @ cores.reshape(recovery.branches, k, -1),
+                       dagger(basis) @ completion]).reshape(len(w_c), -1, k)
+    return (np.einsum("xci,ycj->ixjy", kraus, kraus.conj())
+            - np.einsum("xi,yj->ixjy", w_c, w_c.conj()))
 
 
-def verify_recovery(recovery: Recovery, noise, code: Code,
-                    samples: int = 50, seed: int = 0,
-                    probs=None) -> float:
-    """Max over sampled logical states of || (R o E)(W rho W^dag) - W rho W^dag ||_1.
+def verify_recovery(recovery: Recovery, noise, samples: int = 50,
+                    seed: int = 0, probs=None) -> RecoveryCheck:
+    """Deviations || (R o N)(W rho W^dag) - W rho W^dag ||_1 of the
+    recovery R after the noise N, with W the recovery's code isometry.
+
+    ``max_deviation`` is the largest over ``samples`` random logical
+    states; ``certified_deviation`` is the trace norm of the Choi matrix
+    of the deviation map, which bounds its diamond norm (Watrous, The
+    Theory of Quantum Information, ch. 3) and so every sampled deviation.
+    Both are read off one Choi matrix on the subspace reachable from the
+    code space (``_compressed_map``), of size (k r)^2, built from the
+    factored recovery with no n x n matrix; for a correcting recovery
+    that subspace is the code space itself (r = k).
 
     ``noise`` is a Channel, or an error list E_b with probabilities p_b
     (uniform by default, normalized to sum 1) that stands for the channel
     with Kraus operators sqrt(p_b) E_b; only the sqrt(p_b) E_b W are
-    formed. The computation is compressed onto the subspace reachable
-    from the code space: ``matkit.orthonormal_basis`` of [W, Q E_b W],
-    n x (k + mk), built from the factored recovery with no n x n matrix.
-    For a correcting recovery it is the code space itself (rank k), which
-    the certified range sketch there finds without an SVD of the whole
-    stack. Raises DomainError for samples < 1, where nothing would be
-    checked, and DimensionError for a recovery built for another code.
+    formed. Raises DomainError for samples < 1, where nothing would be
+    sampled, and for probs given with a Channel.
     """
     if samples < 1:
         raise DomainError(f"verification needs samples >= 1, got {samples}")
-    w_c, comp = _compressed_map(recovery, noise, code, probs)
-    k = code.logical_dim
-    # Each k-column block of comp is one composed Kraus operator R_a E_b,
-    # compressed to r x k.
-    blocks = comp.reshape(len(comp), -1, k)
-
+    j = _compressed_map(recovery, noise, probs)
+    k, r = j.shape[:2]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         rho = g @ dagger(g)
         rho /= np.real(np.trace(rho))
-        sigma = w_c @ rho @ dagger(w_c)
-        # sum_c C_c rho C_c^dag over all blocks in one product.
-        out = (blocks @ rho).reshape(comp.shape) @ dagger(comp)
-        worst = max(worst, matkit.norm(out - sigma, "trace"))
-    return worst
-
-
-def certified_deviation(recovery: Recovery, noise, code: Code,
-                        probs=None) -> float:
-    """Sample-free bound ||J_c - J_0||_1 on every deviation that
-    ``verify_recovery`` can sample.
-
-    J_c is the unnormalized Choi matrix (input x output) of the compressed
-    composed map rho -> sum_c C_c rho C_c^dag, and J_0 the one of
-    rho -> w_c rho w_c^dag. The trace norm of the Choi matrix of a map
-    bounds its diamond norm (Watrous, The Theory of Quantum Information,
-    ch. 3), which bounds the trace-norm deviation on every logical state.
-    ``noise`` and ``probs`` are as in ``verify_recovery``.
-    """
-    w_c, comp = _compressed_map(recovery, noise, code, probs)
-    r, k = w_c.shape
-    # Column c of vecs is vec(C_c) with the input index slow, so
-    # J_c = vecs vecs^dag.
-    vecs = comp.reshape(r, -1, k).transpose(2, 0, 1).reshape(k * r, -1)
-    vec0 = w_c.T.reshape(-1, 1)
-    return matkit.norm(vecs @ dagger(vecs) - vec0 @ dagger(vec0), "trace")
+        delta = np.tensordot(rho, j, axes=([0, 1], [0, 2]))
+        worst = max(worst, matkit.norm(delta, "trace"))
+    return RecoveryCheck(worst, matkit.norm(j.reshape(k * r, k * r), "trace"))
 
 
 def span_correction_check(code: Code, base_errors, new_errors,
@@ -326,9 +315,8 @@ def span_correction_check(code: Code, base_errors, new_errors,
         resid = np.linalg.norm(basis @ coeff - e.reshape(-1))
         if resid > tol * max(1.0, np.linalg.norm(e)):
             return False
-    recovery = build_recovery(code, base)
-    deviation = verify_recovery(recovery, new, code, samples=16)
-    return deviation <= 1e-7
+    check = verify_recovery(build_recovery(code, base), new, samples=16)
+    return check.max_deviation <= 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -165,9 +165,12 @@ def _pair_to_complex(obj, where: str) -> complex:
         if (isinstance(re, (int, float)) and isinstance(im, (int, float))
                 and not isinstance(re, bool) and not isinstance(im, bool)):
             try:
-                return complex(float(re), float(im))
+                z = complex(float(re), float(im))
+                if math.isfinite(z.real) and math.isfinite(z.imag):
+                    return z
             except OverflowError:
-                raise FormatError(f"{where}: real out of range") from None
+                pass
+            raise FormatError(f"{where}: real out of range")
     raise FormatError(f"{where}: complex scalar must be [re, im]")
 
 
@@ -321,8 +324,11 @@ def error_list_from_doc(doc: dict, where: str = "errors"):
             raise FormatError(f"{where}: probs must be an array of numbers")
         try:
             probs = [float(p) for p in probs]
+            finite = all(map(math.isfinite, probs))
         except OverflowError:
-            raise FormatError(f"{where}: probs out of range") from None
+            finite = False
+        if not finite:
+            raise FormatError(f"{where}: probs out of range")
     return _matrix_list(doc, "kraus", where), probs
 
 

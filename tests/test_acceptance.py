@@ -68,8 +68,8 @@ def test_criterion_03_shor_code():
     ok = qec.kl_check(code, paulis).passes
     recovery = qec.build_recovery(code, paulis)
     deviation = qec.verify_recovery(
-        recovery, qec.noise_channel(paulis), code, samples=50, seed=0
-    )
+        recovery, qec.noise_channel(paulis), samples=50, seed=0
+    ).max_deviation
     ok &= deviation <= 1e-8
     theta = 0.3
     rot = (math.cos(theta) * np.eye(512)

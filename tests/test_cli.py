@@ -578,17 +578,38 @@ def test_non_integer_code_dimension_exits_2(tmp_path, capsys, field, value):
     assert err == f"input error: code: {field} must be an integer\n"
 
 
-@pytest.mark.parametrize("probs", [["abc"], ["0.5"], [None], "x", 5, [10 ** 400]])
+# Tokens json.loads reads as non-finite floats, which the canonical writer
+# refuses to write.
+_NON_FINITE = ["1e999", "NaN", "Infinity"]
+
+
+@pytest.mark.parametrize("probs", [["abc"], ["0.5"], [None], "x", 5, [10 ** 400],
+                                   *_NON_FINITE])
 def test_non_numeric_probs_exit_2(tmp_path, capsys, probs):
     w = np.zeros((8, 2))
     w[0, 0] = w[7, 1] = 1.0
     cpath = write_doc(tmp_path / "code.json", serialize.code_to_doc(qec.Code(8, 2, w)))
     doc = serialize.channel_to_doc(Channel(8, 8, (np.eye(8, dtype=complex),)))
-    doc["probs"] = probs
+    doc["probs"] = [0] if probs in _NON_FINITE else probs
     epath = write_doc(tmp_path / "err.json", doc)
+    if probs in _NON_FINITE:
+        path = tmp_path / "err.json"
+        path.write_text(path.read_text().replace('"probs":[0]', f'"probs":[{probs}]'))
     code, _, err = run_cli(capsys, "qec", "recover", cpath, epath)
     assert code == 2
     assert err.startswith("input error: errors: probs ")
+    if probs in _NON_FINITE or probs == [10 ** 400]:
+        assert err == "input error: errors: probs out of range\n"
+
+
+@pytest.mark.parametrize("token", _NON_FINITE)
+def test_non_finite_real_exits_2_with_location(tmp_path, capsys, token):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind":"state","dims":[2],"rho":[[[%s,0],[0,0]],'
+                    '[[0,0],[1,0]]]}' % token)
+    code, out, err = run_cli(capsys, "schmidt", str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: state.rho[0][0]: real out of range\n"
 
 
 @pytest.mark.parametrize("kraus", [5, None])
@@ -678,6 +699,23 @@ def test_qec_recover_builds_no_noise_channel(tmp_path, capsys, monkeypatch):
     cpath, epath = bit_flip_docs(tmp_path, [3.0, 1.0])
     code, out, _ = run_cli(capsys, "--json", "qec", "recover", cpath, epath)
     assert code == 0 and json.loads(out)["recovered"]
+
+
+def test_qec_recover_builds_one_compressed_map(tmp_path, capsys, monkeypatch):
+    # Both deviations are read off one compressed Choi matrix.
+    built = []
+    compressed_map = qec._compressed_map
+
+    def counted(*args):
+        built.append(args)
+        return compressed_map(*args)
+
+    monkeypatch.setattr(qec, "_compressed_map", counted)
+    cpath, epath = bit_flip_docs(tmp_path, [3.0, 1.0])
+    code, out, _ = run_cli(capsys, "--json", "qec", "recover", cpath, epath)
+    rep = json.loads(out)
+    assert code == 0 and len(built) == 1
+    assert max(rep["max_deviation"], rep["certified_deviation"]) <= 1e-12
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qinfokit import qec
 from qinfokit.channels import is_tp
-from qinfokit.errors import DimensionError, KLViolated, ProbabilityError
+from qinfokit.errors import DimensionError, DomainError, KLViolated, ProbabilityError
 from qinfokit.matkit import dagger
 from qinfokit.randkit import haar_unitary
 
@@ -70,7 +70,7 @@ def test_recovery_repetition_bit_flips():
     code = repetition_code()
     rec = qec.build_recovery(code, bit_flips())
     assert is_tp(rec.channel())
-    dev = qec.verify_recovery(rec, bit_flips(), code, samples=20, seed=1)
+    dev = qec.verify_recovery(rec, bit_flips(), samples=20, seed=1).max_deviation
     assert dev <= 1e-9
 
 
@@ -98,7 +98,7 @@ def test_verify_recovery_detects_outside_noise():
     code = repetition_code()
     rec = qec.build_recovery(code, bit_flips())
     xx = qec.pauli_on(3, 0, "X") @ qec.pauli_on(3, 1, "X")
-    dev = qec.verify_recovery(rec, [xx], code, samples=10, seed=2)
+    dev = qec.verify_recovery(rec, [xx], samples=10, seed=2).max_deviation
     assert dev > 0.1
 
 
@@ -121,7 +121,7 @@ def test_verify_recovery_matches_direct_evaluation():
         sigma = w @ rho @ dagger(w)
         diff = rec.channel()(noise(sigma)) - sigma
         want = max(want, float(np.abs(np.linalg.eigvalsh(diff)).sum()))
-    got = qec.verify_recovery(rec, noise, code, samples=6, seed=7)
+    got = qec.verify_recovery(rec, noise, samples=6, seed=7).max_deviation
     assert want > 0.1
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -134,26 +134,36 @@ def test_verify_recovery_reads_an_error_list_without_its_channel(monkeypatch):
     errors = [np.eye(8), qec.pauli_on(3, 0, "X") @ qec.pauli_on(3, 1, "X"),
               qec.pauli_on(3, 2, "Y")]
     probs = [5.0, 3.0, 2.0]
-    want = qec.verify_recovery(rec, qec.noise_channel(errors, probs), code,
+    want = qec.verify_recovery(rec, qec.noise_channel(errors, probs),
                                samples=6, seed=7)
 
     def no_channel(*args):
         raise AssertionError("noise_channel was built")
 
     monkeypatch.setattr(qec, "noise_channel", no_channel)
-    got = qec.verify_recovery(rec, errors, code, samples=6, seed=7, probs=probs)
-    assert want > 0.1
-    assert got == pytest.approx(want, abs=1e-12)
+    got = qec.verify_recovery(rec, errors, samples=6, seed=7, probs=probs)
+    assert want.max_deviation > 0.1
+    assert got.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
+    assert got.certified_deviation == pytest.approx(want.certified_deviation,
+                                                    abs=1e-12)
     with pytest.raises(ProbabilityError, match="nonnegative"):
-        qec.verify_recovery(rec, errors, code, probs=[1.0, -1.0, 1.0])
+        qec.verify_recovery(rec, errors, probs=[1.0, -1.0, 1.0])
     with pytest.raises(DimensionError, match=r"error operator \(4, 4\) != \(8, 8\)"):
-        qec.verify_recovery(rec, [np.eye(4)], code)
+        qec.verify_recovery(rec, [np.eye(4)])
+
+
+def test_verify_recovery_refuses_probs_with_a_channel():
+    # Probabilities weight an error list; a Channel carries its own.
+    rec = qec.build_recovery(repetition_code(), bit_flips())
+    noise = qec.noise_channel(bit_flips())
+    with pytest.raises(DomainError, match="probs"):
+        qec.verify_recovery(rec, noise, probs=[1.0] * 4)
 
 
 def test_verify_recovery_identity_noise():
     code = repetition_code()
     rec = qec.build_recovery(code, bit_flips())
-    dev = qec.verify_recovery(rec, [np.eye(8)], code, samples=5, seed=3)
+    dev = qec.verify_recovery(rec, [np.eye(8)], samples=5, seed=3).max_deviation
     assert dev <= 1e-9
 
 
@@ -179,8 +189,8 @@ def test_recovery_basis_independence():
     assert report.passes
     assert np.linalg.norm(report.alpha - alpha0) <= 1e-9
     rec_conj = qec.build_recovery(code, conj_errors)
-    dev = qec.verify_recovery(rec_conj, qec.noise_channel(conj_errors), code,
-                              samples=10, seed=4)
+    dev = qec.verify_recovery(rec_conj, qec.noise_channel(conj_errors),
+                              samples=10, seed=4).max_deviation
     assert dev <= 1e-8
 
 
@@ -256,8 +266,8 @@ def test_factored_verification_matches_dense_channels(case, seed):
             choi[i * n:(i + 1) * n, j * n:(j + 1) * n] = delta(unit)
     want_cert = float(np.abs(np.linalg.eigvalsh(choi)).sum())
 
-    got = qec.verify_recovery(rec, noise, code, samples=4, seed=seed, probs=probs)
-    cert = qec.certified_deviation(rec, noise, code, probs=probs)
+    check = qec.verify_recovery(rec, noise, samples=4, seed=seed, probs=probs)
+    got, cert = check.max_deviation, check.certified_deviation
     assert got == pytest.approx(want, abs=1e-12)
     assert cert == pytest.approx(want_cert, abs=1e-12)
     assert got <= cert + 1e-12
@@ -274,20 +284,9 @@ def test_sampled_deviation_stays_below_the_certificate():
     for _ in range(20):
         noise = [haar_unitary(8, rng) for _ in range(int(rng.integers(1, 4)))]
         probs = rng.uniform(0.1, 1.0, len(noise))
-        dev = qec.verify_recovery(rec, noise, code, samples=50,
-                                  seed=int(rng.integers(2 ** 31)), probs=probs)
-        cert = qec.certified_deviation(rec, noise, code, probs=probs)
-        assert 0.01 < dev <= cert
-
-
-def test_verify_recovery_rejects_a_recovery_for_another_code():
-    rec = qec.build_recovery(repetition_code(), bit_flips())
-    w = np.zeros((8, 2), dtype=complex)
-    w[1, 0] = w[6, 1] = 1.0
-    with pytest.raises(DimensionError, match="another code"):
-        qec.verify_recovery(rec, bit_flips(), qec.Code(8, 2, w))
-    with pytest.raises(DimensionError, match="another code"):
-        qec.certified_deviation(rec, [np.eye(4)], qec.Code(4, 2, np.eye(4)[:, :2]))
+        check = qec.verify_recovery(rec, noise, samples=50,
+                                    seed=int(rng.integers(2 ** 31)), probs=probs)
+        assert 0.01 < check.max_deviation <= check.certified_deviation
 
 
 def _block_diag(a, b):
@@ -421,7 +420,7 @@ def test_shor_recovery_and_rotation_error():
     dense = rec.channel()
     assert is_tp(dense)
     assert rec.kraus_count == len(dense.kraus) == 23
-    dev = qec.verify_recovery(rec, ops, code, samples=10, seed=5)
+    dev = qec.verify_recovery(rec, ops, samples=10, seed=5).max_deviation
     assert dev <= 1e-8
     theta = 0.3
     x5 = qec.pauli_on(9, 4, "X")
@@ -435,27 +434,26 @@ def test_shor_certified_deviation_and_an_uncorrected_error():
     code = qec.shor_code()
     ops = qec.one_paulis(9)
     rec = qec.build_recovery(code, ops)
-    assert qec.certified_deviation(rec, ops, code) <= 1e-12
+    assert qec.verify_recovery(rec, ops).certified_deviation <= 1e-12
     # X on qubits 0 and 1 lies outside the span the recovery was built
     # for: verification against it fails, within the certificate.
     xx = qec.pauli_on(9, 0, "X") @ qec.pauli_on(9, 1, "X")
-    dev = qec.verify_recovery(rec, [xx], code, samples=50, seed=6)
-    assert 0.1 < dev <= qec.certified_deviation(rec, [xx], code)
+    check = qec.verify_recovery(rec, [xx], samples=50, seed=6)
+    assert 0.1 < check.max_deviation <= check.certified_deviation
 
 
 def test_shor_recovery_allocates_no_dense_operator():
-    # The factored recovery, its verification and its certificate form
-    # nothing n x n: the traced peak stays below one 512 x 512 complex
+    # The factored recovery and its verification, certificate included,
+    # form nothing n x n: the traced peak stays below one 512 x 512 complex
     # array (4.19 MB), where the dense Kraus stack alone was 96 MB.
     code = qec.shor_code()
     ops = qec.one_paulis(9)
     # The first call imports numpy.random; keep that out of the peak.
-    qec.verify_recovery(qec.build_recovery(code, ops), ops, code, samples=1)
+    qec.verify_recovery(qec.build_recovery(code, ops), ops, samples=1)
     tracemalloc.start()
     try:
         rec = qec.build_recovery(code, ops)
-        qec.verify_recovery(rec, ops, code, samples=50, seed=5)
-        qec.certified_deviation(rec, ops, code)
+        qec.verify_recovery(rec, ops, samples=50, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ oracle.
 """
 
 import json
+import math
 import re
 import tracemalloc
 from collections.abc import Sized
@@ -46,9 +47,12 @@ def _reference_pair(obj, where):
         if (isinstance(re, (int, float)) and isinstance(im, (int, float))
                 and not isinstance(re, bool) and not isinstance(im, bool)):
             try:
-                return complex(float(re), float(im))
+                z = complex(float(re), float(im))
             except OverflowError:
                 raise FormatError(f"{where}: real out of range") from None
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise FormatError(f"{where}: real out of range")
+            return z
     raise FormatError(f"{where}: complex scalar must be [re, im]")
 
 
