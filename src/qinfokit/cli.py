@@ -100,6 +100,8 @@ def _cmd_qec_recover(args) -> dict:
     code = serialize.code_from_doc(serialize.load_document(args.code))
     errors, probs = serialize.error_list_from_doc(
         serialize.load_document(args.errors))
+    # Checked and imaged once for both calls below.
+    errors = qec._ImagedErrors(code.isometry, errors)
     recovery = qec.build_recovery(code, errors)
     seed_rng = stream(args.seed, "qec-recover/logical-samples")
     check = qec.verify_recovery(

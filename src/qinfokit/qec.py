@@ -89,11 +89,29 @@ def _code_images(w: np.ndarray, ops) -> np.ndarray:
     return np.stack([e @ w for e in ops])
 
 
-def _normalized_images(code: Code, ops) -> np.ndarray:
-    """E_i W for the normalized error family, stacked as m x n x k."""
-    images = _code_images(code.isometry, ops)
-    images /= math.sqrt(_family_scale(ops, code.physical_dim))
-    return images
+class _ImagedErrors(list):
+    """A checked error list with its images E_i W under one isometry W,
+    which ``build_recovery`` and ``verify_recovery`` take for that W
+    without checking or imaging the errors again."""
+
+    def __init__(self, w: np.ndarray, errors):
+        ops, self.images = _checked_images(w, errors)
+        super().__init__(ops)
+        self.isometry = w
+
+
+def _checked_images(w: np.ndarray, errors) -> tuple[list, np.ndarray]:
+    """The checked error list E_i and its images E_i W (m x n x k)."""
+    if isinstance(errors, _ImagedErrors) and errors.isometry is w:
+        return errors, errors.images
+    ops = _error_list(errors)
+    return ops, _code_images(w, ops)
+
+
+def _normalized_images(code: Code, errors) -> np.ndarray:
+    """E_i W for the normalized error family, as a new m x n x k array."""
+    ops, images = _checked_images(code.isometry, errors)
+    return images / math.sqrt(_family_scale(ops, code.physical_dim))
 
 
 def _kl_report(ews: np.ndarray, tol: float) -> KLReport:
@@ -117,7 +135,7 @@ def kl_check(code: Code, errors, tol: float = 1e-8) -> KLReport:
     uniform weights); the residual is
     max_ij || W^dag E_i^dag E_j W - alpha_ij I ||.
     """
-    return _kl_report(_normalized_images(code, _error_list(errors)), tol)
+    return _kl_report(_normalized_images(code, errors), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +176,7 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Recovery:
     {V_i^dag} plus the completion Q = I - sum V_i V_i^dag, as a Recovery
     that holds only W and the V_i W: no n x n matrix is formed.
     """
-    ews = _normalized_images(code, _error_list(errors))
+    ews = _normalized_images(code, errors)
     report = _kl_report(ews, tol)
     if not report.passes:
         raise KLViolated(
@@ -241,10 +259,8 @@ def _compressed_map(recovery: Recovery, noise, probs) -> np.ndarray:
             raise DimensionError("noise must act on the physical space")
         images = noise.kraus @ w
     else:
-        ops = _error_list(noise)
-        weights = np.sqrt(_uniform_probs(ops, probs))
-        images = _code_images(w, ops)
-        images *= weights[:, None, None]
+        ops, images = _checked_images(w, noise)
+        images = images * np.sqrt(_uniform_probs(ops, probs))[:, None, None]
 
     ew = images.swapaxes(0, 1).reshape(n, -1)  # [E_b W], n x mk
     # R_a E_b W = W (V_a W)^dag E_b W: the k x k core (V_a W)^dag E_b W is

@@ -6,22 +6,23 @@ Canonical output sorts keys and prints every real with %.17g, so
 serialize -> parse -> serialize is byte-identical.
 
 A document is read as bytes, once (``load_document``). Each bracketed
-run of numbers in the bytes that holds a dense array of [re, im] pairs
-(a vector, a matrix, or matrices nested in arrays) is checked and parsed
-at byte level into one float64 array, with no Python object per number;
-``json.loads`` reads the rest of the text. A run is read in chunks of
-whole outermost elements, up to ``_CHUNK`` bytes each, straight into its
-array, so the reader holds the bytes, the arrays and one chunk's work at
-a time. UTF-8 is validated only when a byte is not ASCII. A vector lands
-in the tree as an (n, 2) array and a matrix as an (rows, cols, 2) array,
-which ``vector_from_doc`` and ``matrix_from_doc`` view as complex
-without a copy; every array level above a matrix stays a Python list. A
-run takes this route when its brackets are laid out as a rectangular
-array's, every number is a finite JSON number that ``json.loads`` reads
-to the same float (an integer ``-0`` is not: it reads as +0.0), and
-whitespace only sits next to brackets and commas. Canonical output and
-``json.dump`` output, with any separators or indent, pass. A run that
-fails any check stays in the text for ``json.loads``.
+run of numbers that holds a dense array of [re, im] pairs (a vector, a
+matrix, or matrices nested in arrays) is read into one float64 array in
+chunks of whole outermost elements, up to ``_CHUNK`` bytes each, so the
+reader holds the bytes, the arrays and one chunk's work at a time; one
+numpy scan of a chunk's bytes checks its numbers' JSON grammar and
+converts one-digit integers, other numbers go through ``np.loadtxt``, and
+``json.loads`` reads the rest of the text. A vector lands in the tree as
+an (n, 2) array and a matrix as an (rows, cols, 2) array, which
+``vector_from_doc`` and ``matrix_from_doc`` view as complex without a
+copy; every array level above a matrix stays a Python list. A run takes
+this route when its brackets are laid out as a rectangular array's,
+every number is a finite JSON number that ``json.loads`` reads to the
+same float (an integer ``-0`` is not: it reads as +0.0), and whitespace
+only sits next to brackets and commas, as in canonical and ``json.dump``
+output. A vector or matrix run falls back to ``json.loads`` whole on the
+first chunk that fails, a run of matrices only that chunk's elements.
+UTF-8 is validated only when a byte is not ASCII.
 
 When the text is not JSON, or spells NaN or Infinity, the whole text
 falls back to ``json.loads``, decoded as a file opened in text mode
@@ -369,25 +370,20 @@ _SPLIT_NUMBER = re.compile(rb"[-+.0-9eE][ \t\n\r]+[-+.0-9eE]")
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 # Deeper runs are left to json.loads; this bounds the shape search.
 _MAX_NDIM = 32
-# Bytes per block of the grammar tests (their masks stay in cache).
+# Bytes of a chunk scanned at a time, so the scanner's masks stay in cache.
 _BLOCK = 1 << 16
-# Bytes of text per chunk of a run (whole outermost elements): a run is
-# checked and parsed one chunk at a time into its array, so no copy of
-# the whole run is made.
+# Bytes of text per chunk of a run (whole outermost elements): a run is read
+# one chunk at a time into its array, so no copy of the whole run is made.
 _CHUNK = 1 << 20
 
 
-def _shape_of(skeleton: bytes) -> tuple | None:
-    """The shape of the rectangular array whose first entry along every
-    axis has the layout that ``skeleton`` (a run with its numbers
-    deleted) starts with; None when the first entries fit no shape."""
-    ndim = len(skeleton) - len(skeleton.lstrip(b"["))
-    if not 2 <= ndim <= _MAX_NDIM:
-        return None
+def _shape_of(skeleton: bytes, ndim: int) -> tuple | None:
+    """The shape of the rectangular array of ``ndim`` axes whose first
+    entry along every axis has the layout that ``skeleton`` (a run with
+    its numbers deleted) starts with; None when they fit no shape."""
     shape, inner = [], 0
     for depth in range(1, ndim + 1):
-        # The first array of this depth opens at ndim - depth and closes
-        # at the first run of depth closing brackets.
+        # The first array of this depth closes at the first ']' * depth.
         size = skeleton.find(b"]" * depth) + 2 * depth - ndim
         count, rest = divmod(size - 1, inner + 1)
         if count < 1 or rest:
@@ -405,59 +401,15 @@ def _skeleton(shape: tuple) -> bytes:
     return text
 
 
-def _json_numbers(data: bytes, start: int, end: int) -> bool:
-    """Whether each number in ``data[start:end]``, a whitespace-free run
-    or stretch of one, that float() reads is a JSON number that
-    json.loads reads to the same float (the numbers float() rejects fail
-    np.loadtxt, which reads them alike).
-
-    float() also accepts a leading '+', a '.' without a digit on each side
-    and leading zeros; an integer -0 is read as +0.0 by json.loads and as
-    -0.0 by float(). A test looks up to two bytes back and one ahead, so
-    the first two bytes and the last are only context. The bytes are
-    tested in place, in blocks that overlap by three bytes, which keeps
-    the byte masks small and in cache.
-    """
-    a = np.frombuffer(data, np.uint8, end - start, start)
-    plus, dot = data.find(b"+", start, end) >= 0, data.find(b".", start, end) >= 0
-    return all(_json_block(a[i:i + _BLOCK + 3], plus, dot)
-               for i in range(0, len(a) - 3, _BLOCK))
-
-
-def _json_block(a: np.ndarray, plus: bool, dot: bool) -> bool:
-    """The tests of ``_json_numbers`` on one block of a run's bytes; a
-    test is skipped when the byte it is about does not occur."""
-    digit = (a >= 48) & (a <= 57)
-    if plus and ((a[1:] == 43) & (a[:-1] != 101) & (a[:-1] != 69)).any():
-        return False  # a '+' that is not an exponent's sign
-    if dot and ((a[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any():
-        return False
-    # Each 0 at a[2:-1], with the bytes around it.
-    prev, after = a[1:-2], a[3:]
-    minus = prev == 45
-    suspect = (a[2:-1] == 48) & (digit[3:] | minus)
-    if not suspect.any():
-        return True
-    # A 0 followed by a digit may not start an integer part, after '[',
-    # ',' or a '-' that is not an exponent's sign; "-0" before ',' or ']'
-    # is an integer -0 (or an exponent -0, also left to json.loads).
-    sign = minus & (a[:-3] != 101) & (a[:-3] != 69)
-    starts = (prev == 44) | (prev == 91) | sign
-    ends = (after == 44) | (after == 93)
-    return not (suspect & ((digit[3:] & starts) | (minus & ends))).any()
-
-
-def _dense_array(data: bytes, start: int, close: int) -> np.ndarray | None:
-    """The float64 array written by the bracketed run of numbers
-    ``data[start:close]``, when it is a dense array of [re, im] pairs that
-    takes the bulk route; None otherwise.
-
-    The layout of one outermost element comes from the first one. The
-    run is then read in chunks of whole outermost elements, at most
-    ``_CHUNK`` bytes each unless one element is longer: every chunk is
-    checked and parsed on its own and written into its rows of the
-    array.
-    """
+def _dense_array(data: bytes, start: int, close: int) -> tuple | None:
+    """The text that stands for the run of numbers ``data[start:close]``
+    and the values of its NaNs in text order; None when no part of it
+    takes the bulk route. The layout of an outermost element comes from
+    the first one. The run is read in chunks of whole outermost elements,
+    at most ``_CHUNK`` bytes each unless one element is longer, each
+    checked and scanned into its rows of the array. A vector or matrix
+    stands as one NaN; in a run of matrices each element of a chunk that
+    passes does, and a chunk that fails stays as text."""
     if any(data.find(space, start, close) >= 0 for space in _WHITESPACE):
         if _SPLIT_NUMBER.search(data, start, close):
             return None
@@ -472,7 +424,7 @@ def _dense_array(data: bytes, start: int, close: int) -> np.ndarray | None:
     if first < 0:
         return None
     unit = data[start + 1:first + ndim - 1].translate(None, _NUMBER_BYTES)
-    shape = _shape_of(b"[" + unit + b"]")
+    shape = _shape_of(b"[" + unit + b"]", ndim)
     if shape is None or shape[-1] != 2 or _skeleton(shape[1:]) != unit:
         return None
     # Outermost elements meet at ']],[[' with ndim - 1 brackets a side,
@@ -482,7 +434,7 @@ def _dense_array(data: bytes, start: int, close: int) -> np.ndarray | None:
     if count * len(unit) > close - start:
         return None  # too few bytes for that many elements
     values = np.empty((count,) + shape[1:])
-    rows, done, begin = values.reshape(count, -1), 0, start + 1
+    rows, done, begin, pieces = values.reshape(count, -1), 0, start + 1, []
     while begin < close:
         if close - begin <= _CHUNK:
             end = close - 1
@@ -490,61 +442,98 @@ def _dense_array(data: bytes, start: int, close: int) -> np.ndarray | None:
             # The whole elements within _CHUNK bytes, or one longer element.
             cut = data.rfind(boundary, begin, begin + _CHUNK)
             if cut < 0:
-                cut = data.find(boundary, begin + _CHUNK - len(boundary), close)
+                after = max(begin, begin + _CHUNK - len(boundary))
+                cut = data.find(boundary, after, close)
             end = close - 1 if cut < 0 else cut + ndim - 1
         chunk = data[begin:end]
         skeleton = chunk.translate(None, _NUMBER_BYTES)
         elements, rest = divmod(len(skeleton) + 1, len(unit) + 1)
-        if rest or skeleton != b",".join([unit] * elements):
+        laid_out = not rest and skeleton == b",".join([unit] * elements)
+        del skeleton  # so one chunk's work is held at a time
+        if laid_out and _scan_chunk(chunk, rows[done:done + elements].reshape(-1)):
+            done += elements
+            if ndim > 3:
+                pieces.append(b",".join([b"NaN"] * elements))
+        elif ndim < 4:
             return None
-        del skeleton
-        # A grammar test looks at most three bytes across a cut.
-        if not _json_numbers(data, max(begin - 3, start), min(end + 3, close)):
-            return None
-        parsed = _chunk_values(chunk)
-        if parsed is None or parsed.size != elements * rows.shape[1]:
-            return None
-        rows[done:done + elements] = parsed.reshape(elements, -1)
-        del chunk, parsed  # so one chunk's work is held at a time
-        done, begin = done + elements, end + 1
-    return values
+        else:
+            pieces.append(chunk)
+        begin = end + 1
+    if ndim < 4:
+        return b"NaN", [values]
+    if not done:
+        return None
+    return b"[" + b",".join(pieces) + b"]", [_nest(v) for v in values[:done]]
+
+
+def _scan_chunk(chunk: bytes, out: np.ndarray) -> bool:
+    """Write the numbers of ``chunk``, scanned in blocks of about ``_BLOCK``
+    bytes cut at commas, into ``out``; False when one fails ``_scan_block``,
+    they do not fill the fields of its checked layout, or one is not finite."""
+    if chunk[:1] != b"[" or chunk[-1:] != b"]":
+        return False  # a number before the first bracket or after the last
+    integer = not any(byte in chunk for byte in (b".", b"e", b"E", b"+"))
+    a, parts, begin, last = np.frombuffer(chunk, np.uint8), [], 0, len(chunk) - 1
+    while begin < last:
+        end = chunk.find(b",", begin + _BLOCK)
+        end = last if end < 0 else end
+        parts.append(_scan_block(a[begin:end + 1], integer))
+        if parts[-1] is None:
+            return False
+        begin = end
+    if any(part is True for part in parts):
+        try:
+            values = np.loadtxt(_lines(chunk), delimiter=",", ndmin=1).reshape(-1)
+        except ValueError:
+            return False
+    else:
+        values = np.concatenate(parts)
+    # 1e999 and huge integers keep their diagnostics.
+    if values.size != out.size or not np.isfinite(values).all():
+        return False
+    out[:] = values
+    return True
+
+
+def _scan_block(a: np.ndarray, integer: bool):
+    """The numbers in ``a``, a chunk's bytes from a bracket or comma to one,
+    when each is an integer of one digit after at most a '-', else True,
+    for np.loadtxt; None when one is no JSON number that float() reads as
+    json.loads does (float() reads '+1', '1.', '.5', '01', '1-2', and -0
+    as -0.0) or is out of place. ``integer`` says the chunk has no '.',
+    'e', 'E' or '+'. The tests are predicates on the bytes around tokens."""
+    d = a - np.uint8(48)  # a digit's value; 10 or more for any other byte
+    digit, minus = d < 10, a == 45
+    opens = (a[:-1] == 44) | (a[:-1] == 91)
+    bad = (opens[:-1] & (a[1:-1] == 48) & digit[2:]).any()  # a leading zero
+    if integer:  # '-' starts a token, before 1-9; no token after ']' or before '['
+        bad = (bad or (minus[1:-1] & ~(opens[:-1] & (d[2:] - np.uint8(1) < 9))).any()
+               or ((a[:-1] == 93) & (digit[1:] | minus[1:])).any()
+               or (digit[:-1] & (a[1:] == 91)).any())
+    else:  # '+' only after e or E, '.' between digits, '-0' only before '.', e, E;
+        # np.loadtxt strips blanks around a field, so a number that touches a
+        # bracket ('0]5', '5[1') leaves a blank inside a field, which it fails.
+        bad = (bad or ((a[1:] == 43) & ((a[:-1] | 32) != 101)).any()
+               or ((a[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any()
+               or (opens[:-2] & minus[1:-2] & (a[2:-1] == 48)
+                   & (digit[3:] | (a[3:] == 44) | (a[3:] == 93))).any())
+    if bad:
+        return None
+    if not integer or (digit[:-1] & digit[1:]).any():
+        return True  # a decimal, or an integer of more than one digit
+    # Each token is one digit, after at most a sign.
+    signed = d[1:].view(np.int8) * (1 - 2 * minus[:-1].view(np.int8))
+    return signed[np.flatnonzero(digit[1:])]
 
 
 def _lines(chunk: bytes):
-    """The lines np.loadtxt reads for a checked chunk: one per matrix row,
-    with its brackets blanked, made one at a time.
-
-    Short lines keep np.loadtxt's line buffer small, and making them one
-    at a time keeps a second copy of the chunk out of memory. np.loadtxt
-    strips blanks around each field, so a bracket blanked between two
-    numbers ("0]5", "5[1", which the skeleton cannot show) fails it.
-    """
+    """The lines np.loadtxt reads for a chunk: one per matrix row, brackets
+    blanked, made one at a time so no second copy of the chunk is held."""
     start = 0
     while (end := chunk.find(b"]],[[", start)) >= 0:
         yield chunk[start:end].translate(_BLANK_BRACKETS)
         start = end + 5
     yield chunk[start:].translate(_BLANK_BRACKETS)
-
-
-def _chunk_values(chunk: bytes) -> np.ndarray | None:
-    """The numbers of a checked chunk of a run in text order; None when
-    np.loadtxt rejects one or one is not finite.
-
-    A chunk of integers alone is parsed as int64, which np.loadtxt reads
-    faster than float64, and as float64 when one does not fit. int64 ->
-    float64 rounds to nearest, as float() does on the decimal text.
-    """
-    if b"." not in chunk and b"e" not in chunk and b"E" not in chunk:
-        try:
-            return np.loadtxt(_lines(chunk), delimiter=",", ndmin=1, dtype=np.int64)
-        except ValueError:
-            pass
-    try:
-        values = np.loadtxt(_lines(chunk), delimiter=",", ndmin=1)
-    except ValueError:
-        return None
-    # 1e999 and huge integers keep their diagnostics.
-    return values if np.isfinite(values).all() else None
 
 
 def _nest(values: np.ndarray):
@@ -564,13 +553,11 @@ def _bulk_loads(data: bytes):
     read in bulk.
 
     A run starts at a '[' and ends at the last ']' before the first byte
-    that no number, bracket, comma or whitespace has. The runs that pass
-    are replaced by ``NaN``, a constant json.loads hands to
-    ``parse_constant``, which returns them in text order. A text that
-    spells NaN or Infinity itself, or a run inside a string, sends the
-    whole text to json.loads. A run is read chunk by chunk straight into
-    its array (``_dense_array``), so the reader holds the bytes, the
-    arrays and one chunk's work at a time.
+    that no number, bracket, comma or whitespace has. The arrays read in
+    bulk (``_dense_array``) are replaced by ``NaN``, a constant json.loads
+    hands to ``parse_constant``, which returns them in text order. A text
+    that spells NaN or Infinity itself, or a run inside a string, sends
+    the whole text to json.loads.
     """
     outside = data.translate(_OUTSIDE_RUN)
     spans = []
@@ -585,10 +572,10 @@ def _bulk_loads(data: bytes):
     del outside
     pieces, arrays, last = [], [], 0
     for start, close in spans:
-        values = _dense_array(data, start, close)
-        if values is not None:
-            pieces += (data[last:start], b"NaN")
-            arrays.append(_nest(values))
+        dense = _dense_array(data, start, close)
+        if dense is not None:
+            pieces += (data[last:start], dense[0])
+            arrays += dense[1]
             last = close
     pieces.append(data[last:])
     skeleton = b"".join(pieces)

@@ -718,6 +718,23 @@ def test_qec_recover_builds_one_compressed_map(tmp_path, capsys, monkeypatch):
     assert max(rep["max_deviation"], rep["certified_deviation"]) <= 1e-12
 
 
+def test_qec_recover_checks_and_images_the_errors_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # Recovery synthesis and verification share one checked error list
+    # and its images E_b W.
+    calls = {"_error_list": 0, "_code_images": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(qec, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(qec, name, counted)
+    cpath, epath = bit_flip_docs(tmp_path, [3.0, 1.0])
+    code, out, _ = run_cli(capsys, "--json", "qec", "recover", cpath, epath)
+    assert code == 0 and json.loads(out)["recovered"]
+    assert calls == {"_error_list": 1, "_code_images": 1}
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_qec_recover_without_samples_exits_1(tmp_path, capsys, samples):
     cpath, epath = bit_flip_docs(tmp_path)

@@ -82,7 +82,9 @@ def _reader(matrix, vector):
     """Reads the test format {"m": matrix, "v": vector, "k": [matrices]}."""
 
     def read(doc):
-        if not isinstance(doc.get("k"), list):
+        # A dense run of one matrix's shape lands as an array, which
+        # stands for the list it spells (as in serialize._matrix_list).
+        if not isinstance(doc.get("k"), (list, np.ndarray)):
             raise FormatError("doc: k must be an array")
         return ([matrix(doc.get("m"), "doc.m"), vector(doc.get("v"), "doc.v")]
                 + [matrix(x, f"doc.k[{i}]") for i, x in enumerate(doc["k"])])
@@ -219,7 +221,8 @@ def test_each_grammar_trap_matches_reference_route(tmp_path, token):
 
 
 @pytest.mark.parametrize("matrix", [
-    "[[[1,0]5,[2,3]]]", "[[5[1,0]]]", "[[[1,0]] 5]", "[[[1,0],,[2,3]]]",
+    "[[[1,0]5,[2,3]]]", "[[5[1,0]]]", "[[[1.5,0]5,[2,3]]]", "[[5[1.5,0]]]",
+    "[[[1,0]] 5]", "[[[1,0],,[2,3]]]",
     "[[[1,0]],[]]", "[[[1, 0], [2 3]]]", "[[[1,0]],[[1,0]]", "[[[1,0]][[1,0]]]",
     "[[[1,-0],[2e-05,3]]]", "[ [ [1 ,0] ] ]", "[[[1,0],[2,3]],[[4,5,6],[7]]]",
     # Dense arrays of the wrong depth: a vector, and four axes.
@@ -246,14 +249,18 @@ def test_leading_bytes_match_reference_route(tmp_path, prefix):
     ("0", True), ("-0.5", True), ("10", True), ("1e-05", True), ("1e+5", True),
 ])
 def test_grammar_tests_see_across_block_boundaries(token, valid):
-    # The byte tests run in blocks; put the token at every offset around
-    # the first block boundary of a long run.
+    # The scanner reads a chunk in blocks cut at commas; put the token at
+    # every offset around the first block boundary of a long run.
     pairs = b",[1,1]" * ((serialize._BLOCK - 100) // 6)
     for at in range(serialize._BLOCK - 8, serialize._BLOCK + 4):
         head = b"[[" + b"1" * (at - len(pairs) - 7) + b",1]"
         run = head + pairs + b",[" + token.encode() + b",1]]"
         assert run[at:at + len(token)] == token.encode()
-        assert serialize._json_numbers(run, 0, len(run)) is valid
+        chunk = run[1:-1]  # the run's elements, as a chunk holds them
+        out = np.empty(2 * chunk.count(b"["))
+        assert serialize._scan_chunk(chunk, out) is valid
+        if valid:
+            assert out[-2] == float(token)
 
 
 @pytest.mark.parametrize("token", _INTEGERS,
@@ -270,8 +277,9 @@ def test_integer_runs_match_reference_route(tmp_path, token, text):
 
 
 def test_integer_runs_across_cast_chunks_match_reference_route(tmp_path):
-    # Runs of more than one chunk of text, each chunk parsed as int64 and
-    # cast into the run's array, with values that doubles round.
+    # Runs of more than one chunk of text, each chunk of multi-digit
+    # integers parsed by np.loadtxt into the run's array, with values that
+    # doubles round.
     rng = np.random.default_rng(152)
     m = rng.integers(-2 ** 63, 2 ** 63 - 1, size=(serialize._CHUNK // 256, 10, 2),
                      endpoint=True).tolist()
@@ -281,6 +289,68 @@ def test_integer_runs_across_cast_chunks_match_reference_route(tmp_path):
     bulk, reference = _both_routes(str(path))
     assert isinstance(bulk, list) and bulk == reference
     assert isinstance(serialize.load_document(str(path))["m"], np.ndarray)
+
+
+# Integer tokens of one digit, which the scanner converts, and of more,
+# which np.loadtxt converts; and malformed ones that float() or int() read
+# but json.loads refuses or reads differently.
+_SCANNED_INTEGERS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-10 ** 18 + 1, 10 ** 18 - 1),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([2 ** 53 + 1, -2 ** 63, 2 ** 63, 10 ** 18, 10 ** 19 + 1]),
+).map(str)
+_MALFORMED_INTEGERS = st.sampled_from(
+    ["01", "-01", "00", "-0", "+1", "1-2", "--1", "-", "", "1" * 400, "0-", "-00"])
+
+
+@st.composite
+def _integer_documents(draw):
+    """Test documents whose runs hold integers only, a few malformed."""
+    token = st.one_of(*[_SCANNED_INTEGERS] * 9, _MALFORMED_INTEGERS)
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def pairs(count):
+        return ",".join(f"[{draw(token)},{draw(token)}]" for _ in range(count))
+
+    def matrix():
+        return "[" + ",".join(f"[{pairs(cols)}]" for _ in range(rows)) + "]"
+
+    k = ",".join(matrix() for _ in range(draw(st.integers(1, 3))))
+    v = pairs(draw(st.integers(1, 5)))
+    return '{"k": [%s], "m": %s, "v": [%s]}' % (k, matrix(), v)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_integer_documents(), chunk=st.integers(1, 64), block=st.integers(1, 24))
+def test_scanned_integer_runs_match_reference_route(tmp_path, text, chunk, block):
+    # Small chunks and blocks put tokens at every offset around their cuts.
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_CHUNK", chunk)
+        mp.setattr(serialize, "_BLOCK", block)
+        bulk, reference = _both_routes(str(path))
+    assert bulk == reference
+
+
+@pytest.mark.parametrize("token", ["7", "-7", "0", "10", "-10", str(10 ** 18 - 1),
+                                   str(2 ** 63), "01", "-0", "+1", "1-2", "--1",
+                                   "-", ""], ids=lambda t: t or "empty")
+def test_integer_tokens_at_every_pair_of_a_scanned_vector(tmp_path, monkeypatch,
+                                                          token):
+    # Blocks of 5 bytes cut the run every pair or two, so the token sits
+    # first, last and inside a block, and next to a chunk cut.
+    pairs = [[1, -1]] * 12
+    monkeypatch.setattr(serialize, "_BLOCK", 5)
+    for i in range(len(pairs)):
+        path = tmp_path / f"doc{i}.json"
+        text = json.dumps({"m": [[[1, 0]]], "v": pairs, "k": []}, separators=(",", ":"))
+        at = text.index('"v"') + 5 + 7 * i + 1
+        path.write_text(text[:at] + token + text[at + 1:])
+        bulk, reference, _ = _chunked_routes(monkeypatch, path, chunk=15)
+        assert bulk == reference
 
 
 # --- runs read in chunks ------------------------------------------------------
@@ -296,15 +366,15 @@ def _chunk_doc(count=6, rows=3, pairs=40):
 def _chunked_routes(monkeypatch, path, chunk=16):
     """Both routes' outcomes with ``chunk`` bytes per chunk, and the number
     of chunks the bulk route parsed."""
-    parse = serialize._chunk_values
+    scan = serialize._scan_chunk
     calls = []
 
-    def counted(text):
+    def counted(text, out):
         calls.append(len(text))
-        return parse(text)
+        return scan(text, out)
 
     monkeypatch.setattr(serialize, "_CHUNK", chunk)
-    monkeypatch.setattr(serialize, "_chunk_values", counted)
+    monkeypatch.setattr(serialize, "_scan_chunk", counted)
     bulk, reference = _both_routes(str(path))
     return bulk, reference, len(calls)
 
@@ -454,6 +524,53 @@ def test_load_document_peak_is_text_output_and_a_few_chunks(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(np.stack(doc["kraus"]).view(complex)[..., 0], kraus)
     assert peak <= kraus.nbytes + path.stat().st_size + 4 * serialize._CHUNK
+
+
+def test_load_document_peak_for_matrices_longer_than_a_chunk(tmp_path):
+    # Phased nine-qubit Paulis, as in an error list of the Shor code: each
+    # matrix's text is longer than a chunk, so a chunk holds one matrix.
+    rng = np.random.default_rng(155)
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1, -1])]
+    ops = []
+    for _ in range(4):
+        op = np.array([[1j ** rng.integers(4)]])
+        for which in rng.integers(0, 4, size=9):
+            op = np.kron(op, paulis[which])
+        ops.append(op)
+    kraus = np.stack(ops)
+    path = tmp_path / "k.json"
+    path.write_text(serialize.canonical_dumps({"kraus": kraus}))
+    assert path.stat().st_size > 4 * serialize._CHUNK
+    tracemalloc.start()
+    try:
+        doc = serialize.load_document(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.stack(doc["kraus"]).view(complex)[..., 0], kraus)
+    assert peak <= kraus.nbytes + path.stat().st_size + 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("bad, at, lists", [
+    ("[0,-0]", 0, [0]), ("[0,-0]", 3, [3]), ("[0,1,2]", 3, [3]), ("[0]", 5, [5]),
+    # 'true' ends the run's span: the matrices after it start a new span
+    # in the middle of the run, which json.loads reads.
+    ("[0,true]", 3, [3, 4, 5]), ("[0,true]", 5, [5]),
+])
+def test_bad_element_of_a_run_of_matrices_alone_leaves_the_bulk_route(
+        tmp_path, monkeypatch, bad, at, lists):
+    # One matrix of "k" per chunk: the others still land as arrays, and
+    # the walk of the bad one names the entry the plain tree names.
+    doc = _chunk_doc()
+    doc["k"][at][-1][-1] = [777, 777]
+    path = tmp_path / "doc.json"
+    path.write_text(serialize.canonical_dumps(doc).replace("[777,777]", bad))
+    bulk, reference, _ = _chunked_routes(monkeypatch, path)
+    assert bulk == reference
+    k = serialize.load_document(str(path))["k"]
+    assert [type(m) for m in k] == [list if i in lists else np.ndarray
+                                    for i in range(6)]
 
 
 @pytest.mark.parametrize("data", [
