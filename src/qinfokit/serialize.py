@@ -7,11 +7,12 @@ serialize -> parse -> serialize is byte-identical.
 
 A document is read as bytes, once (``load_document``). Each bracketed
 run of numbers that holds a dense array of [re, im] pairs (a vector, a
-matrix, or matrices nested in arrays) is read into one float64 array in
-chunks of whole outermost elements, up to ``_CHUNK`` bytes each, so the
-reader holds the bytes, the arrays and one chunk's work at a time; one
-numpy scan of a chunk's bytes checks its numbers' JSON grammar and
-converts one-digit integers, other numbers go through ``np.loadtxt``, and
+matrix, or matrices nested in arrays) is read from its opening bracket
+to its own closing one, in chunks of whole outermost elements of up to
+``_CHUNK`` bytes, with no pass over the whole text first; the reader
+holds the bytes, the arrays and one chunk's work at a time. One numpy
+scan of a chunk's bytes checks its numbers' JSON grammar and converts
+one-digit integers, other numbers go through ``np.loadtxt``, and
 ``json.loads`` reads the rest of the text. A vector lands in the tree as
 an (n, 2) array and a matrix as an (rows, cols, 2) array, which
 ``vector_from_doc`` and ``matrix_from_doc`` view as complex without a
@@ -178,10 +179,10 @@ def _pair_to_complex(obj, where: str) -> complex:
 def _from_bulk(obj, ndim: int):
     """``obj`` as a reader takes it: a bulk-read float64 array of [re, im]
     pairs with ``ndim`` axes as a complex view without the last axis; any
-    other array, or a list that ``_nest`` split one into, as the nested
-    lists json.loads reads from its text, for the per-entry walk; any
-    other value as it is."""
-    if isinstance(obj, list) and obj and isinstance(obj[0], np.ndarray):
+    other array, or a list that holds one (as a list ``_nest`` split one
+    into does), as the nested lists json.loads reads from its text, for
+    the per-entry walk; any other value as it is."""
+    if isinstance(obj, list) and any(isinstance(x, np.ndarray) for x in obj):
         return [x.tolist() if isinstance(x, np.ndarray) else x for x in obj]
     if not isinstance(obj, np.ndarray):
         return obj
@@ -360,11 +361,10 @@ def graph_from_edge_list(text: str) -> Graph:
 
 # --- the bulk route -----------------------------------------------------------
 
-_RUN_BYTES = b"-+.0123456789eE,[] \t\n\r"
-# Maps each byte that cannot be part of a run of numbers to 1, others to 0.
-_OUTSIDE_RUN = bytes(byte not in _RUN_BYTES for byte in range(256))
 _NUMBER_BYTES = b"-+.0123456789eE"
 _WHITESPACE = b" \t\n\r"
+# The bytes of a run laid out with whitespace, which is read stripped of it.
+_SPACED_RUN = re.compile(rb"[-+.0-9eE,\[\] \t\n\r]*")
 # Whitespace between two number characters would join two numbers.
 _SPLIT_NUMBER = re.compile(rb"[-+.0-9eE][ \t\n\r]+[-+.0-9eE]")
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
@@ -373,7 +373,7 @@ _MAX_NDIM = 32
 # Bytes of a chunk scanned at a time, so the scanner's masks stay in cache.
 _BLOCK = 1 << 16
 # Bytes of text per chunk of a run (whole outermost elements): a run is read
-# one chunk at a time into its array, so no copy of the whole run is made.
+# one chunk at a time, so no copy of the whole run is made.
 _CHUNK = 1 << 20
 
 
@@ -401,69 +401,80 @@ def _skeleton(shape: tuple) -> bytes:
     return text
 
 
-def _dense_array(data: bytes, start: int, close: int) -> tuple | None:
-    """The text that stands for the run of numbers ``data[start:close]``
-    and the values of its NaNs in text order; None when no part of it
-    takes the bulk route. The layout of an outermost element comes from
-    the first one. The run is read in chunks of whole outermost elements,
-    at most ``_CHUNK`` bytes each unless one element is longer, each
-    checked and scanned into its rows of the array. A vector or matrix
+def _dense_array(data: bytes, start: int) -> tuple:
+    """(close, text, arrays) for the run of numbers that opens at
+    ``data[start]``: ``text`` stands for ``data[start:close]`` (None when
+    no part of it takes the bulk route) and ``arrays`` are the values of
+    its NaNs in text order. The run is read in chunks of whole outermost
+    elements and ends at its own closing bracket, where the byte after an
+    element is not ','. The search for the end of an element longer than
+    a chunk starts at its least length: its skeleton plus one byte per
+    number. The layout comes from the first element (in a run of
+    matrices, from the second if the first has none). A vector or matrix
     stands as one NaN; in a run of matrices each element of a chunk that
-    passes does, and a chunk that fails stays as text."""
-    if any(data.find(space, start, close) >= 0 for space in _WHITESPACE):
-        if _SPLIT_NUMBER.search(data, start, close):
-            return None
-        data = data[start:close].translate(None, _WHITESPACE)
-        start, close = 0, len(data)
-    head = data[start:min(close, start + _MAX_NDIM + 1)]
+    passes does, and a chunk that fails stays as text. A run with
+    whitespace in its first bytes is read from its run bytes, stripped."""
+    head = data[start:start + _MAX_NDIM + 1]
+    if any(space in head for space in _WHITESPACE):
+        stop = _SPACED_RUN.match(data, start).end()
+        close = data.rfind(b"]", start, stop) + 1
+        if close <= start or _SPLIT_NUMBER.search(data, start, close):
+            return max(close, start + 1), None, []
+        run = data[start:close].translate(None, _WHITESPACE)
+        end, text, arrays = _dense_array(run, 0)
+        return (close, text, arrays) if end == len(run) else (close, None, [])
     ndim = len(head) - len(head.lstrip(b"["))
     if not 2 <= ndim <= _MAX_NDIM:
-        return None
+        return start + 1, None, []
     inner = b"]" * (ndim - 1)
-    first = data.find(inner, start, close)
-    if first < 0:
-        return None
-    unit = data[start + 1:first + ndim - 1].translate(None, _NUMBER_BYTES)
-    shape = _shape_of(b"[" + unit + b"]", ndim)
-    if shape is None or shape[-1] != 2 or _skeleton(shape[1:]) != unit:
-        return None
-    # Outermost elements meet at ']],[[' with ndim - 1 brackets a side,
-    # which no other place in the array has.
-    boundary = inner + b"," + b"[" * (ndim - 1)
-    count = data.count(boundary, start, close) + 1
-    if count * len(unit) > close - start:
-        return None  # too few bytes for that many elements
-    values = np.empty((count,) + shape[1:])
-    rows, done, begin, pieces = values.reshape(count, -1), 0, start + 1, []
-    while begin < close:
-        if close - begin <= _CHUNK:
-            end = close - 1
+    # The run closes at its first ']' * ndim; its elements meet at ']],[['.
+    shut, boundary = inner + b"]", inner + b"," + b"[" * (ndim - 1)
+    unit, lower, failed, begin, pieces, arrays = None, 0, False, start + 1, [], []
+    while True:
+        reach = begin + max(lower - len(inner), 0)
+        if (unit is None and not failed) or lower > _CHUNK:
+            end = data.find(inner, reach)  # one element: the first, or a long one
         else:
-            # The whole elements within _CHUNK bytes, or one longer element.
-            cut = data.rfind(boundary, begin, begin + _CHUNK)
-            if cut < 0:
-                after = max(begin, begin + _CHUNK - len(boundary))
-                cut = data.find(boundary, after, close)
-            end = close - 1 if cut < 0 else cut + ndim - 1
-        chunk = data[begin:end]
-        skeleton = chunk.translate(None, _NUMBER_BYTES)
-        elements, rest = divmod(len(skeleton) + 1, len(unit) + 1)
-        laid_out = not rest and skeleton == b",".join([unit] * elements)
-        del skeleton  # so one chunk's work is held at a time
-        if laid_out and _scan_chunk(chunk, rows[done:done + elements].reshape(-1)):
-            done += elements
-            if ndim > 3:
-                pieces.append(b",".join([b"NaN"] * elements))
+            end = data.find(shut, begin, begin + _CHUNK)
+            if end < 0:
+                end = data.rfind(boundary, begin, begin + _CHUNK)
+            if end < 0:
+                end = data.find(inner, reach)
+        end = len(data) if end < 0 else end + ndim - 1
+        chunk, laid_out = data[begin:end], False
+        if not failed:
+            skeleton = chunk.translate(None, _NUMBER_BYTES)
+            if unit is None:
+                shape = _shape_of(skeleton, ndim - 1)  # of one element
+                if shape and shape[-1] == 2 and _skeleton(shape) == skeleton:
+                    unit, lower = skeleton, len(skeleton) + math.prod(shape)
+                    if lower <= _CHUNK:
+                        continue  # read the first element with those after it
+            if unit:
+                elements, rest = divmod(len(skeleton) + 1, len(unit) + 1)
+                laid_out = not rest and skeleton == b",".join([unit] * elements)
+            del skeleton  # so one chunk's work is held at a time
+        if laid_out:
+            values = np.empty((elements,) + shape)
+            laid_out = _scan_chunk(chunk, values.reshape(-1))
+        if laid_out:
+            arrays += [values] if ndim < 4 else map(_nest, values)
+            pieces.append(b",".join([b"NaN"] * elements))
         elif ndim < 4:
-            return None
-        else:
+            failed = True  # the run is still read to its end, unscanned
+        else:  # a run of matrices may start with one element with no layout
+            failed = unit is None and bool(pieces)
             pieces.append(chunk)
+        if data[end:end + 1] != b",":
+            break
         begin = end + 1
+    closed = data[end:end + 1] == b"]"
+    close = end + closed
+    if not arrays or (ndim < 4 and (failed or not closed)):
+        return close, None, []
     if ndim < 4:
-        return b"NaN", [values]
-    if not done:
-        return None
-    return b"[" + b",".join(pieces) + b"]", [_nest(v) for v in values[:done]]
+        return close, b"NaN", [np.concatenate(arrays) if len(arrays) > 1 else arrays[0]]
+    return close, b"[" + b",".join(pieces) + b"]" * closed, arrays
 
 
 def _scan_chunk(chunk: bytes, out: np.ndarray) -> bool:
@@ -550,33 +561,22 @@ def _json_loads(data: bytes):
 
 def _bulk_loads(data: bytes):
     """json.loads of the document's bytes ``data``, with each dense array
-    read in bulk.
-
-    A run starts at a '[' and ends at the last ']' before the first byte
-    that no number, bracket, comma or whitespace has. The arrays read in
-    bulk (``_dense_array``) are replaced by ``NaN``, a constant json.loads
-    hands to ``parse_constant``, which returns them in text order. A text
-    that spells NaN or Infinity itself, or a run inside a string, sends
-    the whole text to json.loads.
+    read in bulk. A run starts at a '[' and ends at its own closing
+    bracket (``_dense_array``), and the next is looked for after it, so
+    no pass over the whole text comes first. The arrays read in bulk are
+    replaced by ``NaN``, a constant json.loads hands to ``parse_constant``,
+    which returns them in text order. A text that spells NaN or Infinity
+    itself, or a run inside a string, sends the whole text to json.loads.
     """
-    outside = data.translate(_OUTSIDE_RUN)
-    spans = []
+    pieces, arrays, last = [], [], 0
     start = data.find(b"[")
     while start >= 0:
-        end = outside.find(1, start)
-        if end < 0:
-            end = len(data)
-        # A span without a "]" is empty and holds no array.
-        spans.append((start, data.rfind(b"]", start, end) + 1))
-        start = data.find(b"[", end)
-    del outside
-    pieces, arrays, last = [], [], 0
-    for start, close in spans:
-        dense = _dense_array(data, start, close)
-        if dense is not None:
-            pieces += (data[last:start], dense[0])
-            arrays += dense[1]
+        close, text, found = _dense_array(data, start)
+        if text is not None:
+            pieces += (data[last:start], text)
+            arrays += found
             last = close
+        start = data.find(b"[", close)
     pieces.append(data[last:])
     skeleton = b"".join(pieces)
     if not arrays or skeleton.count(b"NaN") != len(arrays) or b"Infinity" in skeleton:

@@ -554,9 +554,9 @@ def test_load_document_peak_for_matrices_longer_than_a_chunk(tmp_path):
 
 @pytest.mark.parametrize("bad, at, lists", [
     ("[0,-0]", 0, [0]), ("[0,-0]", 3, [3]), ("[0,1,2]", 3, [3]), ("[0]", 5, [5]),
-    # 'true' ends the run's span: the matrices after it start a new span
-    # in the middle of the run, which json.loads reads.
-    ("[0,true]", 3, [3, 4, 5]), ("[0,true]", 5, [5]),
+    # A byte no number has does not end the run; in the first matrix it
+    # leaves the layout to the next one.
+    ("[0,true]", 3, [3]), ("[0,true]", 5, [5]), ("[0,true]", 0, [0]),
 ])
 def test_bad_element_of_a_run_of_matrices_alone_leaves_the_bulk_route(
         tmp_path, monkeypatch, bad, at, lists):
@@ -571,6 +571,57 @@ def test_bad_element_of_a_run_of_matrices_alone_leaves_the_bulk_route(
     k = serialize.load_document(str(path))["k"]
     assert [type(m) for m in k] == [list if i in lists else np.ndarray
                                     for i in range(6)]
+
+
+def _compact(value):
+    return json.dumps(value, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("string", ["]]],[[[", "]]]]", "[[[[0,0]]]]", "NaN", "]],[[",
+                                    "[[0,0]]", "[1,0]"])
+@pytest.mark.parametrize("place", ["value before", "key before", "element",
+                                   "value after", "key after"])
+@pytest.mark.parametrize("chunk", [16, 1 << 20])
+def test_strings_that_spell_run_text_match_reference_route(tmp_path, monkeypatch,
+                                                           string, place, chunk):
+    # A run ends at its own bracket, not at the first byte that no number
+    # has, so a string next to or inside a run is read as text around it.
+    doc = _chunk_doc()
+    k = [_compact(m) for m in doc["k"]]
+    if place == "element":
+        k.insert(3, json.dumps(string))
+    body = '"k":[%s],"m":%s,"v":%s' % (",".join(k), _compact(doc["m"]),
+                                        _compact(doc["v"]))
+    s = json.dumps(string)
+    text = {"value before": '{"a":%s,%s}' % (s, body),
+            "key before": "{%s:0,%s}" % (s, body), "element": "{%s}" % body,
+            "value after": '{%s,"z":%s}' % (body, s),
+            "key after": "{%s,%s:1}" % (body, s)}[place]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    bulk, reference, _ = _chunked_routes(monkeypatch, path, chunk=chunk)
+    assert bulk == reference
+
+
+def test_arrays_that_hold_no_run_are_attempted_once(tmp_path, monkeypatch):
+    # About 10^5 '[' that begin no dense run: an array that is refused is
+    # passed over whole, not attempted again at each '[' inside it.
+    doc = {"ragged": [[1, 2, 3], [4]] * 20000, "strings": [["a", "b"], ["c"]] * 20000,
+           "rows": [[[1, 0]], [[1, 0], [2, 0]]] * 5000,
+           "m": [[[1, 0]]], "v": [[1, 0]], "k": []}
+    path = tmp_path / "doc.json"
+    path.write_text(_compact(doc))
+    assert path.read_text().count("[") > 10 ** 5
+    dense_array, starts = serialize._dense_array, []
+
+    def counted(data, start):
+        starts.append(start)
+        return dense_array(data, start)
+
+    monkeypatch.setattr(serialize, "_dense_array", counted)
+    bulk, reference = _both_routes(str(path))
+    assert isinstance(bulk, list) and bulk == reference
+    assert len(starts) <= len(doc)  # at most one per outermost array
 
 
 @pytest.mark.parametrize("data", [
