@@ -334,6 +334,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if not 0.0 <= args.tol < np.inf:
             parser.error(f"argument --tol: must be finite and >= 0, got {args.tol}")
+        if args.seed < 0:
+            parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

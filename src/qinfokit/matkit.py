@@ -23,11 +23,6 @@ from .errors import DimensionError, NegativeEigenvalue, NotHermitian
 HERM_RTOL = 1e-10
 # Eigenvalues below SUPPORT_RTOL * lambda_max count as exactly zero.
 SUPPORT_RTOL = 1e-12
-# orthonormal_basis's range sketch: its width and seed, and the residual,
-# relative to its rank threshold, up to which it is taken for the range.
-SKETCH_WIDTH = 32
-SKETCH_SEED = 2011
-SKETCH_RTOL = 1e-3
 
 
 class HermEigen(NamedTuple):
@@ -228,52 +223,12 @@ def hs_inner(a, b) -> complex:
     return complex(np.sum(np.conj(a) * b))
 
 
-def _sketched_range(a: np.ndarray, tol: float):
-    """(Q U_B, singular values of B) for B = Q^H A with Q = qr(A Omega),
-    when the sketch certifies itself; None otherwise."""
-    rng = np.random.default_rng(SKETCH_SEED)
-    shape = (a.shape[1], SKETCH_WIDTH)
-    omega = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q, _ = np.linalg.qr(a @ omega)
-    b = dagger(q) @ a
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    # ||A - QB||_F taken over column blocks the size of Q, not from a copy
-    # of A. ||A||_F^2 - ||B||_F^2 would need no blocks, but cancellation
-    # leaves it an error near 1e-8 ||A||, far above the threshold.
-    sq = 0.0
-    for j in range(0, a.shape[1], SKETCH_WIDTH):
-        block = q @ b[:, j:j + SKETCH_WIDTH]
-        block -= a[:, j:j + SKETCH_WIDTH]
-        sq += float(np.vdot(block, block).real)
-    if math.sqrt(sq) > SKETCH_RTOL * tol * s[0]:
-        return None
-    return q @ u, s
-
-
 def orthonormal_basis(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis (as columns) for the numerical span of the columns
-    of A = ``vectors``: the left singular vectors of A whose singular
-    values exceed ``tol`` times the largest.
-
-    When both sides of A exceed ``SKETCH_WIDTH``, a randomized range
-    finder (Halko, Martinsson, Tropp, SIAM Review 53(2), 2011) runs
-    first: Q = qr(A Omega) for one complex Gaussian Omega of
-    ``SKETCH_WIDTH`` columns, drawn from the fixed ``SKETCH_SEED`` so the
-    basis is reproducible, and B = Q^H A. The singular values of B lie
-    within ||A - QB|| below those of A (Weyl's inequality), so when
-    ||A - QB||_F <= SKETCH_RTOL * tol * s_0(B) the rule above, applied to
-    the SVD B = U_B S V^H, keeps the same count as on A (up to a singular
-    value within that margin of the threshold), and Q U_B is returned.
-    When the residual is larger, which happens when the numerical rank of
-    A is near or above the sketch width, the full SVD of A is used.
-    """
+    of ``vectors``: its left singular vectors whose singular values exceed
+    ``tol`` times the largest."""
     vectors = np.asarray(vectors, dtype=complex)
     if vectors.size == 0:
         return vectors.reshape(vectors.shape[0], 0)
-    found = None
-    if min(vectors.shape) > SKETCH_WIDTH:
-        found = _sketched_range(vectors, tol)
-    if found is None:
-        found = np.linalg.svd(vectors, full_matrices=False)[:2]
-    u, s = found
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     return u[:, :int(np.sum(s > tol * s[0]))]

@@ -109,9 +109,22 @@ def _checked_images(w: np.ndarray, errors) -> tuple[list, np.ndarray]:
 
 
 def _normalized_images(code: Code, errors) -> np.ndarray:
-    """E_i W for the normalized error family, as a new m x n x k array."""
+    """E_i W for the normalized error family, as a new m x n x k array.
+    Raises DomainError when every error operator is zero."""
     ops, images = _checked_images(code.isometry, errors)
-    return images / math.sqrt(_family_scale(ops, code.physical_dim))
+    scale = _family_scale(ops, code.physical_dim)
+    if not np.finfo(float).tiny <= scale < math.inf:
+        # The sum of Tr E^dag E under- or overflowed: divide the family by
+        # its largest real or imaginary part first, which leaves the
+        # normalized family as it is. The parts are divided one by one,
+        # as a complex division by a subnormal peak overflows.
+        peak = max(max(np.abs(e.real).max(), np.abs(e.imag).max()) for e in ops)
+        if peak == 0:
+            raise DomainError("errors: every error operator is zero")
+        ops = [e.real / peak + 1j * (e.imag / peak) for e in ops]
+        images = _code_images(code.isometry, ops)
+        scale = _family_scale(ops, code.physical_dim)
+    return images / math.sqrt(scale)
 
 
 def _kl_report(ews: np.ndarray, tol: float) -> KLReport:
@@ -132,8 +145,9 @@ def kl_check(code: Code, errors, tol: float = 1e-8) -> KLReport:
 
     alpha_ij = Tr[W^dag E_i^dag E_j W] / logical_dim after the error list
     is normalized into a trace-preserving family (raw unitary lists get
-    uniform weights); the residual is
-    max_ij || W^dag E_i^dag E_j W - alpha_ij I ||.
+    uniform weights), so the verdict does not depend on the scale of the
+    list; the residual is max_ij || W^dag E_i^dag E_j W - alpha_ij I ||.
+    Raises DomainError when every error operator is zero.
     """
     return _kl_report(_normalized_images(code, errors), tol)
 
@@ -261,6 +275,13 @@ def _compressed_map(recovery: Recovery, noise, probs) -> np.ndarray:
     else:
         ops, images = _checked_images(w, noise)
         images = images * np.sqrt(_uniform_probs(ops, probs))[:, None, None]
+    # sum_b ||K_b W||_F^2, k for a trace-preserving noise, bounds every
+    # entry of J_c; out of range, J_c under- or overflows.
+    weight = float(np.vdot(images, images).real)
+    if not np.finfo(float).tiny <= weight < math.inf:
+        raise DomainError(
+            "noise: its weight on the code space is zero or out of "
+            "floating-point range")
 
     ew = images.swapaxes(0, 1).reshape(n, -1)  # [E_b W], n x mk
     # R_a E_b W = W (V_a W)^dag E_b W: the k x k core (V_a W)^dag E_b W is
@@ -273,7 +294,7 @@ def _compressed_map(recovery: Recovery, noise, probs) -> np.ndarray:
     w_c = dagger(basis) @ w
     # The composed Kraus operators compressed to r x k blocks side by
     # side: the branches w_c (V_a W)^dag E_b W, then B^dag Q E_b W.
-    kraus = np.hstack([*w_c @ cores.reshape(recovery.branches, k, -1),
+    kraus = np.hstack([*w_c @ cores.reshape(recovery.branches, k, ew.shape[1]),
                        dagger(basis) @ completion]).reshape(len(w_c), -1, k)
     return (np.einsum("xci,ycj->ixjy", kraus, kraus.conj())
             - np.einsum("xi,yj->ixjy", w_c, w_c.conj()))
@@ -297,7 +318,9 @@ def verify_recovery(recovery: Recovery, noise, samples: int = 50,
     (uniform by default, normalized to sum 1) that stands for the channel
     with Kraus operators sqrt(p_b) E_b; only the sqrt(p_b) E_b W are
     formed. Raises DomainError for samples < 1, where nothing would be
-    sampled, and for probs given with a Channel.
+    sampled, for probs given with a Channel, and for a noise whose weight
+    sum_b ||K_b W||_F^2 on the code space is zero or out of floating-point
+    range, where the deviations would under- or overflow.
     """
     if samples < 1:
         raise DomainError(f"verification needs samples >= 1, got {samples}")

@@ -810,6 +810,74 @@ def test_zero_and_default_tolerances_are_valid(tmp_path, capsys, tol):
     assert code == 0 and json.loads(out)["recovered"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["tailbound", "--dist", "bernoulli", "--d", "2", "--mu", "0.5", "--n", "3",
+     "--alpha", "0.9", "--trials", "5"],
+    ["randomize", "STATE", "--n-unitaries", "4", "--sampler", "weyl"],
+    ["qec", "recover", "CODE", "ERRORS"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    cpath, epath = bit_flip_docs(tmp_path)
+    state = write_doc(tmp_path / "bell.json", bell_doc())
+    paths = {"STATE": state, "CODE": cpath, "ERRORS": epath}
+    argv = [paths.get(a, a) for a in argv]
+    code, out, err = run_cli(capsys, "--seed", "-1", "--json", *argv)
+    assert code == 2 and out == ""
+    assert "argument --seed: must be >= 0, got -1" in err
+
+
+def bit_flip_code_with(tmp_path, errors):
+    """Documents of the 3-qubit bit-flip code and of an error list."""
+    w = np.zeros((8, 2))
+    w[0, 0] = w[7, 1] = 1.0
+    cpath = write_doc(tmp_path / "code.json", serialize.code_to_doc(qec.Code(8, 2, w)))
+    return cpath, write_doc(tmp_path / "err.json", {
+        "kind": "channel", "din": 8, "dout": 8,
+        "kraus": [np.asarray(e, dtype=complex) for e in errors]})
+
+
+IZ = [np.eye(8), qec.pauli_on(3, 0, "Z")]
+IXXX = [np.eye(8)] + [qec.pauli_on(3, i, "X") for i in range(3)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, -1e200, 1e-200])
+@pytest.mark.parametrize("errors, passes", [(IZ, False), (IXXX, True), (IXXX[:1], True)])
+def test_qec_check_verdict_does_not_depend_on_the_scale_of_the_errors(
+        tmp_path, capsys, scale, errors, passes):
+    paths = bit_flip_code_with(tmp_path, [scale * e for e in errors])
+    code, out, err = run_cli(capsys, "--json", "qec", "check", *paths)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["passes"] is passes
+    assert report["alpha_trace"] == pytest.approx(1.0, abs=1e-12)
+    assert report["max_residual"] == pytest.approx(0.0 if passes else 2 ** -0.5,
+                                                   abs=1e-12)
+
+
+KL_VIOLATED = "correctability residual 7.071e-01 > 1.0e-08"
+ALL_ZERO = "errors: every error operator is zero"
+OUT_OF_RANGE = "noise: its weight on the code space is zero or out of floating-point range"
+
+
+@pytest.mark.parametrize("command, scale, errors, error, reason", [
+    ("recover", 1e200, IZ, "KLViolated", KL_VIOLATED),
+    ("recover", 1e-200, IZ, "KLViolated", KL_VIOLATED),
+    ("recover", 1e200, IXXX, "DomainError", OUT_OF_RANGE),
+    ("recover", 1e-200, IXXX[:1], "DomainError", OUT_OF_RANGE),
+    ("check", 0.0, IXXX[:1], "DomainError", ALL_ZERO),
+    ("recover", 0.0, IXXX[:1], "DomainError", ALL_ZERO),
+    ("check", 0.0, IZ, "DomainError", ALL_ZERO),
+    ("recover", 0.0, IZ, "DomainError", ALL_ZERO),
+])
+def test_qec_on_scaled_errors_exits_1_with_a_reason(tmp_path, capsys, command,
+                                                    scale, errors, error, reason):
+    # qec recover also refuses noise whose deviation it cannot represent.
+    paths = bit_flip_code_with(tmp_path, [scale * e for e in errors])
+    code, out, err = run_cli(capsys, "--json", "qec", command, *paths)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": error, "reason": reason}
+
+
 @pytest.mark.parametrize("kind, reason", [
     ("missing", "No such file or directory"),
     ("directory", "Is a directory"),

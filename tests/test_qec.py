@@ -94,6 +94,59 @@ def test_build_recovery_rejects_uncorrectable():
                                                qec.pauli_on(3, 0, "Z")])
 
 
+SCALES = [1e200, -1e200, 1e-200, -1e-200, 1e-320]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_kl_verdict_does_not_depend_on_the_scale_of_the_errors(scale):
+    # Tr E^dag E of the scaled families over- or underflows.
+    code = repetition_code()
+    uncorrectable = [np.eye(8), qec.pauli_on(3, 0, "Z")]
+    for errors, passes in ((uncorrectable, False), (bit_flips(), True)):
+        want = qec.kl_check(code, errors)
+        got = qec.kl_check(code, [scale * e for e in errors])
+        assert got.passes is want.passes is passes
+        assert got.max_residual == pytest.approx(want.max_residual, abs=1e-12)
+        assert np.abs(got.alpha - want.alpha).max() <= 1e-12
+    with pytest.raises(KLViolated, match="residual 7.071e-01"):
+        qec.build_recovery(code, [scale * e for e in uncorrectable])
+    want = qec.build_recovery(code, bit_flips())
+    got = qec.build_recovery(code, [scale * e for e in bit_flips()])
+    assert got.branches == want.branches == 4
+    np.testing.assert_allclose(got.branch_images @ dagger(got.branch_images),
+                               want.branch_images @ dagger(want.branch_images),
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("errors", [[np.zeros((8, 8))],
+                                    [np.zeros((8, 8)), np.zeros((8, 8))]])
+def test_all_zero_errors_raise_domain_error(errors):
+    with pytest.raises(DomainError, match="every error operator is zero"):
+        qec.kl_check(repetition_code(), errors)
+    with pytest.raises(DomainError, match="every error operator is zero"):
+        qec.build_recovery(repetition_code(), errors)
+
+
+@pytest.mark.parametrize("scale", SCALES + [0.0])
+def test_verify_recovery_refuses_noise_out_of_range(scale):
+    # The deviation of noise scaled by 1e200 is near 1e400, and noise
+    # scaled by 1e-200 underflows to the zero map.
+    rec = qec.build_recovery(repetition_code(), bit_flips())
+    with pytest.raises(DomainError, match="out of floating-point range"):
+        qec.verify_recovery(rec, [scale * e for e in bit_flips()])
+
+
+def test_recovery_without_branches_verifies():
+    # Every error annihilates the code space: alpha = 0, no branch is
+    # kept, and the recovery is its completion Q = I alone.
+    code = repetition_code()
+    off_code = np.diag([0.0, 1, 1, 1, 1, 1, 1, 0])
+    rec = qec.build_recovery(code, [off_code])
+    assert rec.branches == 0 and rec.kraus_count == 1
+    check = qec.verify_recovery(rec, [np.eye(8)], samples=5)
+    assert check.max_deviation <= 1e-12 and check.certified_deviation <= 1e-12
+
+
 def test_verify_recovery_detects_outside_noise():
     code = repetition_code()
     rec = qec.build_recovery(code, bit_flips())
