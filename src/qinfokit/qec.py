@@ -72,59 +72,86 @@ def _error_list(errors) -> list[np.ndarray]:
     return ops
 
 
-def _family_scale(ops, n: int) -> float:
-    """Tr[sum E_i^dag E_i] / n: 1 for a Kraus family of a channel, m for a
-    list of m raw unitaries; dividing by it makes either convention yield
-    the proof's trace-one alpha matrix."""
-    total = sum(float(np.vdot(e, e).real) for e in ops)  # Tr E^dag E
-    return total / n
-
-
-def _code_images(w: np.ndarray, ops) -> np.ndarray:
-    """E_i W, stacked as m x n x k."""
-    n = len(w)
+def _checked_errors(errors, n: int | None = None) -> tuple[list, np.ndarray]:
+    """The checked n x n error list E_b (n is the first one's size when
+    None) and its traces Tr E_b^dag E_b."""
+    ops = _error_list(errors)
+    n = len(ops[0]) if n is None else n
     for e in ops:
         if e.shape != (n, n):
             raise DimensionError(f"error operator {e.shape} != ({n}, {n})")
+    return ops, np.array([np.vdot(e, e).real for e in ops])
+
+
+def _noise_scale(traces: np.ndarray, n: int, probs) -> tuple[np.ndarray, float]:
+    """(sqrt(p_b), c) for an error list E_b whose traces Tr E_b^dag E_b are
+    ``traces``, which stands for the noise sum_b p_b E_b rho E_b^dag / c
+    with c = Tr[sum_b p_b E_b^dag E_b] / n and p_b = 1 when ``probs`` is
+    None. c is 1 for the Kraus operators of a channel and sum_b p_b for
+    unitaries, so either reads as a trace-preserving noise; the p_b are
+    divided by their largest first, which leaves the noise as it is.
+    Raises DimensionError or ProbabilityError for probabilities that do not
+    fit the list."""
+    m = len(traces)
+    if probs is None:
+        p = np.ones(m)
+    else:
+        p = np.asarray(probs, dtype=float)
+        if p.shape != (m,):
+            raise DimensionError("probabilities must match the error list")
+        if np.any(p < 0):
+            raise ProbabilityError("probabilities must be nonnegative")
+        total = p.sum()
+        if not (np.isfinite(total) and total > 0):
+            raise ProbabilityError("probabilities must have a positive finite sum")
+        p = p / p.max()
+    return np.sqrt(p), float(p @ traces) / n
+
+
+def _in_range(scale: float) -> bool:
+    return np.finfo(float).tiny <= scale < math.inf
+
+
+def _code_images(w: np.ndarray, ops) -> np.ndarray:
+    """E_b W, stacked as m x n x k."""
     return np.stack([e @ w for e in ops])
 
 
 class _ImagedErrors(list):
-    """A checked error list with its images E_i W under one isometry W,
-    which ``build_recovery`` and ``verify_recovery`` take for that W
-    without checking or imaging the errors again."""
+    """A checked error list with its traces Tr E_b^dag E_b and its images
+    E_b W under one isometry W, which ``build_recovery`` and
+    ``verify_recovery`` take for that W without checking or imaging the
+    errors again."""
 
     def __init__(self, w: np.ndarray, errors):
-        ops, self.images = _checked_images(w, errors)
+        ops, self.traces = _checked_errors(errors, len(w))
         super().__init__(ops)
         self.isometry = w
+        self.images = _code_images(w, ops)
 
 
-def _checked_images(w: np.ndarray, errors) -> tuple[list, np.ndarray]:
-    """The checked error list E_i and its images E_i W (m x n x k)."""
+def _imaged(w: np.ndarray, errors) -> _ImagedErrors:
     if isinstance(errors, _ImagedErrors) and errors.isometry is w:
-        return errors, errors.images
-    ops = _error_list(errors)
-    return ops, _code_images(w, ops)
+        return errors
+    return _ImagedErrors(w, errors)
 
 
-def _normalized_images(code: Code, errors) -> np.ndarray:
-    """E_i W for the normalized error family, as a new m x n x k array.
-    Raises DomainError when every error operator is zero."""
-    ops, images = _checked_images(code.isometry, errors)
-    scale = _family_scale(ops, code.physical_dim)
-    if not np.finfo(float).tiny <= scale < math.inf:
-        # The sum of Tr E^dag E under- or overflowed: divide the family by
-        # its largest real or imaginary part first, which leaves the
-        # normalized family as it is. The parts are divided one by one,
-        # as a complex division by a subnormal peak overflows.
-        peak = max(max(np.abs(e.real).max(), np.abs(e.imag).max()) for e in ops)
+def _normalized_images(w: np.ndarray, errors) -> np.ndarray:
+    """E_b W / sqrt(c) for the error family normalized as in
+    ``_noise_scale`` with p_b = 1, as a new m x n x k array. When c under-
+    or overflows, the family is divided by its largest real or imaginary
+    part first, which leaves the normalized family as it is; the parts are
+    divided one by one, as a complex division by a subnormal peak
+    overflows. Raises DomainError when every error operator is zero."""
+    imaged = _imaged(w, errors)
+    _, scale = _noise_scale(imaged.traces, len(w), None)
+    if not _in_range(scale):
+        peak = max(max(np.abs(e.real).max(), np.abs(e.imag).max()) for e in imaged)
         if peak == 0:
             raise DomainError("errors: every error operator is zero")
-        ops = [e.real / peak + 1j * (e.imag / peak) for e in ops]
-        images = _code_images(code.isometry, ops)
-        scale = _family_scale(ops, code.physical_dim)
-    return images / math.sqrt(scale)
+        imaged = _ImagedErrors(w, [e.real / peak + 1j * (e.imag / peak) for e in imaged])
+        _, scale = _noise_scale(imaged.traces, len(w), None)
+    return imaged.images / math.sqrt(scale)
 
 
 def _kl_report(ews: np.ndarray, tol: float) -> KLReport:
@@ -144,12 +171,14 @@ def kl_check(code: Code, errors, tol: float = 1e-8) -> KLReport:
     """Check P E_i^dag E_j P = alpha_ij P on the code space.
 
     alpha_ij = Tr[W^dag E_i^dag E_j W] / logical_dim after the error list
-    is normalized into a trace-preserving family (raw unitary lists get
-    uniform weights), so the verdict does not depend on the scale of the
-    list; the residual is max_ij || W^dag E_i^dag E_j W - alpha_ij I ||.
-    Raises DomainError when every error operator is zero.
+    is normalized into a trace-preserving family, divided by
+    sqrt(Tr[sum E_b^dag E_b] / n) as in ``verify_recovery`` (raw unitary
+    lists get uniform weights), so the verdict does not depend on the
+    scale of the list; the residual is
+    max_ij || W^dag E_i^dag E_j W - alpha_ij I ||. Raises DomainError when
+    every error operator is zero.
     """
-    return _kl_report(_normalized_images(code, errors), tol)
+    return _kl_report(_normalized_images(code.isometry, errors), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +219,7 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Recovery:
     {V_i^dag} plus the completion Q = I - sum V_i V_i^dag, as a Recovery
     that holds only W and the V_i W: no n x n matrix is formed.
     """
-    ews = _normalized_images(code, errors)
+    ews = _normalized_images(code.isometry, errors)
     report = _kl_report(ews, tol)
     if not report.passes:
         raise KLViolated(
@@ -215,36 +244,26 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Recovery:
                     len(vws))
 
 
-def _uniform_probs(errors, probs):
-    m = len(errors)
-    if probs is None:
-        return np.full(m, 1.0 / m)
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (m,):
-        raise DimensionError("probabilities must match the error list")
-    if np.any(p < 0):
-        raise ProbabilityError("probabilities must be nonnegative")
-    total = p.sum()
-    if not (np.isfinite(total) and total > 0):
-        raise ProbabilityError("probabilities must have a positive finite sum")
-    return p / total
-
-
 def noise_channel(errors, probs=None) -> Channel:
-    """CPTP noise sum_i p_i E_i X E_i^dag for unitary-like error lists.
-
-    Probabilities default to uniform 1/m and are normalized to sum 1.
-    """
-    ops = _error_list(errors)
-    p = _uniform_probs(ops, probs)
-    n = ops[0].shape[0]
+    """The CPTP noise sum_b p_b E_b X E_b^dag / c of an error list, with
+    c = Tr[sum_b p_b E_b^dag E_b] / n and p_b = 1 when ``probs`` is None
+    (``_noise_scale``): a channel's own Kraus operators, or unitaries with
+    probabilities p_b / sum p. Raises DomainError when c is zero or out of
+    floating-point range."""
+    ops, traces = _checked_errors(errors)
+    n = len(ops[0])
+    roots, scale = _noise_scale(traces, n, probs)
+    if not _in_range(scale):
+        raise DomainError("noise: Tr[sum_b p_b E_b^dag E_b] / n is zero or out of "
+                          "floating-point range")
     # Written in place: an error list can be hundreds of megabytes.
     kraus = np.empty((len(ops), n, n), dtype=complex)
     for i, e in enumerate(ops):
-        if e.shape != (n, n):
-            raise DimensionError(f"Kraus operator {e.shape} != ({n}, {n})")
-        np.multiply(math.sqrt(p[i]), e, out=kraus[i])
+        np.multiply(roots[i] / math.sqrt(scale), e, out=kraus[i])
     return Channel(n, n, kraus)
+
+
+_OUT_OF_RANGE = "noise: its weight on the code space is zero or out of floating-point range"
 
 
 @dataclass(frozen=True)
@@ -273,15 +292,15 @@ def _compressed_map(recovery: Recovery, noise, probs) -> np.ndarray:
             raise DimensionError("noise must act on the physical space")
         images = noise.kraus @ w
     else:
-        ops, images = _checked_images(w, noise)
-        images = images * np.sqrt(_uniform_probs(ops, probs))[:, None, None]
+        errors = _imaged(w, noise)
+        roots, scale = _noise_scale(errors.traces, n, probs)
+        if not _in_range(scale):  # the list as given cannot be normalized
+            raise DomainError(_OUT_OF_RANGE)
+        images = errors.images * (roots / math.sqrt(scale))[:, None, None]
     # sum_b ||K_b W||_F^2, k for a trace-preserving noise, bounds every
     # entry of J_c; out of range, J_c under- or overflows.
-    weight = float(np.vdot(images, images).real)
-    if not np.finfo(float).tiny <= weight < math.inf:
-        raise DomainError(
-            "noise: its weight on the code space is zero or out of "
-            "floating-point range")
+    if not _in_range(float(np.vdot(images, images).real)):
+        raise DomainError(_OUT_OF_RANGE)
 
     ew = images.swapaxes(0, 1).reshape(n, -1)  # [E_b W], n x mk
     # R_a E_b W = W (V_a W)^dag E_b W: the k x k core (V_a W)^dag E_b W is
@@ -314,13 +333,16 @@ def verify_recovery(recovery: Recovery, noise, samples: int = 50,
     factored recovery with no n x n matrix; for a correcting recovery
     that subspace is the code space itself (r = k).
 
-    ``noise`` is a Channel, or an error list E_b with probabilities p_b
-    (uniform by default, normalized to sum 1) that stands for the channel
-    with Kraus operators sqrt(p_b) E_b; only the sqrt(p_b) E_b W are
-    formed. Raises DomainError for samples < 1, where nothing would be
-    sampled, for probs given with a Channel, and for a noise whose weight
-    sum_b ||K_b W||_F^2 on the code space is zero or out of floating-point
-    range, where the deviations would under- or overflow.
+    ``noise`` is a Channel, taken as given, or an error list E_b with
+    weights p_b (``probs``, 1 each by default) that stands for the noise
+    sum_b p_b E_b rho E_b^dag / c with c = Tr[sum_b p_b E_b^dag E_b] / n,
+    the normalization ``kl_check`` applies: a channel's own Kraus
+    operators, or unitaries with probabilities p_b / sum p. Only the
+    sqrt(p_b / c) E_b W are formed. Raises DomainError for samples < 1,
+    where nothing would be sampled, for probs given with a Channel, and
+    for a noise whose weight sum_b ||K_b W||_F^2 on the code space, or an
+    error list whose c, is zero or out of floating-point range, where the
+    deviations would under- or overflow.
     """
     if samples < 1:
         raise DomainError(f"verification needs samples >= 1, got {samples}")
@@ -343,8 +365,8 @@ def span_correction_check(code: Code, base_errors, new_errors,
     recovery built from the base set still corrects the new noise.
 
     Membership is decided by least-squares projection residual; the new
-    operators, with uniform weights, are the noise for the recovery
-    simulation.
+    operators, normalized as in ``verify_recovery``, are the noise for the
+    recovery simulation.
     """
     base = _error_list(base_errors)
     new = _error_list(new_errors)

@@ -9,21 +9,27 @@ A document is read as bytes, once (``load_document``). Each bracketed
 run of numbers that holds a dense array of [re, im] pairs (a vector, a
 matrix, or matrices nested in arrays) is read from its opening bracket
 to its own closing one, in chunks of whole outermost elements of up to
-``_CHUNK`` bytes, with no pass over the whole text first; the reader
-holds the bytes, the arrays and one chunk's work at a time. One numpy
-scan of a chunk's bytes checks its numbers' JSON grammar and converts
-one-digit integers, other numbers go through ``np.loadtxt``, and
-``json.loads`` reads the rest of the text. A vector lands in the tree as
-an (n, 2) array and a matrix as an (rows, cols, 2) array, which
-``vector_from_doc`` and ``matrix_from_doc`` view as complex without a
-copy; every array level above a matrix stays a Python list. A run takes
-this route when its brackets are laid out as a rectangular array's,
-every number is a finite JSON number that ``json.loads`` reads to the
-same float (an integer ``-0`` is not: it reads as +0.0), and whitespace
-only sits next to brackets and commas, as in canonical and ``json.dump``
-output. A vector or matrix run falls back to ``json.loads`` whole on the
-first chunk that fails, a run of matrices only that chunk's elements.
-UTF-8 is validated only when a byte is not ASCII.
+``_CHUNK`` bytes, with no pass over the whole text first; the search for
+a run passes over string literals, and the reader holds the bytes, the
+arrays and one chunk's work at a time. The layout of a run comes from
+its first element. A chunk of that layout with one digit per number,
+each after at most one '-' (the text of Paulis and other small-integer
+matrices), is read as a fixed byte layout: its bytes without the '-' are
+compared with a template row of pairs block by block, and its digits are
+read through strided views. Any other chunk passes when its brackets and
+commas are the layout's: a numpy scan of its bytes checks its numbers'
+JSON grammar, and ``np.loadtxt`` converts them. ``json.loads`` reads the
+rest of the text. A vector lands in the tree as an (n, 2) array and a
+matrix as an (rows, cols, 2) array, which ``vector_from_doc`` and
+``matrix_from_doc`` view as complex without a copy; every array level
+above a matrix stays a Python list. A run takes this route when its
+brackets are laid out as a rectangular array's, every number is a finite
+JSON number that ``json.loads`` reads to the same float (an integer
+``-0`` is not: it reads as +0.0), and whitespace only sits next to
+brackets and commas, as in canonical and ``json.dump`` output. A vector
+or matrix run falls back to ``json.loads`` whole on the first chunk that
+fails, a run of matrices only that chunk's elements. UTF-8 is validated
+only when a byte is not ASCII.
 
 When the text is not JSON, or spells NaN or Infinity, the whole text
 falls back to ``json.loads``, decoded as a file opened in text mode
@@ -47,6 +53,7 @@ from collections.abc import Sized
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .channels import Channel
 from .errors import FormatError
@@ -368,6 +375,9 @@ _SPACED_RUN = re.compile(rb"[-+.0-9eE,\[\] \t\n\r]*")
 # Whitespace between two number characters would join two numbers.
 _SPLIT_NUMBER = re.compile(rb"[-+.0-9eE][ \t\n\r]+[-+.0-9eE]")
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+# A string literal, escapes included; or it, or the '[' that may open a run.
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
+_RUN_OR_STRING = re.compile(rb"(?P<run>\[)|" + _STRING.pattern, re.S)
 # Deeper runs are left to json.loads; this bounds the shape search.
 _MAX_NDIM = 32
 # Bytes of a chunk scanned at a time, so the scanner's masks stay in cache.
@@ -410,10 +420,13 @@ def _dense_array(data: bytes, start: int) -> tuple:
     element is not ','. The search for the end of an element longer than
     a chunk starts at its least length: its skeleton plus one byte per
     number. The layout comes from the first element (in a run of
-    matrices, from the second if the first has none). A vector or matrix
-    stands as one NaN; in a run of matrices each element of a chunk that
-    passes does, and a chunk that fails stays as text. A run with
-    whitespace in its first bytes is read from its run bytes, stripped."""
+    matrices, from the second if the first has none). A chunk of that
+    layout with one digit per number is read as a fixed byte layout
+    (``_one_digit``); any other chunk passes when its skeleton is the
+    layout's. A vector or matrix stands as one NaN; in a run of matrices
+    each element of a chunk that passes does, and a chunk that fails
+    stays as text. A run with whitespace in its first bytes is read from
+    its run bytes, stripped."""
     head = data[start:start + _MAX_NDIM + 1]
     if any(space in head for space in _WHITESPACE):
         stop = _SPACED_RUN.match(data, start).end()
@@ -441,25 +454,30 @@ def _dense_array(data: bytes, start: int) -> tuple:
             if end < 0:
                 end = data.find(inner, reach)
         end = len(data) if end < 0 else end + ndim - 1
-        chunk, laid_out = data[begin:end], False
-        if not failed:
+        chunk, skeleton, laid_out = data[begin:end], None, False
+        if unit is None and not failed:
             skeleton = chunk.translate(None, _NUMBER_BYTES)
-            if unit is None:
-                shape = _shape_of(skeleton, ndim - 1)  # of one element
-                if shape and shape[-1] == 2 and _skeleton(shape) == skeleton:
-                    unit, lower = skeleton, len(skeleton) + math.prod(shape)
-                    if lower <= _CHUNK:
-                        continue  # read the first element with those after it
-            if unit:
+            shape = _shape_of(skeleton, ndim - 1)  # of one element
+            if shape and shape[-1] == 2 and _skeleton(shape) == skeleton:
+                unit, lower = skeleton, len(skeleton) + math.prod(shape)
+                if lower <= _CHUNK:
+                    continue  # read the first element with those after it
+        if unit and not failed:
+            values = _one_digit(chunk, shape)
+            if values is not None:
+                laid_out = _scan_chunk(chunk, values)
+            else:
+                if skeleton is None:
+                    skeleton = chunk.translate(None, _NUMBER_BYTES)
                 elements, rest = divmod(len(skeleton) + 1, len(unit) + 1)
-                laid_out = not rest and skeleton == b",".join([unit] * elements)
-            del skeleton  # so one chunk's work is held at a time
-        if laid_out:
-            values = np.empty((elements,) + shape)
-            laid_out = _scan_chunk(chunk, values.reshape(-1))
+                if not rest and skeleton == b",".join([unit] * elements):
+                    skeleton = None  # so one chunk's work is held at a time
+                    values = np.empty((elements,) + shape)
+                    laid_out = _scan_chunk(chunk, values.reshape(-1))
+        skeleton = None
         if laid_out:
             arrays += [values] if ndim < 4 else map(_nest, values)
-            pieces.append(b",".join([b"NaN"] * elements))
+            pieces.append(b",".join([b"NaN"] * len(values)))
         elif ndim < 4:
             failed = True  # the run is still read to its end, unscanned
         else:  # a run of matrices may start with one element with no layout
@@ -477,28 +495,117 @@ def _dense_array(data: bytes, start: int) -> tuple:
     return close, b"[" + b",".join(pieces) + b"]" * closed, arrays
 
 
+def _slots(shape: tuple) -> list:
+    """The bytes of one array, with the comma or bracket after it, at each
+    depth of an array of ``shape`` written with one digit per number and
+    no sign: [its elements, ..., its pairs, its numbers]."""
+    slots = [2]
+    for count in reversed(shape[1:]):
+        slots.insert(0, 2 + count * slots[0])
+    return slots
+
+
+def _blocks(lead: tuple, row: int):
+    """Indices into the leading axes ``lead`` of an array of rows of
+    ``row`` bytes that together cover it, each of at most ``_BLOCK`` bytes
+    or one row."""
+    if not lead or math.prod(lead) * row <= _BLOCK:
+        yield ()
+        return
+    size = math.prod(lead[1:]) * row
+    if size > _BLOCK:
+        for i in range(lead[0]):
+            yield from ((i,) + index for index in _blocks(lead[1:], row))
+    else:
+        step = _BLOCK // size
+        for begin in range(0, lead[0], step):
+            yield (slice(begin, begin + step),)
+
+
+def _one_digit(chunk: bytes, element: tuple):
+    """The digits of ``chunk`` as an array of its elements, when it holds
+    whole elements of shape ``element`` with one digit per number, each
+    after at most one '-', laid out as canonical and ``json.dump`` text lay
+    them out; ``_scan_chunk`` applies the signs. None for any other chunk,
+    which goes on to the skeleton comparison.
+
+    The chunk without its '-' bytes is checked against the layout. Each
+    array above the rows of pairs has its brackets and commas read through
+    strided views, one view per depth and kind of byte. Each row of pairs,
+    from its first '[' to its last ']', is compared with a template row of
+    '[0,0],' pairs by one subtract and one compare in reused buffers,
+    block by block. The subtract leaves each digit's value, which is
+    written into the array through strided views of its real and
+    imaginary parts. A chunk with a '.' stops at its first one; any other
+    stops at the first block with a misplaced byte.
+    """
+    if b"." in chunk:
+        return None
+    text = chunk.replace(b"-", b"")
+    elements, rest = divmod(len(text) + 1, _slots((1,) + element)[0])
+    if rest:
+        return None
+    shape, a = (elements,) + element, np.frombuffer(text, np.uint8)
+    slots, k = _slots(shape), len(shape) - 1
+    for depth in range(1, k):  # the first array of this depth opens at byte depth - 1
+        strides = tuple(slots[:depth])
+        first, last = depth - 1, depth + slots[depth - 1] - 3
+        if not ((as_strided(a[first:], shape[:depth], strides) == 91).all()
+                and (as_strided(a[last:], shape[:depth], strides) == 93).all()
+                and (as_strided(a[last + 1:], shape[:depth - 1] + (shape[depth - 1] - 1,),
+                                strides) == 44).all()):
+            return None
+    rows = as_strided(a[k - 1:], shape[:k - 1] + (6 * shape[k - 1] - 1,),
+                      (*slots[:k - 1], 1))
+    values = np.empty(shape)
+    width, step = rows.shape[-1], max(6, _BLOCK - _BLOCK % 6)  # whole pairs
+    count = min(width, step) // 6 + 1
+    template = np.frombuffer(b"[0,0]," * count, np.uint8)
+    limit = np.frombuffer(b"\0\t\0\t\0\0" * count, np.uint8)  # 9 at a digit
+    size = min(rows.size, max(_BLOCK, step))
+    diff, fits = np.empty(size, np.uint8), np.empty(size, bool)
+    for begin in range(0, width, step):
+        cols, pairs = slice(begin, begin + step), slice(begin // 6, (begin + step) // 6)
+        for index in _blocks(rows.shape[:-1], min(width - begin, step)):
+            block = rows[index + (..., cols)]
+            d = diff[:block.size].reshape(block.shape)
+            np.subtract(block, template[:block.shape[-1]], out=d)
+            if not np.less_equal(d, limit[:block.shape[-1]], out=fits[:block.size].reshape(
+                    block.shape)).all():
+                return None
+            numbers = values[index + (..., pairs, slice(None))]
+            np.copyto(numbers[..., 0], d[..., 1::6])
+            np.copyto(numbers[..., 1], d[..., 3::6])
+    return values
+
+
 def _scan_chunk(chunk: bytes, out: np.ndarray) -> bool:
-    """Write the numbers of ``chunk``, scanned in blocks of about ``_BLOCK``
-    bytes cut at commas, into ``out``; False when one fails ``_scan_block``,
-    they do not fill the fields of its checked layout, or one is not finite."""
+    """Write the numbers of ``chunk`` into ``out``; False when they are not
+    JSON numbers that json.loads reads as the values written.
+
+    When ``out`` is shaped as the chunk's elements, it holds the digits
+    ``_one_digit`` read, and the '-' bytes are looked for in blocks of
+    ``_BLOCK`` bytes: each must stand before a digit of 1 to 9 (an
+    integer -0 reads as +0.0 in json.loads), which is negated. A flat
+    ``out`` takes a chunk whose skeleton the caller checked: its numbers
+    are scanned in blocks of about ``_BLOCK`` bytes cut at commas and
+    converted by np.loadtxt; False when one fails ``_scan_block``, they do
+    not fill ``out``, or one is not finite."""
+    if out.ndim > 1:
+        return b"-" not in chunk or _signed(chunk, out)
     if chunk[:1] != b"[" or chunk[-1:] != b"]":
         return False  # a number before the first bracket or after the last
-    integer = not any(byte in chunk for byte in (b".", b"e", b"E", b"+"))
-    a, parts, begin, last = np.frombuffer(chunk, np.uint8), [], 0, len(chunk) - 1
+    a, begin, last = np.frombuffer(chunk, np.uint8), 0, len(chunk) - 1
     while begin < last:
         end = chunk.find(b",", begin + _BLOCK)
         end = last if end < 0 else end
-        parts.append(_scan_block(a[begin:end + 1], integer))
-        if parts[-1] is None:
+        if not _scan_block(a[begin:end + 1]):
             return False
         begin = end
-    if any(part is True for part in parts):
-        try:
-            values = np.loadtxt(_lines(chunk), delimiter=",", ndmin=1).reshape(-1)
-        except ValueError:
-            return False
-    else:
-        values = np.concatenate(parts)
+    try:
+        values = np.loadtxt(_lines(chunk), delimiter=",", ndmin=1).reshape(-1)
+    except ValueError:
+        return False
     # 1e999 and huge integers keep their diagnostics.
     if values.size != out.size or not np.isfinite(values).all():
         return False
@@ -506,35 +613,47 @@ def _scan_chunk(chunk: bytes, out: np.ndarray) -> bool:
     return True
 
 
-def _scan_block(a: np.ndarray, integer: bool):
-    """The numbers in ``a``, a chunk's bytes from a bracket or comma to one,
-    when each is an integer of one digit after at most a '-', else True,
-    for np.loadtxt; None when one is no JSON number that float() reads as
-    json.loads does (float() reads '+1', '1.', '.5', '01', '1-2', and -0
-    as -0.0) or is out of place. ``integer`` says the chunk has no '.',
-    'e', 'E' or '+'. The tests are predicates on the bytes around tokens."""
-    d = a - np.uint8(48)  # a digit's value; 10 or more for any other byte
-    digit, minus = d < 10, a == 45
+def _signed(chunk: bytes, out: np.ndarray) -> bool:
+    """Negate the numbers of ``out`` (the digits of ``chunk``) that a '-'
+    stands before; False when a '-' stands before no number, before a 0,
+    or twice before one."""
+    a = np.frombuffer(chunk, np.uint8)
+    at = np.concatenate([np.flatnonzero(a[i:i + _BLOCK] == 45) + i
+                         for i in range(0, len(a), _BLOCK)])
+    at -= np.arange(len(at))  # where each '-' stands in the text without them
+    ok = np.diff(at, prepend=-1) > 0  # '--' signs one number twice
+    index, offset = 0, at
+    for depth, (count, slot) in enumerate(zip(out.shape, _slots(out.shape))):
+        # Past an array's opening bracket; a '-' before that bracket falls
+        # on the last byte of a slot, as one before a comma or closing
+        # bracket does.
+        child, offset = np.divmod(offset - (depth > 0), slot)
+        ok &= offset < slot - 1
+        index = index * count + child
+    flat = out.reshape(-1)
+    if not ok.all() or (flat[index] == 0).any():
+        return False
+    flat[index] *= -1
+    return True
+
+
+def _scan_block(a: np.ndarray) -> bool:
+    """Whether each number in ``a``, a chunk's bytes from a bracket or
+    comma to one, is one that np.loadtxt either refuses or reads as
+    json.loads does. float() reads '+1', '1.', '.5' and '01', which JSON
+    refuses, and an integer -0 as -0.0, where json.loads gives +0.0. The
+    tests are predicates on the bytes around tokens."""
+    digit = a - np.uint8(48) < 10
     opens = (a[:-1] == 44) | (a[:-1] == 91)
-    bad = (opens[:-1] & (a[1:-1] == 48) & digit[2:]).any()  # a leading zero
-    if integer:  # '-' starts a token, before 1-9; no token after ']' or before '['
-        bad = (bad or (minus[1:-1] & ~(opens[:-1] & (d[2:] - np.uint8(1) < 9))).any()
-               or ((a[:-1] == 93) & (digit[1:] | minus[1:])).any()
-               or (digit[:-1] & (a[1:] == 91)).any())
-    else:  # '+' only after e or E, '.' between digits, '-0' only before '.', e, E;
-        # np.loadtxt strips blanks around a field, so a number that touches a
-        # bracket ('0]5', '5[1') leaves a blank inside a field, which it fails.
-        bad = (bad or ((a[1:] == 43) & ((a[:-1] | 32) != 101)).any()
-               or ((a[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any()
-               or (opens[:-2] & minus[1:-2] & (a[2:-1] == 48)
-                   & (digit[3:] | (a[3:] == 44) | (a[3:] == 93))).any())
-    if bad:
-        return None
-    if not integer or (digit[:-1] & digit[1:]).any():
-        return True  # a decimal, or an integer of more than one digit
-    # Each token is one digit, after at most a sign.
-    signed = d[1:].view(np.int8) * (1 - 2 * minus[:-1].view(np.int8))
-    return signed[np.flatnonzero(digit[1:])]
+    # No leading zero, '+' only after e or E, '.' between digits, '-0' only
+    # before '.', e or E. np.loadtxt strips blanks around a field, so a
+    # number that touches a bracket ('0]5', '5[1') leaves a blank inside a
+    # field, which it fails.
+    return not ((opens[:-1] & (a[1:-1] == 48) & digit[2:]).any()
+                or ((a[1:] == 43) & ((a[:-1] | 32) != 101)).any()
+                or ((a[1:-1] == 46) & ~(digit[:-2] & digit[2:])).any()
+                or (opens[:-2] & (a[1:-2] == 45) & (a[2:-1] == 48)
+                    & (digit[3:] | (a[3:] == 44) | (a[3:] == 93))).any())
 
 
 def _lines(chunk: bytes):
@@ -559,24 +678,50 @@ def _json_loads(data: bytes):
     return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
 
 
+def _next_run(data: bytes, pos: int) -> int:
+    """The first '[' at or after ``pos`` that is not inside a string
+    literal, for ``pos`` outside one; -1 when there is none."""
+    while match := _RUN_OR_STRING.search(data, pos):
+        if match.lastgroup == "run":
+            return match.start()
+        pos = match.end()
+    return -1
+
+
+def _outside_strings(data: bytes, start: int, close: int) -> int:
+    """``close``, or the opening quote of the string literal that holds
+    it, for ``start`` outside one."""
+    while (quote := data.find(b'"', start, close)) >= 0:
+        string = _STRING.match(data, quote)
+        if not string or string.end() > close:
+            return quote
+        start = string.end()
+    return close
+
+
 def _bulk_loads(data: bytes):
     """json.loads of the document's bytes ``data``, with each dense array
     read in bulk. A run starts at a '[' and ends at its own closing
     bracket (``_dense_array``), and the next is looked for after it, so
     no pass over the whole text comes first. The arrays read in bulk are
     replaced by ``NaN``, a constant json.loads hands to ``parse_constant``,
-    which returns them in text order. A text that spells NaN or Infinity
-    itself, or a run inside a string, sends the whole text to json.loads.
+    which returns them in text order. The search for a run passes over
+    string literals. A run whose text holds a quote is refused: the walk
+    of a refused array may end inside a string, and the search goes on
+    from that string's opening quote. A text that spells NaN or Infinity
+    itself sends the whole text to json.loads.
     """
     pieces, arrays, last = [], [], 0
-    start = data.find(b"[")
+    start = _next_run(data, 0)
     while start >= 0:
         close, text, found = _dense_array(data, start)
-        if text is not None:
+        if text is None or b'"' in text:
+            close = _outside_strings(data, start, close)
+        else:
             pieces += (data[last:start], text)
             arrays += found
             last = close
-        start = data.find(b"[", close)
+        start = _next_run(data, close)
     pieces.append(data[last:])
     skeleton = b"".join(pieces)
     if not arrays or skeleton.count(b"NaN") != len(arrays) or b"Infinity" in skeleton:

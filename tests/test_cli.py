@@ -402,6 +402,24 @@ def test_qec_check_and_recover_commands(tmp_path, capsys):
     assert rep["max_deviation"] <= 1e-8
 
 
+def test_qec_recover_reads_a_kraus_list_as_its_channel(tmp_path, capsys):
+    # The bit-flip channel {sqrt(0.9) I, sqrt(0.1) X_0} without probs passes
+    # qec check, and qec recover verifies it as that channel.
+    w = np.zeros((8, 2))
+    w[0, 0] = w[7, 1] = 1.0
+    cpath = write_doc(tmp_path / "code.json", serialize.code_to_doc(qec.Code(8, 2, w)))
+    epath = write_doc(tmp_path / "err.json", {
+        "kind": "channel", "din": 8, "dout": 8,
+        "kraus": [np.sqrt(0.9) * np.eye(8, dtype=complex),
+                  np.sqrt(0.1) * qec.pauli_on(3, 0, "X")]})
+    code_rc, out, _ = run_cli(capsys, "--json", "qec", "check", cpath, epath)
+    assert code_rc == 0 and json.loads(out)["passes"]
+    code_rc, out, _ = run_cli(capsys, "--json", "qec", "recover", cpath, epath)
+    rep = json.loads(out)
+    assert code_rc == 0 and rep["recovered"]
+    assert rep["max_deviation"] <= 1e-12 and rep["certified_deviation"] <= 1e-12
+
+
 def test_qec_recover_shor_command(tmp_path, capsys):
     cpath = write_doc(tmp_path / "shor.json",
                       serialize.code_to_doc(qec.shor_code()))

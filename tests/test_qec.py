@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinfokit import qec
-from qinfokit.channels import is_tp
+from qinfokit.channels import Channel, is_tp
 from qinfokit.errors import DimensionError, DomainError, KLViolated, ProbabilityError
 from qinfokit.matkit import dagger
 from qinfokit.randkit import haar_unitary
@@ -134,6 +134,63 @@ def test_verify_recovery_refuses_noise_out_of_range(scale):
     rec = qec.build_recovery(repetition_code(), bit_flips())
     with pytest.raises(DomainError, match="out of floating-point range"):
         qec.verify_recovery(rec, [scale * e for e in bit_flips()])
+
+
+def test_a_channel_given_as_an_error_list_is_verified_as_the_channel():
+    # The bit-flip channel {sqrt(0.9) I, sqrt(0.1) X_0} without probs: its
+    # Kraus operators are read as the channel, not as a uniform mixture
+    # of them, as kl_check reads them.
+    code = repetition_code()
+    noise = [np.sqrt(0.9) * np.eye(8), np.sqrt(0.1) * qec.pauli_on(3, 0, "X")]
+    assert qec.kl_check(code, noise).passes
+    check = qec.verify_recovery(qec.build_recovery(code, noise), noise)
+    assert check.max_deviation <= 1e-12 and check.certified_deviation <= 1e-12
+    assert np.abs(qec.noise_channel(noise).kraus - np.stack(noise)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300, 1e308])
+def test_probabilities_are_weights_of_any_scale(scale):
+    # probs are relative weights: Tr[sum_b p_b E_b^dag E_b] may overflow
+    # without changing the noise.
+    rec = qec.build_recovery(repetition_code(), bit_flips())
+    noise = [np.eye(8), qec.pauli_on(3, 0, "Z"), qec.pauli_on(3, 1, "X"),
+             qec.pauli_on(3, 2, "Y")]
+    probs = [0.4, 0.3, 0.2, 0.1]
+    want = qec.verify_recovery(rec, noise, samples=5, probs=probs)
+    got = qec.verify_recovery(rec, noise, samples=5, probs=[scale * p for p in probs])
+    assert want.max_deviation > 0.1
+    assert got.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
+    assert got.certified_deviation == pytest.approx(want.certified_deviation, abs=1e-12)
+
+
+@st.composite
+def unitary_noise(draw):
+    """Haar unitaries on the repetition code's space, or bit flips that
+    its recovery corrects, with probabilities or without."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        noise = [haar_unitary(8, rng) for _ in range(count)]
+    else:
+        noise = [bit_flips()[i] for i in rng.integers(0, 4, size=count)]
+    probs = rng.uniform(0.0, 3.0, count) if draw(st.booleans()) else None
+    return noise, probs
+
+
+@settings(max_examples=60, deadline=None)
+@given(unitary_noise(), st.integers(0, 2 ** 31 - 1))
+def test_unitary_noise_verifies_as_the_weighted_mixture(case, seed):
+    # A list of unitaries is the mixture with probabilities p_b / sum p,
+    # uniform without probs, as it was before the normalization was shared
+    # with kl_check: the reference is that mixture given as a Channel.
+    noise, probs = case
+    rec = qec.build_recovery(repetition_code(), bit_flips())
+    p = np.ones(len(noise)) if probs is None else probs
+    mixture = Channel(8, 8, [np.sqrt(q / p.sum()) * u for q, u in zip(p, noise)])
+    want = qec.verify_recovery(rec, mixture, samples=4, seed=seed)
+    got = qec.verify_recovery(rec, noise, samples=4, seed=seed, probs=probs)
+    assert got.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
+    assert got.certified_deviation == pytest.approx(want.certified_deviation, abs=1e-12)
 
 
 def test_recovery_without_branches_verifies():
@@ -274,11 +331,13 @@ def recovery_cases(draw):
     errors = [u @ sum(c * e for c, e in zip(row, base)) for row in mix]
     corrected = draw(st.booleans())
     if corrected:
-        # Unit rows make each member an isometry on the code space, so
-        # the noise is trace preserving there for any probabilities.
-        mix = rng.standard_normal((len(errors), m)) + 1j * rng.standard_normal((len(errors), m))
-        mix /= np.linalg.norm(mix, axis=1, keepdims=True)
-        noise = [u @ sum(c * e for c, e in zip(row, base)) for row in mix]
+        # base[0] is I and base[b] a Hermitian unitary, so each member
+        # u (cos t I + i sin t base[b]) is a unitary in the family's span,
+        # and the noise is trace preserving for any probabilities.
+        noise = []
+        for b, t in zip(rng.integers(0, m, size=len(errors)),
+                        rng.uniform(0, 2 * np.pi, size=len(errors))):
+            noise.append(u @ (np.cos(t) * base[0] + 1j * np.sin(t) * base[b]))
     else:
         noise = []
         for _ in range(draw(st.integers(1, 3))):
@@ -458,7 +517,7 @@ def _kl_cases():
 @pytest.mark.parametrize("case", range(6))
 def test_kl_report_matches_pairwise_loop(case):
     code, ops = _kl_cases()[case]
-    ews = qec._normalized_images(code, ops)
+    ews = qec._normalized_images(code.isometry, ops)
     alpha, max_resid = _loop_kl_report(ews)
     report = qec._kl_report(ews, 1e-8)
     assert np.abs(report.alpha - alpha).max() <= 1e-14

@@ -10,8 +10,10 @@ oracle.
 import json
 import math
 import re
+import runpy
 import tracemalloc
 from collections.abc import Sized
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +353,195 @@ def test_integer_tokens_at_every_pair_of_a_scanned_vector(tmp_path, monkeypatch,
         path.write_text(text[:at] + token + text[at + 1:])
         bulk, reference, _ = _chunked_routes(monkeypatch, path, chunk=15)
         assert bulk == reference
+
+
+# --- one-digit runs: the fixed byte layout -------------------------------------
+
+# Tokens that break the layout of one digit per number in place of one: an
+# integer -0 (json.loads reads +0.0), two signs, a sign alone, no number, a
+# sign after the digit, a leading zero, two digits, a sign before a
+# bracket, and the byte after '9'.
+_LAYOUT_BREAKERS = ["-0", "--1", "-", "", "1-", "01", "10", "-[", ":"]
+
+
+def _floats(tree):
+    """A JSON tree with every number as a float and every bulk array as
+    its nested lists, so that json.dumps shows the sign of a zero."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {k: _floats(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_floats(v) for v in tree]
+    return float(tree) if type(tree) is int else tree
+
+
+@st.composite
+def _one_digit_documents(draw):
+    """Test documents of one-digit integers with random signs (a vector, a
+    matrix, a list of matrices and a list of lists of them), with one
+    token of _LAYOUT_BREAKERS in place of a number or one byte of the text
+    replaced or deleted, or neither, in canonical or json.dumps layout."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    digit = st.integers(-9, 9)
+
+    def pairs(count):
+        return [[draw(digit), draw(digit)] for _ in range(count)]
+
+    def matrices(count):
+        return [[pairs(cols) for _ in range(rows)] for _ in range(count)]
+
+    doc = {"k": matrices(draw(st.integers(1, 3))), "m": matrices(1)[0],
+           "v": pairs(draw(st.integers(1, 5))),
+           "kk": [matrices(2) for _ in range(draw(st.integers(1, 2)))]}
+    text = json.dumps(doc, separators=(",", ":")) if draw(st.booleans()) else json.dumps(doc)
+    kind = draw(st.sampled_from(["token", "byte", None]))
+    if kind == "token":
+        start, end = draw(st.sampled_from([m.span() for m in re.finditer(r"-?[0-9]", text)]))
+        text = text[:start] + draw(st.sampled_from(_LAYOUT_BREAKERS)) + text[end:]
+    elif kind == "byte":
+        at = draw(st.integers(text.index("["), len(text) - 2))
+        text = text[:at] + draw(st.sampled_from(["", "[", "]", ",", "0", "-", " ", ":"])) + text[at + 1:]
+    return text
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_one_digit_documents(), chunk=st.integers(1, 64), block=st.integers(1, 24))
+def test_one_digit_runs_match_reference_route(tmp_path, text, chunk, block):
+    # Small chunks and blocks cut the rows of pairs that are compared with
+    # the template at every offset. The arrays' bytes hold the signs of
+    # their zeros, and the whole tree, which holds a run of five axes, is
+    # compared as JSON text of floats, which also shows them.
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_CHUNK", chunk)
+        mp.setattr(serialize, "_BLOCK", block)
+        bulk, reference = _both_routes(str(path))
+        assert bulk == reference
+        if isinstance(reference, list):
+            assert (json.dumps(_floats(serialize.load_document(str(path))))
+                    == json.dumps(_floats(json.loads(text))))
+
+
+@pytest.mark.parametrize("token", _LAYOUT_BREAKERS, ids=lambda t: t or "empty")
+def test_layout_breakers_at_every_number_of_one_digit_runs(tmp_path, monkeypatch, token):
+    # Every number of a vector, a matrix and a list of two matrices, with
+    # chunks of one to a few elements.
+    doc = {"k": [[[[1, -2], [3, 0]], [[-4, 5], [6, -7]]]] * 2,
+           "m": [[[8, -9], [0, 1]], [[-1, 2], [3, 4]]], "v": [[5, -6], [7, 8]]}
+    text = json.dumps(doc, separators=(",", ":"))
+    for i, number in enumerate(re.finditer(r"-?[0-9]", text)):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(text[:number.start()] + token + text[number.end():])
+        bulk, reference, _ = _chunked_routes(monkeypatch, path, chunk=30)
+        assert bulk == reference
+
+
+@pytest.mark.parametrize("byte", ["[", "]", ",", "0", " "])
+def test_every_bracket_and_comma_of_one_digit_runs(tmp_path, monkeypatch, byte):
+    # Each bracket and comma of a vector, a matrix, a list of matrices and
+    # a list of lists of them, replaced by a byte of the same length.
+    doc = {"k": [[[[1, -2], [3, 0]], [[-4, 5], [6, -7]]]] * 2,
+           "m": [[[8, -9], [0, 1]], [[-1, 2], [3, 4]]], "v": [[5, -6], [7, 8]],
+           "kk": [[[[[1, 2]], [[3, -4]]]] * 2] * 2}
+    text = json.dumps(doc, separators=(",", ":"))
+    for i in range(text.index("["), len(text) - 1):
+        if text[i] not in "[],":
+            continue
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(text[:i] + byte + text[i + 1:])
+        bulk, reference, _ = _chunked_routes(monkeypatch, path, chunk=30)
+        assert bulk == reference
+        try:
+            want = json.dumps(_floats(json.loads(path.read_text())))
+        except json.JSONDecodeError:
+            continue
+        assert json.dumps(_floats(serialize.load_document(str(path)))) == want
+
+
+@pytest.fixture(scope="module")
+def shor_errors(tmp_path_factory):
+    """The errors document of the benchmark's qec-shor9 workload for seed
+    1: 28 phased one-qubit Pauli words on nine qubits, 44 MB of one-digit
+    integers, written by the benchmark's own generator."""
+    inputs = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "inputs.py"))
+    outdir = tmp_path_factory.mktemp("shor")
+    inputs["generate"]("qec-shor9", 1, str(outdir))
+    return outdir / "shor_errors.json"
+
+
+def test_one_digit_documents_need_no_number_parser(tmp_path, monkeypatch, shor_errors):
+    # Pauli documents hold one-digit integers only, which are read as a
+    # fixed byte layout: neither the grammar scan nor np.loadtxt runs.
+    def refused(*args, **kwargs):
+        raise AssertionError("a chunk left the fixed layout")
+
+    monkeypatch.setattr(serialize, "_scan_block", refused)
+    monkeypatch.setattr(serialize.np, "loadtxt", refused)
+    phases = [1, -1, 1j, -1j]
+    docs = [
+        {"kind": "channel", "din": 8, "dout": 8,
+         "kraus": [phases[i % 4] * op for i, op in enumerate(qec.one_paulis(3))]},
+        {"kind": "channel", "din": 2, "dout": 2, "kraus": [qec.pauli_on(1, 0, "Y")]},
+        {"kraus": [-qec.pauli_on(2, 1, "Z")], "probs": [1]},
+    ]
+    for i, doc in enumerate(docs):
+        text = serialize.canonical_dumps(doc)
+        for layout in (text, json.dumps(json.loads(text)),
+                       json.dumps(json.loads(text), indent=2)):
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(layout)
+            want = [_reference_matrix(k, "k") for k in _reference_load(str(path))["kraus"]]
+            # Blocks of a few bytes cut the rows of pairs at every offset.
+            for block in (1, 5, 6, 7, 13, 1 << 16):
+                monkeypatch.setattr(serialize, "_BLOCK", block)
+                tree = serialize.load_document(str(path))
+                assert all(isinstance(k, np.ndarray) for k in tree["kraus"])
+                got, _ = serialize.error_list_from_doc(tree)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    tree = serialize.load_document(str(shor_errors))
+    assert len(tree["kraus"]) == 28
+    assert all(isinstance(k, np.ndarray) for k in tree["kraus"])
+    ops, _ = serialize.error_list_from_doc(tree)
+    # The canonical text of what was read is the document itself.
+    assert (serialize.canonical_dumps({**tree, "kraus": np.stack(ops)})
+            == shor_errors.read_text())
+
+
+def test_a_string_before_the_errors_leaves_them_to_the_bulk_route(tmp_path, shor_errors):
+    # The search for a run passes over string literals, escapes included,
+    # so a string that spells the boundary of two matrices does not send
+    # it into the text of the errors.
+    path = tmp_path / "errors.json"
+    path.write_bytes(b'{"a":"\\\"]],[[",' + shor_errors.read_bytes()[1:])
+    tree = serialize.load_document(str(path))
+    assert tree["a"] == '"]],[[' and len(tree["kraus"]) == 28
+    assert all(isinstance(k, np.ndarray) for k in tree["kraus"])
+
+
+@pytest.mark.parametrize("refused", ['[["a]]",1]]', '[["]]]"]]', '[[1,"]",[2]]]',
+                                     '[[["]]],[[["]]]', '[[0,1],["\\"]]",2]]',
+                                     '[[[[1,0]]],"]]]]",[[[2,0]]]]',
+                                     '[[[[1,0]]],[[[2,0]]],"]]]]",[[[3,0]]]]'])
+@pytest.mark.parametrize("chunk", [16, 1 << 20])
+def test_runs_after_a_refused_array_of_strings_keep_the_bulk_route(tmp_path, monkeypatch,
+                                                                   refused, chunk):
+    # The walk of a refused array, or of a run of matrices with a string
+    # among them, may end inside one of its strings; the search for the
+    # next run goes on from that string's opening quote. Chunks of 16 bytes
+    # hold one matrix each, so the last run is read in part before the
+    # string.
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    path = tmp_path / "doc.json"
+    path.write_text('{"x":%s,"m":[[[1,0],[0.5,-2]]],"v":[[1,0]],"k":[],"s":"[[1,0]]"}'
+                    % refused)
+    bulk, reference = _both_routes(str(path))
+    assert isinstance(bulk, list) and bulk == reference
+    tree = serialize.load_document(str(path))
+    assert isinstance(tree["m"], np.ndarray) and isinstance(tree["v"], np.ndarray)
+    assert tree["s"] == "[[1,0]]"
 
 
 # --- runs read in chunks ------------------------------------------------------
