@@ -66,21 +66,45 @@ class KLReport:
 
 
 def _error_list(errors) -> list[np.ndarray]:
-    ops = [matkit.asmatrix(e) for e in errors]
+    """The error operators E_b as complex arrays, not yet checked: each is
+    checked in the one pass over it that takes its trace (``_traces``)."""
+    ops = [np.asarray(e, dtype=complex) for e in errors]
     if not ops:
         raise DimensionError("need at least one error operator")
     return ops
 
 
-def _checked_errors(errors, n: int | None = None) -> tuple[list, np.ndarray]:
-    """The checked n x n error list E_b (n is the first one's size when
-    None) and its traces Tr E_b^dag E_b."""
-    ops = _error_list(errors)
-    n = len(ops[0]) if n is None else n
+def _refuse(ops: list, n: int):
+    """Raise the DimensionError for ``ops``, a list a pass found at fault,
+    that checking each operator with ``asmatrix`` in list order, then each
+    one's shape against n x n, raises first: a non-finite entry anywhere
+    is reported before a shape mismatch. Only this error path scans the
+    list again."""
+    for e in ops:
+        matkit.asmatrix(e)
     for e in ops:
         if e.shape != (n, n):
             raise DimensionError(f"error operator {e.shape} != ({n}, {n})")
-    return ops, np.array([np.vdot(e, e).real for e in ops])
+
+
+def _traces(ops: list, n: int, image=None) -> np.ndarray:
+    """Tr E_b^dag E_b of the n x n operators E_b of ``ops``, in one pass in
+    list order that checks each E_b and then, if given, hands it to
+    ``image(b, E_b)`` while it is still in cache. A finite trace proves
+    finite entries; only a non-finite one (from a NaN or inf entry, or
+    from finite entries whose squares overflow, which
+    ``_normalized_images`` scales) looks at the entries. Raises as
+    ``_refuse`` for a list with a wrong shape or a non-finite entry."""
+    traces = np.empty(len(ops))
+    for b, e in enumerate(ops):
+        if e.shape != (n, n):
+            _refuse(ops, n)
+        traces[b] = np.vdot(e, e).real
+        if not math.isfinite(traces[b]) and not np.isfinite(e).all():
+            _refuse(ops, n)
+        if image is not None:
+            image(b, e)
+    return traces
 
 
 def _noise_scale(traces: np.ndarray, n: int, probs) -> tuple[np.ndarray, float]:
@@ -112,22 +136,28 @@ def _in_range(scale: float) -> bool:
     return np.finfo(float).tiny <= scale < math.inf
 
 
-def _code_images(w: np.ndarray, ops) -> np.ndarray:
-    """E_b W, stacked as m x n x k."""
-    return np.stack([e @ w for e in ops])
+def _code_images(w: np.ndarray, ops: list) -> tuple[np.ndarray, np.ndarray]:
+    """E_b W, stacked as m x n x k, and the traces Tr E_b^dag E_b of the
+    operators ``ops`` (``_error_list``), each checked, traced and imaged in
+    turn in one pass (``_traces``)."""
+    n, k = w.shape
+    images = np.empty((len(ops), n, k), dtype=complex)
+    traces = _traces(ops, n, lambda b, e: np.matmul(e, w, out=images[b]))
+    return images, traces
 
 
 class _ImagedErrors(list):
     """A checked error list with its traces Tr E_b^dag E_b and its images
     E_b W under one isometry W, which ``build_recovery`` and
     ``verify_recovery`` take for that W without checking or imaging the
-    errors again."""
+    errors again. The list is read once (``_error_list``) and each
+    operator passed over once (``_code_images``)."""
 
     def __init__(self, w: np.ndarray, errors):
-        ops, self.traces = _checked_errors(errors, len(w))
+        ops = _error_list(errors)
+        self.images, self.traces = _code_images(w, ops)
         super().__init__(ops)
         self.isometry = w
-        self.images = _code_images(w, ops)
 
 
 def _imaged(w: np.ndarray, errors) -> _ImagedErrors:
@@ -250,8 +280,9 @@ def noise_channel(errors, probs=None) -> Channel:
     (``_noise_scale``): a channel's own Kraus operators, or unitaries with
     probabilities p_b / sum p. Raises DomainError when c is zero or out of
     floating-point range."""
-    ops, traces = _checked_errors(errors)
-    n = len(ops[0])
+    ops = _error_list(errors)
+    n = len(ops[0]) if ops[0].ndim else 0  # _traces refuses a 0-d first operator
+    traces = _traces(ops, n)
     roots, scale = _noise_scale(traces, n, probs)
     if not _in_range(scale):
         raise DomainError("noise: Tr[sum_b p_b E_b^dag E_b] / n is zero or out of "
@@ -368,8 +399,8 @@ def span_correction_check(code: Code, base_errors, new_errors,
     operators, normalized as in ``verify_recovery``, are the noise for the
     recovery simulation.
     """
-    base = _error_list(base_errors)
-    new = _error_list(new_errors)
+    base = [matkit.asmatrix(e) for e in _error_list(base_errors)]
+    new = [matkit.asmatrix(e) for e in _error_list(new_errors)]
     basis = np.stack([e.reshape(-1) for e in base], axis=1)
     for e in new:
         coeff, _, _, _ = np.linalg.lstsq(basis, e.reshape(-1), rcond=None)

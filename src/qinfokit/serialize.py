@@ -5,31 +5,40 @@ matrices are row-major nested arrays; dimensions are always explicit.
 Canonical output sorts keys and prints every real with %.17g, so
 serialize -> parse -> serialize is byte-identical.
 
-A document is read as bytes, once (``load_document``). Each bracketed
-run of numbers that holds a dense array of [re, im] pairs (a vector, a
-matrix, or matrices nested in arrays) is read from its opening bracket
-to its own closing one, in chunks of whole outermost elements of up to
-``_CHUNK`` bytes, with no pass over the whole text first; the search for
-a run passes over string literals, and the reader holds the bytes, the
-arrays and one chunk's work at a time. The layout of a run comes from
-its first element. A chunk of that layout with one digit per number,
-each after at most one '-' (the text of Paulis and other small-integer
-matrices), is read as a fixed byte layout: its bytes without the '-' are
-compared with a template row of pairs block by block, and its digits are
-read through strided views. Any other chunk passes when its brackets and
-commas are the layout's: a numpy scan of its bytes checks its numbers'
-JSON grammar, and ``np.loadtxt`` converts them. ``json.loads`` reads the
-rest of the text. A vector lands in the tree as an (n, 2) array and a
-matrix as an (rows, cols, 2) array, which ``vector_from_doc`` and
-``matrix_from_doc`` view as complex without a copy; every array level
-above a matrix stays a Python list. A run takes this route when its
-brackets are laid out as a rectangular array's, every number is a finite
-JSON number that ``json.loads`` reads to the same float (an integer
-``-0`` is not: it reads as +0.0), and whitespace only sits next to
-brackets and commas, as in canonical and ``json.dump`` output. A vector
-or matrix run falls back to ``json.loads`` whole on the first chunk that
-fails, a run of matrices only that chunk's elements. UTF-8 is validated
-only when a byte is not ASCII.
+A document is read once, as bytes (``load_document``). A file of at
+least ``_CHUNK`` bytes is read through a read-only mapping, so its text
+is not copied whole; a smaller one (or one that cannot be mapped) is
+read whole. A byte that is not ASCII sends the text through the UTF-8
+decoder, which names the first bad byte. Each bracketed run of numbers
+that holds a dense array of [re, im] pairs (a vector, a matrix, or
+matrices nested in arrays) is read from its opening bracket to its own
+closing one, in chunks of whole outermost elements of up to ``_CHUNK``
+bytes, with no pass over the whole text first; the search for a run
+passes over string literals, and the reader holds the arrays and one
+chunk's work at a time. Each chunk is copied out of the text, so no
+array read aliases a mapping, which is closed before ``load_document``
+returns. The layout of a run comes from its first element. A chunk of
+that layout with one digit per number, each after at most one '-' (the
+text of Paulis and other small-integer matrices), is read as a fixed
+byte layout: its bytes without the '-' are compared with a template row
+of pairs block by block, and its digits are read through strided views.
+Any other chunk passes when its brackets and commas are the layout's: a
+numpy scan of its bytes checks its numbers' JSON grammar, and
+``np.loadtxt`` converts them. ``json.loads`` reads the rest of the text.
+A vector lands in the tree as an (n, 2) array and a matrix as an (rows,
+cols, 2) array, which ``vector_from_doc`` and ``matrix_from_doc`` view
+as complex without a copy; every array level above a matrix stays a
+Python list. A run takes this route when its brackets are laid out as a
+rectangular array's, every number is a finite JSON number that
+``json.loads`` reads to the same float (an integer ``-0`` is not: it
+reads as +0.0), and whitespace only sits next to brackets and commas, as
+in canonical and ``json.dump`` output. A vector or matrix run falls back
+to ``json.loads`` whole on the first chunk that fails, a run of matrices
+only that chunk's elements.
+
+A mapped file must not shrink while it is read: a file truncated by
+another process during ``load_document`` can end the process with
+SIGBUS, where a read would have seen the shorter text.
 
 When the text is not JSON, or spells NaN or Infinity, the whole text
 falls back to ``json.loads``, decoded as a file opened in text mode
@@ -48,6 +57,8 @@ import gc
 import io
 import json
 import math
+import mmap
+import os
 import re
 from collections.abc import Sized
 from contextlib import contextmanager
@@ -584,9 +595,9 @@ def _scan_chunk(chunk: bytes, out: np.ndarray) -> bool:
     JSON numbers that json.loads reads as the values written.
 
     When ``out`` is shaped as the chunk's elements, it holds the digits
-    ``_one_digit`` read, and the '-' bytes are looked for in blocks of
-    ``_BLOCK`` bytes: each must stand before a digit of 1 to 9 (an
-    integer -0 reads as +0.0 in json.loads), which is negated. A flat
+    ``_one_digit`` read, and each '-' byte, found by a search of the
+    chunk, must stand before a digit of 1 to 9 (an integer -0 reads as
+    +0.0 in json.loads), which is negated. A flat
     ``out`` takes a chunk whose skeleton the caller checked: its numbers
     are scanned in blocks of about ``_BLOCK`` bytes cut at commas and
     converted by np.loadtxt; False when one fails ``_scan_block``, they do
@@ -617,10 +628,12 @@ def _signed(chunk: bytes, out: np.ndarray) -> bool:
     """Negate the numbers of ``out`` (the digits of ``chunk``) that a '-'
     stands before; False when a '-' stands before no number, before a 0,
     or twice before one."""
-    a = np.frombuffer(chunk, np.uint8)
-    at = np.concatenate([np.flatnonzero(a[i:i + _BLOCK] == 45) + i
-                         for i in range(0, len(a), _BLOCK)])
-    at -= np.arange(len(at))  # where each '-' stands in the text without them
+    at, i = [], chunk.find(b"-")
+    while i >= 0:  # signs are few: a search beats a pass over every byte
+        at.append(i)
+        i = chunk.find(b"-", i + 1)
+    # Where each '-' stands in the text without them.
+    at = np.array(at) - np.arange(len(at))
     ok = np.diff(at, prepend=-1) > 0  # '--' signs one number twice
     index, offset = 0, at
     for depth, (count, slot) in enumerate(zip(out.shape, _slots(out.shape))):
@@ -674,7 +687,8 @@ def _nest(values: np.ndarray):
 def _json_loads(data: bytes):
     """json.loads of the document's text, decoded as a file opened in text
     mode reads it: UTF-8 with universal newlines, so ``path:line:col``
-    counts lines and columns as that does."""
+    counts lines and columns as that does. The text of a mapping is
+    copied first."""
     return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
 
 
@@ -737,8 +751,8 @@ def _bulk_loads(data: bytes):
 
 
 def read_bytes(path: str) -> bytes:
-    """The bytes of the file at ``path``, which must be UTF-8 text; a file
-    that cannot be read raises FormatError naming the path."""
+    """The bytes of the file at ``path``, read whole, which must be UTF-8
+    text; a file that cannot be read raises FormatError naming the path."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -749,14 +763,41 @@ def read_bytes(path: str) -> bytes:
     return data
 
 
+def _mapped(path: str) -> mmap.mmap | None:
+    """A read-only mapping of the file at ``path``, which must be UTF-8
+    text, when it holds at least ``_CHUNK`` bytes; None for a smaller file
+    or one that cannot be mapped, which ``read_bytes`` then reads or
+    refuses. The text is decoded only when a byte is not ASCII; text that
+    is not UTF-8 raises FormatError as ``read_bytes`` does."""
+    try:
+        if os.stat(path).st_size < _CHUNK:
+            return None
+        with open(path, "rb") as fh:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):  # ValueError: emptied since the stat
+        return None
+    if np.frombuffer(data, np.uint8).max() > 127:
+        try:
+            str(data, "utf-8")
+        except UnicodeDecodeError as exc:
+            data.close()
+            raise FormatError(f"{path}: {exc}") from exc
+    return data
+
+
 def load_document(path: str) -> dict:
-    """The JSON object in the file at ``path``."""
-    data = read_bytes(path)
+    """The JSON object in the file at ``path``, read through a mapping
+    (``_mapped``) that is closed before this returns, or read whole
+    (``read_bytes``)."""
+    mapped = _mapped(path)
     try:
         with _gc_paused():
-            doc = _bulk_loads(data)
+            doc = _bulk_loads(read_bytes(path) if mapped is None else mapped)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    finally:
+        if mapped is not None:
+            mapped.close()
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
     return doc

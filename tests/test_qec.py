@@ -590,3 +590,85 @@ def test_noise_channel_stack_scales_errors():
     assert np.allclose(ch.kraus[0], np.sqrt(0.75) * np.eye(2))
     assert np.allclose(ch.kraus[1], 0.5 * x)
     assert is_tp(ch)
+
+
+# --- the one pass over an error list -------------------------------------------
+
+def _readers():
+    """Every reader of an error list, each run on a list as given."""
+    code = repetition_code()
+    rec = qec.build_recovery(code, bit_flips())
+    return {
+        "kl_check": lambda errors: qec.kl_check(code, errors),
+        "build_recovery": lambda errors: qec.build_recovery(code, errors),
+        "verify_recovery": lambda errors: qec.verify_recovery(rec, errors, samples=2),
+        "noise_channel": qec.noise_channel,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan),
+                            complex(1, -np.inf)]),
+       member=st.integers(0, 3), row=st.integers(0, 7), col=st.integers(0, 7),
+       reader=st.sampled_from(sorted(_readers())))
+def test_a_non_finite_entry_of_any_member_is_refused_by_every_reader(bad, member, row,
+                                                                     col, reader):
+    # Only a non-finite trace looks at the entries; NaN and inf entries
+    # give one, and are refused as asmatrix refuses them.
+    errors = [e.copy() for e in bit_flips()]
+    errors[member][row, col] = bad
+    with pytest.raises(DimensionError, match="^matrix has non-finite entries$"):
+        _readers()[reader](errors)
+
+
+@pytest.mark.parametrize("reader", sorted(_readers()))
+def test_a_non_finite_entry_is_reported_before_a_shape_mismatch(reader):
+    errors = [np.eye(4)] + bit_flips()[1:]
+    errors[-1] = errors[-1].copy()
+    errors[-1][3, 5] = np.nan
+    with pytest.raises(DimensionError, match="^matrix has non-finite entries$"):
+        _readers()[reader](errors)
+    errors[-1][3, 5] = 0.0
+    with pytest.raises(DimensionError, match=r"^error operator \([48], [48]\) != "):
+        _readers()[reader](errors)
+
+
+def test_errors_whose_traces_overflow_keep_their_verdict_and_deviations():
+    # Entries near 1e200 are finite, but their squares overflow: the traces
+    # are inf, and the family is scaled by its peak, not refused.
+    code, scale = repetition_code(), 1e200
+    errors = bit_flips() + [qec.pauli_on(3, 0, "Z")]
+    assert np.isinf(qec._ImagedErrors(code.isometry, [scale * e for e in errors]).traces).all()
+    for family, passes in ((bit_flips(), True), (errors, False)):
+        want = qec.kl_check(code, family)
+        got = qec.kl_check(code, [scale * e for e in family])
+        assert got.passes is want.passes is passes
+        assert got.max_residual == want.max_residual
+        assert (got.alpha == want.alpha).all()
+    rec = qec.build_recovery(code, [scale * e for e in bit_flips()])
+    want = qec.verify_recovery(qec.build_recovery(code, bit_flips()), errors,
+                               samples=8, seed=3)
+    got = qec.verify_recovery(rec, errors, samples=8, seed=3)
+    assert (got.max_deviation, got.certified_deviation) == (want.max_deviation,
+                                                            want.certified_deviation)
+    assert want.max_deviation > 0.1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), k=st.integers(1, 4), m=st.integers(1, 4))
+def test_one_pass_images_and_traces_are_bit_identical(data, n, k, m):
+    # The same BLAS products as one matmul and one vdot per member; members
+    # may be real, Fortran-ordered or transposed views.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    k = min(k, n)
+    w = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+    scale = 10.0 ** data.draw(st.integers(-150, 150))
+    ops = []
+    for _ in range(m):
+        e = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        form = data.draw(st.sampled_from(["c", "f", "t", "real"]))
+        ops.append({"c": e, "f": np.asfortranarray(e), "t": e.T, "real": e.real}[form])
+    images, traces = qec._code_images(w, qec._error_list(ops))
+    want = [np.asarray(e, dtype=complex) for e in ops]
+    assert images.tobytes() == np.stack([e @ w for e in want]).tobytes()
+    assert traces.tobytes() == np.array([np.vdot(e, e).real for e in want]).tobytes()

@@ -9,11 +9,14 @@ oracle.
 
 import json
 import math
+import mmap
+import os
 import re
 import runpy
 import tracemalloc
 from collections.abc import Sized
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -328,6 +331,8 @@ def _integer_documents(draw):
 @given(text=_integer_documents(), chunk=st.integers(1, 64), block=st.integers(1, 24))
 def test_scanned_integer_runs_match_reference_route(tmp_path, text, chunk, block):
     # Small chunks and blocks put tokens at every offset around their cuts.
+    # A document of at least one chunk is mapped, so this is also a test of
+    # the mapped read.
     path = tmp_path / "doc.json"
     path.write_text(text)
     with pytest.MonkeyPatch.context() as mp:
@@ -412,7 +417,8 @@ def test_one_digit_runs_match_reference_route(tmp_path, text, chunk, block):
     # Small chunks and blocks cut the rows of pairs that are compared with
     # the template at every offset. The arrays' bytes hold the signs of
     # their zeros, and the whole tree, which holds a run of five axes, is
-    # compared as JSON text of floats, which also shows them.
+    # compared as JSON text of floats, which also shows them. A document of
+    # at least one chunk is mapped, so this is also a test of the mapped read.
     path = tmp_path / "doc.json"
     path.write_text(text)
     with pytest.MonkeyPatch.context() as mp:
@@ -574,6 +580,8 @@ def _chunked_routes(monkeypatch, path, chunk=16):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_documents(), chunk=st.integers(1, 40))
 def test_bulk_route_in_small_chunks_matches_reference_route(tmp_path, text, chunk):
+    # A document of at least one chunk is mapped, so this is also a test of
+    # the mapped read.
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     with pytest.MonkeyPatch.context() as mp:
@@ -1011,3 +1019,145 @@ def test_bulk_reader_gives_the_reference_arrays_for_a_pauli_list(tmp_path):
     got, _ = serialize.error_list_from_doc(serialize.load_document(str(path)))
     want = [_reference_matrix(k, "k") for k in _reference_load(str(path))["kraus"]]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+# --- the mapped read ----------------------------------------------------------
+
+def _mapped_text(indent=None):
+    """A test document of at least one chunk, which load_document maps: a
+    run of decimal matrices, a matrix of one-digit integers and a vector,
+    with a non-ASCII string before them."""
+    rng = np.random.default_rng(156)
+    doc = {"s": "été", "k": (rng.standard_normal((12, 48, 48, 2)) / 7).tolist(),
+           "m": rng.integers(-9, 10, size=(32, 32, 2)).tolist(),
+           "v": rng.standard_normal((100, 2)).tolist()}
+    text = json.dumps(doc, indent=indent)
+    assert len(text.encode()) >= serialize._CHUNK
+    return text
+
+
+def _mapped_reads(monkeypatch, then=None) -> list:
+    """A list of the lengths of the mappings that serialize makes from now
+    on, or of what ``then()`` returns once each is made."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        data = mmap.mmap(*args, **kwargs)
+        seen.append(len(data) if then is None else then())
+        return data
+
+    monkeypatch.setattr(serialize, "mmap",
+                        SimpleNamespace(mmap=spy, ACCESS_READ=mmap.ACCESS_READ))
+    return seen
+
+
+def test_a_mapped_document_matches_reference_route_and_aliases_no_mapping(
+        tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(_mapped_text(), encoding="utf-8")
+    seen = _mapped_reads(monkeypatch)
+    bulk, reference = _both_routes(str(path))
+    assert seen == [path.stat().st_size] and isinstance(bulk, list) and bulk == reference
+    tree = serialize.load_document(str(path))
+    assert isinstance(tree["m"], np.ndarray) and isinstance(tree["k"][0], np.ndarray)
+    want = json.dumps(_floats(tree))
+    # Every array was copied out of the text: overwriting the file, then
+    # truncating it, leaves them as they were read.
+    size = path.stat().st_size
+    with open(path, "r+b") as fh:
+        fh.write(b"7" * size)
+    assert json.dumps(_floats(tree)) == want
+    with open(path, "r+b") as fh:
+        fh.truncate(0)
+    assert json.dumps(_floats(tree)) == want
+
+
+def test_only_documents_of_at_least_one_chunk_are_mapped(tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_chunk_doc()))
+    size = path.stat().st_size
+    seen = _mapped_reads(monkeypatch)
+    want = json.dumps(_floats(serialize.load_document(str(path))))
+    for chunk in (size + 1, size, 1):
+        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        assert json.dumps(_floats(serialize.load_document(str(path)))) == want
+    assert seen == [size, size]
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+@pytest.mark.parametrize("tail", ["", " x", "\xff"], ids=["valid", "syntax", "utf8"])
+def test_the_mapping_is_closed_when_load_document_returns(tmp_path, monkeypatch, tail):
+    # Whether it returns a tree or raises.
+    path = tmp_path / "doc.json"
+    path.write_bytes(_mapped_text().encode() + tail.encode("latin-1"))
+    name = os.path.realpath(path)
+
+    def mapped_now():
+        return name in Path("/proc/self/maps").read_text()
+
+    during = _mapped_reads(monkeypatch, mapped_now)
+    try:
+        serialize.load_document(str(path))
+    except FormatError:
+        assert tail
+    assert during == [True] and not mapped_now()
+
+
+@pytest.mark.parametrize("chunk", [0, 1])
+@pytest.mark.parametrize("kind", ["empty", "directory"])
+def test_files_that_cannot_be_mapped_fail_as_the_read_path(tmp_path, monkeypatch, kind,
+                                                           chunk):
+    # An empty file cannot be mapped, even at a chunk of 0 bytes, and a
+    # directory cannot be opened: both are read, and refused, as before.
+    path = tmp_path / "doc.json"
+    if kind == "empty":
+        path.write_bytes(b"")
+    else:
+        path.mkdir()
+    read = _outcome(lambda: [serialize.load_document(str(path))])
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    seen = _mapped_reads(monkeypatch)
+    bulk, reference = _both_routes(str(path))
+    assert seen == [] and bulk == read == reference
+    want = f"{path}:1:1: Expecting value" if kind == "empty" else "Is a directory"
+    assert want in bulk
+
+
+@pytest.mark.parametrize("at", [0.5, -3])
+def test_a_mapped_file_that_is_not_utf8_fails_as_the_read_path(tmp_path, monkeypatch, at):
+    # 0xFF over a digit: the message names the byte's place in the file.
+    data = bytearray(_mapped_text().encode())
+    place = [m.start() for m in re.finditer(rb"[0-9]", data)][int(at * len(data)) if at > 0
+                                                             else at]
+    data[place] = 0xFF
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as read:
+        serialize.read_bytes(str(path))
+    seen = _mapped_reads(monkeypatch)
+    with pytest.raises(FormatError) as mapped:
+        serialize.load_document(str(path))
+    assert seen == [len(data)] and str(mapped.value) == str(read.value)
+    assert str(read.value).startswith(
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position {place}:")
+
+
+@pytest.mark.parametrize("edit", ["nan", "syntax", "syntax-indent"])
+def test_a_mapped_document_read_whole_by_json_loads_keeps_its_diagnostics(
+        tmp_path, monkeypatch, edit):
+    # NaN in the text, or a syntax error at its end, sends the whole text to
+    # json.loads, which reads a copy of the mapping.
+    text = _mapped_text(indent=1 if edit == "syntax-indent" else None)
+    if edit == "nan":
+        text = text.replace('"v": [[', '"v": [[NaN, 0], [', 1)
+    else:
+        text = text[:-1] + "\n ,x}"
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    seen = _mapped_reads(monkeypatch)
+    bulk, reference = _both_routes(str(path))
+    assert len(seen) == 1 and bulk == reference
+    if edit == "nan":
+        assert reference == "doc.v[0]: real out of range"
+    else:
+        assert reference.startswith(f"{path}:{text.count(chr(10)) + 1}:3: ")
