@@ -31,8 +31,9 @@ COND_GUARD = 1e10
 
 
 def von_neumann(rho: State) -> float:
-    """S(rho) = -Tr[rho log2 rho]; zero for pure states."""
-    vals = np.linalg.eigvalsh(rho.rho)
+    """S(rho) = -Tr[rho log2 rho]; zero for pure states. Reads the
+    spectrum the State computed when it was made."""
+    vals = rho.spectrum
     vals = vals[vals > matkit.SUPPORT_RTOL * max(vals.max(), 1e-300)]
     s = float(-np.sum(vals * np.log2(vals)))
     return max(s, 0.0)

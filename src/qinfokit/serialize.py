@@ -8,14 +8,19 @@ serialize -> parse -> serialize is byte-identical.
 A document is read once, as bytes (``load_document``). A file of at
 least ``_CHUNK`` bytes is read through a read-only mapping, so its text
 is not copied whole; a smaller one (or one that cannot be mapped) is
-read whole. A byte that is not ASCII sends the text through the UTF-8
-decoder, which names the first bad byte. Each bracketed run of numbers
-that holds a dense array of [re, im] pairs (a vector, a matrix, or
-matrices nested in arrays) is read from its opening bracket to its own
-closing one, in chunks of whole outermost elements of up to ``_CHUNK``
-bytes, with no pass over the whole text first; the search for a run
-passes over string literals, and the reader holds the arrays and one
-chunk's work at a time. Each chunk is copied out of the text, so no
+read whole. The mapping is resident one chunk at a time: its pages are
+released (``madvise(MADV_DONTNEED)``, where the platform has it) once
+the UTF-8 check or the reader has passed them, and a later read of
+earlier text faults them back in from the page cache. A run laid out
+with whitespace is the exception: it is copied whole, stripped of it,
+before it is read. A byte that is not ASCII sends the text through the
+UTF-8 decoder, which names the first bad byte. Each bracketed run of
+numbers that holds a dense array of [re, im] pairs (a vector, a matrix,
+or matrices nested in arrays) is read from its opening bracket to its
+own closing one, in chunks of whole outermost elements of up to
+``_CHUNK`` bytes, with no pass over the whole text first; the search for
+a run passes over string literals, and the reader holds the arrays and
+one chunk's work at a time. Each chunk is copied out of the text, so no
 array read aliases a mapping, which is closed before ``load_document``
 returns. The layout of a run comes from its first element. A chunk of
 that layout with one digit per number, each after at most one '-' (the
@@ -30,11 +35,12 @@ cols, 2) array, which ``vector_from_doc`` and ``matrix_from_doc`` view
 as complex without a copy; every array level above a matrix stays a
 Python list. A run takes this route when its brackets are laid out as a
 rectangular array's, every number is a finite JSON number that
-``json.loads`` reads to the same float (an integer ``-0`` is not: it
-reads as +0.0), and whitespace only sits next to brackets and commas, as
-in canonical and ``json.dump`` output. A vector or matrix run falls back
-to ``json.loads`` whole on the first chunk that fails, a run of matrices
-only that chunk's elements.
+``json.loads`` reads to the same float, and whitespace only sits next to
+brackets and commas, as in canonical and ``json.dump`` output. An
+integer ``-0``, which ``json.loads`` reads as +0.0, is read so in the
+fixed byte layout and sends any other chunk off the route. A vector or
+matrix run falls back to ``json.loads`` whole on the first chunk that
+fails, a run of matrices only that chunk's elements.
 
 A mapped file must not shrink while it is read: a file truncated by
 another process during ``load_document`` can end the process with
@@ -396,6 +402,22 @@ _BLOCK = 1 << 16
 # Bytes of text per chunk of a run (whole outermost elements): a run is read
 # one chunk at a time, so no copy of the whole run is made.
 _CHUNK = 1 << 20
+# Read at import: a test may stand a spy in for the module.
+_PAGE, _DONTNEED = mmap.PAGESIZE, getattr(mmap, "MADV_DONTNEED", None)
+
+
+def _release(data, begin: int, end: int) -> None:
+    """Drop the whole pages of the mapping ``data`` from the one that
+    holds ``begin`` to the one that holds ``end`` from the process's
+    resident memory, once their text has been read. They stay readable: a
+    later read faults them back in from the page cache. Nothing happens to
+    bytes, or where the platform has no ``madvise``."""
+    if _DONTNEED is None or not hasattr(data, "madvise"):
+        return
+    begin, end = begin - begin % _PAGE, min(end, len(data))
+    end -= end % _PAGE
+    if end > begin:
+        data.madvise(_DONTNEED, begin, end - begin)
 
 
 def _shape_of(skeleton: bytes, ndim: int) -> tuple | None:
@@ -436,7 +458,8 @@ def _dense_array(data: bytes, start: int) -> tuple:
     (``_one_digit``); any other chunk passes when its skeleton is the
     layout's. A vector or matrix stands as one NaN; in a run of matrices
     each element of a chunk that passes does, and a chunk that fails
-    stays as text. A run with whitespace in its first bytes is read from
+    stays as text. A mapping's pages before each next chunk are released
+    (``_release``). A run with whitespace in its first bytes is read from
     its run bytes, stripped."""
     head = data[start:start + _MAX_NDIM + 1]
     if any(space in head for space in _WHITESPACE):
@@ -496,6 +519,7 @@ def _dense_array(data: bytes, start: int) -> tuple:
             pieces.append(chunk)
         if data[end:end + 1] != b",":
             break
+        _release(data, begin, end + 1)
         begin = end + 1
     closed = data[end:end + 1] == b"]"
     close = end + closed
@@ -596,12 +620,11 @@ def _scan_chunk(chunk: bytes, out: np.ndarray) -> bool:
 
     When ``out`` is shaped as the chunk's elements, it holds the digits
     ``_one_digit`` read, and each '-' byte, found by a search of the
-    chunk, must stand before a digit of 1 to 9 (an integer -0 reads as
-    +0.0 in json.loads), which is negated. A flat
-    ``out`` takes a chunk whose skeleton the caller checked: its numbers
-    are scanned in blocks of about ``_BLOCK`` bytes cut at commas and
-    converted by np.loadtxt; False when one fails ``_scan_block``, they do
-    not fill ``out``, or one is not finite."""
+    chunk, must stand before a digit, which it negates (``_signed``). A
+    flat ``out`` takes a chunk whose skeleton the caller checked: its
+    numbers are scanned in blocks of about ``_BLOCK`` bytes cut at commas
+    and converted by np.loadtxt; False when one fails ``_scan_block``, they
+    do not fill ``out``, or one is not finite."""
     if out.ndim > 1:
         return b"-" not in chunk or _signed(chunk, out)
     if chunk[:1] != b"[" or chunk[-1:] != b"]":
@@ -626,8 +649,8 @@ def _scan_chunk(chunk: bytes, out: np.ndarray) -> bool:
 
 def _signed(chunk: bytes, out: np.ndarray) -> bool:
     """Negate the numbers of ``out`` (the digits of ``chunk``) that a '-'
-    stands before; False when a '-' stands before no number, before a 0,
-    or twice before one."""
+    stands before, a 0 to +0.0 as json.loads reads an integer -0; False
+    when a '-' stands before no number or twice before one."""
     at, i = [], chunk.find(b"-")
     while i >= 0:  # signs are few: a search beats a pass over every byte
         at.append(i)
@@ -643,10 +666,10 @@ def _signed(chunk: bytes, out: np.ndarray) -> bool:
         child, offset = np.divmod(offset - (depth > 0), slot)
         ok &= offset < slot - 1
         index = index * count + child
-    flat = out.reshape(-1)
-    if not ok.all() or (flat[index] == 0).any():
+    if not ok.all():
         return False
-    flat[index] *= -1
+    flat = out.reshape(-1)
+    flat[index] = 0.0 - flat[index]  # 0.0 - 0.0 is +0.0
     return True
 
 
@@ -717,17 +740,20 @@ def _bulk_loads(data: bytes):
     """json.loads of the document's bytes ``data``, with each dense array
     read in bulk. A run starts at a '[' and ends at its own closing
     bracket (``_dense_array``), and the next is looked for after it, so
-    no pass over the whole text comes first. The arrays read in bulk are
-    replaced by ``NaN``, a constant json.loads hands to ``parse_constant``,
-    which returns them in text order. The search for a run passes over
-    string literals. A run whose text holds a quote is refused: the walk
-    of a refused array may end inside a string, and the search goes on
-    from that string's opening quote. A text that spells NaN or Infinity
-    itself sends the whole text to json.loads.
+    no pass over the whole text comes first. A mapping's pages before each
+    run are released, as a run's are before each of its chunks. The arrays
+    read in bulk are replaced by ``NaN``, a constant json.loads hands to
+    ``parse_constant``, which returns them in text order. The search for a
+    run passes over string literals. A run whose text holds a quote is
+    refused: the walk of a refused array may end inside a string, and the
+    search goes on from that string's opening quote. A text that spells NaN
+    or Infinity itself sends the whole text to json.loads.
     """
-    pieces, arrays, last = [], [], 0
+    pieces, arrays, last, done = [], [], 0, 0
     start = _next_run(data, 0)
     while start >= 0:
+        _release(data, done, start)
+        done = start
         close, text, found = _dense_array(data, start)
         if text is None or b'"' in text:
             close = _outside_strings(data, start, close)
@@ -763,12 +789,26 @@ def read_bytes(path: str) -> bytes:
     return data
 
 
+def _ascii(data: mmap.mmap) -> bool:
+    """Whether every byte of the mapping ``data`` is ASCII, checked one
+    chunk at a time, each released once checked."""
+    view = np.frombuffer(data, np.uint8)
+    for begin in range(0, len(view), _CHUNK):
+        if view[begin:begin + _CHUNK].max() > 127:
+            return False
+        _release(data, begin, begin + _CHUNK)
+    return True
+
+
 def _mapped(path: str) -> mmap.mmap | None:
     """A read-only mapping of the file at ``path``, which must be UTF-8
     text, when it holds at least ``_CHUNK`` bytes; None for a smaller file
     or one that cannot be mapped, which ``read_bytes`` then reads or
-    refuses. The text is decoded only when a byte is not ASCII; text that
-    is not UTF-8 raises FormatError as ``read_bytes`` does."""
+    refuses. The bytes are checked, and released, one chunk at a time
+    (``_ascii``); the whole text is decoded only when a byte is not ASCII,
+    and text that is not UTF-8 raises FormatError as ``read_bytes`` does.
+    So no more than about one chunk of the mapping is resident when this
+    returns."""
     try:
         if os.stat(path).st_size < _CHUNK:
             return None
@@ -776,19 +816,20 @@ def _mapped(path: str) -> mmap.mmap | None:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):  # ValueError: emptied since the stat
         return None
-    if np.frombuffer(data, np.uint8).max() > 127:
+    if not _ascii(data):
         try:
             str(data, "utf-8")
         except UnicodeDecodeError as exc:
             data.close()
             raise FormatError(f"{path}: {exc}") from exc
+        _release(data, 0, len(data))
     return data
 
 
 def load_document(path: str) -> dict:
     """The JSON object in the file at ``path``, read through a mapping
-    (``_mapped``) that is closed before this returns, or read whole
-    (``read_bytes``)."""
+    (``_mapped``) that is resident about one chunk at a time and closed
+    before this returns, or read whole (``read_bytes``)."""
     mapped = _mapped(path)
     try:
         with _gc_paused():

@@ -34,10 +34,16 @@ def _checked_dims(dims) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Density matrix with an ordered list of subsystem dimensions."""
+    """Density matrix with an ordered list of subsystem dimensions.
+
+    ``rho`` is stored Hermitian-symmetrized and read-only, and
+    ``spectrum`` holds its eigenvalues in ascending order (``eigvalsh``,
+    also read-only), computed once by the positivity check.
+    """
 
     dims: tuple
     rho: np.ndarray = field(repr=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = _checked_dims(self.dims)
@@ -57,7 +63,9 @@ class State:
         tr = float(np.real(np.trace(rho)))
         if abs(tr - 1.0) > STATE_TOL:
             raise DimensionError(f"rho trace {tr} != 1")
+        rho.flags.writeable = eigs.flags.writeable = False
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "spectrum", eigs)
 
     @property
     def dim(self) -> int:

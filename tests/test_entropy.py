@@ -37,6 +37,22 @@ def test_von_neumann_eigenvalue_oracle():
     assert entropy.von_neumann(rho) == pytest.approx(want, abs=1e-10)
 
 
+def test_von_neumann_reads_the_spectrum_as_eigvalsh_gives_it():
+    # Bit for bit the formula on eigvalsh of rho, as it stood before the
+    # State kept its spectrum, on full states and their marginals.
+    def formula(state):
+        vals = np.linalg.eigvalsh(state.rho)
+        vals = vals[vals > matkit.SUPPORT_RTOL * max(vals.max(), 1e-300)]
+        return max(float(-np.sum(vals * np.log2(vals))), 0.0)
+
+    rng = np.random.default_rng(64)
+    for full in [random_state((2, 3, 2), rng), random_pure((2, 3, 2), rng).to_state(),
+                 random_state((2, 3, 2), rng, rank=2), bell_state()]:
+        for keep in [range(len(full.dims)), [0], [1], [0, len(full.dims) - 1]]:
+            state = full.marginal(keep)
+            assert entropy.von_neumann(state) == formula(state)
+
+
 def test_relative_entropy_cases():
     rng = np.random.default_rng(62)
     rho = random_state((3,), rng)

@@ -362,9 +362,10 @@ def test_integer_tokens_at_every_pair_of_a_scanned_vector(tmp_path, monkeypatch,
 
 # --- one-digit runs: the fixed byte layout -------------------------------------
 
-# Tokens that break the layout of one digit per number in place of one: an
-# integer -0 (json.loads reads +0.0), two signs, a sign alone, no number, a
-# sign after the digit, a leading zero, two digits, a sign before a
+# Tokens in place of one number of a run of one digit per number: an integer
+# -0, which stays in the layout and is read as +0.0 (as json.loads reads
+# it), and tokens that break the layout: two signs, a sign alone, no number,
+# a sign after the digit, a leading zero, two digits, a sign before a
 # bracket, and the byte after '9'.
 _LAYOUT_BREAKERS = ["-0", "--1", "-", "", "1-", "01", "10", "-[", ":"]
 
@@ -752,7 +753,9 @@ def test_load_document_peak_for_matrices_longer_than_a_chunk(tmp_path):
 
 
 @pytest.mark.parametrize("bad, at, lists", [
-    ("[0,-0]", 0, [0]), ("[0,-0]", 3, [3]), ("[0,1,2]", 3, [3]), ("[0]", 5, [5]),
+    # An integer -0 beside a decimal leaves the fixed layout, and the scan
+    # of decimals refuses it.
+    ("[-0,0.5]", 0, [0]), ("[-0,0.5]", 3, [3]), ("[0,1,2]", 3, [3]), ("[0]", 5, [5]),
     # A byte no number has does not end the run; in the first matrix it
     # leaves the layout to the next one.
     ("[0,true]", 3, [3]), ("[0,true]", 5, [5]), ("[0,true]", 0, [0]),
@@ -770,6 +773,25 @@ def test_bad_element_of_a_run_of_matrices_alone_leaves_the_bulk_route(
     k = serialize.load_document(str(path))["k"]
     assert [type(m) for m in k] == [list if i in lists else np.ndarray
                                     for i in range(6)]
+
+
+@pytest.mark.parametrize("at", [0, 3])
+def test_an_integer_minus_zero_keeps_its_matrix_on_the_bulk_route(tmp_path, monkeypatch,
+                                                                  at):
+    # One matrix of "k" per chunk, as above: the matrix with [0,-0] lands as
+    # an array like the others, and its -0 is +0.0, as json.loads reads it.
+    doc = _chunk_doc()
+    doc["k"][at][-1][-1] = [777, 777]
+    path = tmp_path / "doc.json"
+    path.write_text(serialize.canonical_dumps(doc).replace("[777,777]", "[0,-0]"))
+    bulk, reference, _ = _chunked_routes(monkeypatch, path)
+    assert bulk == reference
+    k = serialize.load_document(str(path))["k"]
+    assert all(isinstance(m, np.ndarray) for m in k)
+    want = _reference_matrix(_reference_load(str(path))["k"][at], "k")
+    got = serialize.matrix_from_doc(k[at], "k")
+    assert got.tobytes() == want.tobytes() and got[-1, -1] == 0
+    assert not np.signbit(got[-1, -1].imag)
 
 
 def _compact(value):
@@ -1146,7 +1168,8 @@ def test_a_mapped_file_that_is_not_utf8_fails_as_the_read_path(tmp_path, monkeyp
 def test_a_mapped_document_read_whole_by_json_loads_keeps_its_diagnostics(
         tmp_path, monkeypatch, edit):
     # NaN in the text, or a syntax error at its end, sends the whole text to
-    # json.loads, which reads a copy of the mapping.
+    # json.loads, which reads a copy of the mapping: the UTF-8 decode of its
+    # non-ASCII string has released every page, so the copy reads them again.
     text = _mapped_text(indent=1 if edit == "syntax-indent" else None)
     if edit == "nan":
         text = text.replace('"v": [[', '"v": [[NaN, 0], [', 1)
@@ -1161,3 +1184,178 @@ def test_a_mapped_document_read_whole_by_json_loads_keeps_its_diagnostics(
         assert reference == "doc.v[0]: real out of range"
     else:
         assert reference.startswith(f"{path}:{text.count(chr(10)) + 1}:3: ")
+
+
+# --- the released mapping -----------------------------------------------------
+
+_RELEASE_CHUNK = 1 << 16
+# Resident bytes allowed of a mapping: the chunk read and the text searched
+# for the next one, and at each end of that span the pages the kernel maps
+# at a fault, which for a file cached in large folios is up to 2 MiB.
+_RESIDENT = 2 * _RELEASE_CHUNK + (4 << 20)
+
+
+def _released_text(kind, mib=8):
+    """A compact test document of over ``mib`` MiB whose matrices are of
+    decimals or of one-digit integers, each well under ``_RELEASE_CHUNK``
+    bytes: a run of matrices; for "runs", an array of objects that each
+    hold a run of ten matrices under one chunk; for "non-ASCII", a run of
+    matrices and then a non-ASCII string."""
+    rng = np.random.default_rng(157)
+    if kind == "decimal":
+        k = (rng.standard_normal((100, 8, 8, 2)) / 7).tolist()
+    else:
+        k = rng.integers(-9, 10, size=(100, 16, 16, 2)).tolist()
+    if kind == "runs":
+        block = ",".join('{"a":%s}' % _compact(k[i:i + 10]) for i in range(0, len(k), 10))
+    else:
+        block = _compact(k)[1:-1]
+    text = '{"m":%s,"v":%s,"k":[%s]%s}' % (
+        _compact(k[0]), _compact(k[0][0]), ",".join([block] * (1 + (mib << 20) // len(block))),
+        ',"s":"été"' if kind == "non-ASCII" else "")
+    assert len(text) >= mib << 20
+    return text
+
+
+def _resident(name) -> int:
+    """Resident bytes of this process's mappings of the file ``name``: its
+    pages present in the page table, as the Rss of /proc/self/smaps counts
+    them, read from /proc/self/pagemap (bit 63 of each page's entry), which
+    walks only these mappings."""
+    page, total = mmap.PAGESIZE, 0
+    with open("/proc/self/pagemap", "rb") as pagemap:
+        for line in Path("/proc/self/maps").read_text().splitlines():
+            fields = line.split(None, 5)
+            if len(fields) == 6 and fields[5] == name:
+                low, high = (int(x, 16) for x in fields[0].split("-"))
+                pagemap.seek(low // page * 8)
+                entries = np.frombuffer(pagemap.read((high - low) // page * 8), np.uint64)
+                total += int((entries >> np.uint64(63)).sum()) * page
+    return total
+
+
+def _resident_reads(monkeypatch, path, every_chunk=True) -> list:
+    """Resident bytes of the mapping of ``path`` right after the UTF-8
+    check, at each chunk the bulk route scans (when ``every_chunk``) and
+    once the text is parsed, for one load_document with
+    ``_RELEASE_CHUNK`` bytes per chunk."""
+    name, seen = os.path.realpath(path), []
+    mapped, scan, parse = serialize._mapped, serialize._scan_chunk, serialize._bulk_loads
+
+    def after(read):
+        def reading(*args):
+            out = read(*args)
+            seen.append(_resident(name))
+            return out
+        return reading
+
+    def scanned(*args):
+        seen.append(_resident(name))
+        return scan(*args)
+
+    monkeypatch.setattr(serialize, "_CHUNK", _RELEASE_CHUNK)
+    monkeypatch.setattr(serialize, "_mapped", after(mapped))
+    monkeypatch.setattr(serialize, "_bulk_loads", after(parse))
+    if every_chunk:
+        monkeypatch.setattr(serialize, "_scan_chunk", scanned)
+    serialize.load_document(str(path))
+    return seen
+
+
+@pytest.mark.skipif(not Path("/proc/self/pagemap").exists() or serialize._DONTNEED is None,
+                    reason="needs /proc/self/pagemap and madvise")
+@pytest.mark.parametrize("kind", ["one-digit", "decimal", "runs", "non-ASCII"])
+def test_a_mapped_document_is_resident_about_one_chunk_at_a_time(tmp_path, monkeypatch,
+                                                                 kind):
+    """Right after the UTF-8 check (which decodes the whole non-ASCII
+    text), at each chunk the bulk route scans and once the text is parsed,
+    no more than two chunks and the pages mapped at a fault are resident,
+    in a document of 128 chunks; without the release the whole text is
+    resident once it is parsed."""
+    path = tmp_path / "doc.json"
+    path.write_text(_released_text(kind), encoding="utf-8")
+    seen = _resident_reads(monkeypatch, path)
+    assert len(seen) > 128 and max(seen) <= _RESIDENT
+    monkeypatch.undo()
+    monkeypatch.setattr(serialize, "_release", lambda *args: None)
+    assert _resident_reads(monkeypatch, path, every_chunk=False)[-1] > 6 << 20
+
+
+@pytest.mark.parametrize("kind", ["one-digit", "decimal"])
+def test_releasing_the_mapping_leaves_the_tree_as_it_was(tmp_path, monkeypatch, kind):
+    path = tmp_path / "doc.json"
+    path.write_text(_released_text(kind, mib=1))
+    monkeypatch.setattr(serialize, "_CHUNK", _RELEASE_CHUNK)
+    read = _reader(serialize.matrix_from_doc, serialize.vector_from_doc)
+    released = _outcome(lambda: read(serialize.load_document(str(path))))
+    monkeypatch.setattr(serialize, "_release", lambda *args: None)
+    assert isinstance(released, list)
+    assert _outcome(lambda: read(serialize.load_document(str(path)))) == released
+
+
+def test_a_bad_byte_in_a_middle_window_fails_as_the_read_path(tmp_path, monkeypatch):
+    """0xFF over a digit in the middle of the text, with windows before it
+    checked and released: the message names the byte's place in the file."""
+    data = bytearray(_released_text("one-digit").encode())
+    place = data.index(b"1", len(data) // 2)
+    data[place] = 0xFF
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as read:
+        serialize.read_bytes(str(path))
+    monkeypatch.setattr(serialize, "_CHUNK", _RELEASE_CHUNK)
+    seen = _mapped_reads(monkeypatch)
+    with pytest.raises(FormatError) as mapped:
+        serialize.load_document(str(path))
+    assert seen == [len(data)] and str(mapped.value) == str(read.value)
+    assert str(read.value).startswith(
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position {place}:")
+
+
+def test_non_ascii_text_in_the_last_window_reads_as_the_read_path(tmp_path, monkeypatch):
+    """Every window but the last is ASCII and released before the last one
+    sends the whole text to the UTF-8 decoder."""
+    text = _released_text("one-digit", mib=1)
+    path = tmp_path / "doc.json"
+    path.write_text(text[:-1] + ',"s":"été"}', encoding="utf-8")
+    read = _reader(serialize.matrix_from_doc, serialize.vector_from_doc)
+    monkeypatch.setattr(serialize, "_CHUNK", path.stat().st_size + 1)  # read whole
+    whole = _outcome(lambda: read(serialize.load_document(str(path))))
+    monkeypatch.setattr(serialize, "_CHUNK", _RELEASE_CHUNK)
+    seen = _mapped_reads(monkeypatch)
+    tree = serialize.load_document(str(path))
+    assert seen == [path.stat().st_size] and tree["s"] == "été"
+    assert isinstance(whole, list) and _outcome(lambda: read(tree)) == whole
+
+
+@pytest.mark.parametrize("edit", ["last run", "nan", "syntax"])
+def test_released_text_read_again_keeps_its_diagnostics(tmp_path, monkeypatch, edit):
+    """A refused last run (a vector with [0,true] as its last pair) is
+    searched again for string literals and copied as text, and NaN in the
+    text or a syntax error at its end sends the whole text to json.loads:
+    each reads pages released before it, with the outcome of the read
+    path."""
+    rng = np.random.default_rng(158)
+    vector = _compact((rng.standard_normal((20000, 2)) / 7).tolist())
+    text = _released_text("decimal", mib=1)[:-1] + ',"w":%s}' % vector
+    last = text.rindex("[")
+    if edit == "syntax":
+        text = text[:-1] + "\n ,x}"
+    else:
+        pair = "[0,true]" if edit == "last run" else "[NaN,0]"
+        text = text[:last] + pair + text[text.index("]", last) + 1:]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+
+    def outcome():
+        try:
+            return json.dumps(_floats(serialize.load_document(str(path))))
+        except FormatError as exc:
+            return str(exc)
+
+    monkeypatch.setattr(serialize, "_CHUNK", len(text) + 1)  # read whole
+    whole = outcome()
+    monkeypatch.setattr(serialize, "_CHUNK", _RELEASE_CHUNK)
+    seen = _mapped_reads(monkeypatch)
+    assert outcome() == whole and seen == [len(text)]
+    assert whole.startswith("{") == (edit != "syntax")

@@ -23,6 +23,20 @@ def test_states_need_positive_dimensions(dims):
 
 # --- Schmidt decomposition ----------------------------------------------------
 
+def test_a_state_keeps_its_spectrum_and_a_read_only_rho():
+    rng = np.random.default_rng(28)
+    state = random_state((2, 3), rng)
+    assert state.spectrum.tobytes() == np.linalg.eigvalsh(state.rho).tobytes()
+    with pytest.raises(ValueError):
+        state.rho[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        state.spectrum[0] = 1.0
+    # The caller's array is copied, so it stays writable.
+    rho = np.eye(2, dtype=complex) / 2
+    State((2,), rho)
+    rho[0, 0] = 1.0
+
+
 def test_schmidt_product_state():
     u = np.array([1.0, 0.0])
     v = np.array([0.6, 0.8])
