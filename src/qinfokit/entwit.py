@@ -15,7 +15,6 @@ import numpy as np
 
 from . import matkit
 from .errors import DimensionError, EigsNotDistinct, KOutOfRange
-from .matkit import dagger
 from .states import State, unitary_error_basis
 
 # Singular values below RANK_RTOL * largest count as zero everywhere in
@@ -25,23 +24,21 @@ RANK_RTOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class MatrixSubspace:
-    """Subspace of M(m, n) carried as an HS-orthonormal basis list."""
+    """Subspace of M(m, n) carried as an HS-orthonormal basis, one complex
+    (dim, m, n) stack (``matkit.asstack``, kept without a copy if it is
+    one already)."""
 
     ambient: tuple
-    basis: tuple = field(repr=False)
+    basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         shape = (int(self.ambient[0]), int(self.ambient[1]))
-        ops = tuple(matkit.asmatrix(bmat) for bmat in self.basis)
-        for bmat in ops:
-            if bmat.shape != shape:
-                raise DimensionError(f"basis element {bmat.shape} != {shape}")
-        stack = np.stack([bmat.reshape(-1) for bmat in ops], axis=1)
-        gram = dagger(stack) @ stack
-        if np.linalg.norm(gram - np.eye(len(ops))) > 1e-10:
+        basis = matkit.asstack(self.basis, shape, "basis element {} != ({}, {})")
+        flat = basis.reshape(len(basis), -1)
+        if np.linalg.norm(flat.conj() @ flat.T - np.eye(len(basis))) > 1e-10:
             raise DimensionError("basis is not HS-orthonormal")
         object.__setattr__(self, "ambient", shape)
-        object.__setattr__(self, "basis", ops)
+        object.__setattr__(self, "basis", basis)
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -50,18 +47,13 @@ class MatrixSubspace:
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (len(self.basis),):
             raise DimensionError("one coefficient per basis element")
-        out = np.zeros(self.ambient, dtype=complex)
-        for c, bmat in zip(coeffs, self.basis):
-            out += c * bmat
-        return out
+        return np.tensordot(coeffs, self.basis, axes=1)
 
 
-def _orthonormalize(mats, shape) -> MatrixSubspace:
-    stack = np.stack([m.reshape(-1) for m in mats], axis=1)
-    q = matkit.orthonormal_basis(stack)
-    return MatrixSubspace(shape, tuple(
-        q[:, k].reshape(shape) for k in range(q.shape[1])
-    ))
+def _orthonormalize(mats: np.ndarray) -> MatrixSubspace:
+    """The span of a (count, m, n) stack, by one SVD."""
+    q = matkit.orthonormal_basis(mats.reshape(len(mats), -1).T)
+    return MatrixSubspace(mats.shape[1:], q.T.reshape(-1, *mats.shape[1:]))
 
 
 def matrix_rank(x, tol: float = RANK_RTOL) -> int:
@@ -85,20 +77,22 @@ def ppt_test(rho: State, cut: int = 1) -> bool:
 
 
 def _phi_superop(n: int, phi_eigs) -> callable:
-    eigs = np.asarray(phi_eigs, dtype=float)
+    """Phi(B) = sum_k p_k Tr[W_k^dag B] W_k / n over the Weyl basis W_k,
+    for a stack of n x n matrices B; ``phi_eigs`` p_k default to
+    ``default_phi_eigs``."""
+    weyl = unitary_error_basis(n)
+    eigs = np.asarray(default_phi_eigs(n) if phi_eigs is None else phi_eigs,
+                      dtype=float)
     if eigs.shape != (n * n,):
         raise DimensionError(f"need {n * n} eigenvalues")
     if eigs.min() <= 0:
         raise EigsNotDistinct("eigenvalues must be positive")
     if np.min(np.diff(np.sort(eigs))) < 1e-12:
         raise EigsNotDistinct("eigenvalues must be distinct")
-    weyl = [w / math.sqrt(n) for w in unitary_error_basis(n)]
 
     def phi(b):
-        out = np.zeros((n, n), dtype=complex)
-        for p, w in zip(eigs, weyl):
-            out += p * matkit.hs_inner(w, b) * w
-        return out
+        coeffs = np.tensordot(b, weyl.conj(), axes=([-2, -1], [1, 2]))
+        return np.tensordot(coeffs * eigs, weyl, axes=1) / n
 
     return phi
 
@@ -112,23 +106,13 @@ def default_phi_eigs(n: int) -> np.ndarray:
 def rank2_subspace(n: int, phi_eigs=None) -> MatrixSubspace:
     """2n^2-dimensional subspace of M_{2n} whose nonzero elements all have
     rank >= 2: blocks [[A, Phi(B)], [B, A]] over all A, B."""
-    if phi_eigs is None:
-        phi_eigs = default_phi_eigs(n)
     phi = _phi_superop(n, phi_eigs)
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            a_block = np.zeros((2 * n, 2 * n), dtype=complex)
-            a_block[:n, :n] = e
-            a_block[n:, n:] = e
-            mats.append(a_block)
-            b_block = np.zeros((2 * n, 2 * n), dtype=complex)
-            b_block[n:, :n] = e
-            b_block[:n, n:] = phi(e)
-            mats.append(b_block)
-    return _orthonormalize(mats, (2 * n, 2 * n))
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij at i n + j
+    mats = np.zeros((n * n, 2, 2 * n, 2 * n), dtype=complex)  # member 2(i n + j) + t
+    mats[:, 0, :n, :n] = mats[:, 0, n:, n:] = units
+    mats[:, 1, n:, :n] = units
+    mats[:, 1, :n, n:] = phi(units)
+    return _orthonormalize(mats.reshape(-1, 2 * n, 2 * n))
 
 
 def rank2_complement(s: MatrixSubspace, phi_eigs=None) -> MatrixSubspace:
@@ -137,23 +121,14 @@ def rank2_complement(s: MatrixSubspace, phi_eigs=None) -> MatrixSubspace:
     n = s.ambient[0] // 2
     if s.ambient != (2 * n, 2 * n) or len(s) != 2 * n * n:
         raise DimensionError("input must come from rank2_subspace")
-    if phi_eigs is None:
-        phi_eigs = default_phi_eigs(n)
     phi = _phi_superop(n, phi_eigs)
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            k_block = np.zeros((2 * n, 2 * n), dtype=complex)
-            k_block[:n, :n] = e
-            k_block[n:, n:] = -e
-            mats.append(k_block)
-            l_block = np.zeros((2 * n, 2 * n), dtype=complex)
-            l_block[:n, n:] = e
-            l_block[n:, :n] = -phi(e)
-            mats.append(l_block)
-    return _orthonormalize(mats, (2 * n, 2 * n))
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij at i n + j
+    mats = np.zeros((n * n, 2, 2 * n, 2 * n), dtype=complex)  # member 2(i n + j) + t
+    mats[:, 0, :n, :n] = units
+    mats[:, 0, n:, n:] = -units
+    mats[:, 1, :n, n:] = units
+    mats[:, 1, n:, :n] = -phi(units)
+    return _orthonormalize(mats.reshape(-1, 2 * n, 2 * n))
 
 
 def min_rank_subspace(m: int, n: int, k: int) -> MatrixSubspace:
@@ -168,21 +143,16 @@ def min_rank_subspace(m: int, n: int, k: int) -> MatrixSubspace:
         raise KOutOfRange(f"need 0 <= k < min({m}, {n})")
     mats = []
     for offset in range(-(m - 1), n):
-        cells = [
-            (i, i + offset)
-            for i in range(m)
-            if 0 <= i + offset < n
-        ]
-        p = len(cells)
+        rows = np.arange(max(0, -offset), min(m, n - offset))
+        p = len(rows)
         if p <= k:
             continue
         nodes = np.arange(1, p + 1, dtype=float)
         for degree in range(p - k):
             mat = np.zeros((m, n), dtype=complex)
-            for (i, j), z in zip(cells, nodes):
-                mat[i, j] = z ** degree
+            mat[rows, rows + offset] = nodes ** degree
             mats.append(mat)
-    return _orthonormalize(mats, (m, n))
+    return _orthonormalize(np.array(mats))
 
 
 def verify_min_rank(s: MatrixSubspace, k: int, samples: int = 500,

@@ -125,11 +125,17 @@ def _noise_scale(traces: np.ndarray, n: int, probs) -> tuple[np.ndarray, float]:
             raise DimensionError("probabilities must match the error list")
         if np.any(p < 0):
             raise ProbabilityError("probabilities must be nonnegative")
-        total = p.sum()
-        if not (np.isfinite(total) and total > 0):
+        # Relative weights: divided by the largest before they are summed.
+        if not (np.isfinite(p).all() and p.max() > 0):
             raise ProbabilityError("probabilities must have a positive finite sum")
         p = p / p.max()
-    return np.sqrt(p), float(p @ traces) / n
+    # For a list too large to square, c overflows or reads NaN (0 * inf);
+    # out of range, the caller divides the list by its peak.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(p), float(p @ traces) / n
+
+
+_OUT_OF_RANGE = "noise: its weight on the code space is zero or out of floating-point range"
 
 
 def _in_range(scale: float) -> bool:
@@ -166,22 +172,33 @@ def _imaged(w: np.ndarray, errors) -> _ImagedErrors:
     return _ImagedErrors(w, errors)
 
 
-def _normalized_images(w: np.ndarray, errors) -> np.ndarray:
-    """E_b W / sqrt(c) for the error family normalized as in
-    ``_noise_scale`` with p_b = 1, as a new m x n x k array. When c under-
-    or overflows, the family is divided by its largest real or imaginary
-    part first, which leaves the normalized family as it is; the parts are
-    divided one by one, as a complex division by a subnormal peak
-    overflows. Raises DomainError when every error operator is zero."""
+def _peak_scaled(ops: list) -> list:
+    """``ops`` divided by their largest real or imaginary part, which
+    leaves the noise they stand for as it is; the parts are divided one by
+    one, as a complex division by a subnormal peak overflows. Raises
+    DomainError when every error operator is zero."""
+    peak = max(max(np.abs(e.real).max(), np.abs(e.imag).max()) for e in ops)
+    if peak == 0:
+        raise DomainError("errors: every error operator is zero")
+    return [e.real / peak + 1j * (e.imag / peak) for e in ops]
+
+
+def _normalized_images(w: np.ndarray, errors, probs=None) -> np.ndarray:
+    """E_b W sqrt(p_b / c) for the error family normalized as in
+    ``_noise_scale``, as a new m x n x k array. When c under- or
+    overflows, the family is divided by its peak first (``_peak_scaled``).
+    Raises DomainError when every error operator is zero, or when c is
+    still zero or out of range: the probs weigh only zero operators."""
     imaged = _imaged(w, errors)
-    _, scale = _noise_scale(imaged.traces, len(w), None)
+    roots, scale = _noise_scale(imaged.traces, len(w), probs)
     if not _in_range(scale):
-        peak = max(max(np.abs(e.real).max(), np.abs(e.imag).max()) for e in imaged)
-        if peak == 0:
-            raise DomainError("errors: every error operator is zero")
-        imaged = _ImagedErrors(w, [e.real / peak + 1j * (e.imag / peak) for e in imaged])
-        _, scale = _noise_scale(imaged.traces, len(w), None)
-    return imaged.images / math.sqrt(scale)
+        imaged = _ImagedErrors(w, _peak_scaled(imaged))
+        roots, scale = _noise_scale(imaged.traces, len(w), probs)
+        if not _in_range(scale):
+            raise DomainError(_OUT_OF_RANGE)
+    if probs is None:
+        return imaged.images / math.sqrt(scale)
+    return imaged.images * (roots / math.sqrt(scale))[:, None, None]
 
 
 def _kl_report(ews: np.ndarray, tol: float) -> KLReport:
@@ -278,23 +295,25 @@ def noise_channel(errors, probs=None) -> Channel:
     """The CPTP noise sum_b p_b E_b X E_b^dag / c of an error list, with
     c = Tr[sum_b p_b E_b^dag E_b] / n and p_b = 1 when ``probs`` is None
     (``_noise_scale``): a channel's own Kraus operators, or unitaries with
-    probabilities p_b / sum p. Raises DomainError when c is zero or out of
-    floating-point range."""
+    probabilities p_b / sum p. It does not depend on the scale of the list:
+    when c under- or overflows, the list is divided by its peak first
+    (``_peak_scaled``). Raises DomainError when every error operator is
+    zero, or when c is still zero or out of range, as when the probs weigh
+    only zero operators."""
     ops = _error_list(errors)
     n = len(ops[0]) if ops[0].ndim else 0  # _traces refuses a 0-d first operator
-    traces = _traces(ops, n)
-    roots, scale = _noise_scale(traces, n, probs)
+    roots, scale = _noise_scale(_traces(ops, n), n, probs)
     if not _in_range(scale):
-        raise DomainError("noise: Tr[sum_b p_b E_b^dag E_b] / n is zero or out of "
-                          "floating-point range")
+        ops = _peak_scaled(ops)
+        roots, scale = _noise_scale(_traces(ops, n), n, probs)
+        if not _in_range(scale):
+            raise DomainError("noise: Tr[sum_b p_b E_b^dag E_b] / n is zero or out "
+                              "of floating-point range")
     # Written in place: an error list can be hundreds of megabytes.
     kraus = np.empty((len(ops), n, n), dtype=complex)
     for i, e in enumerate(ops):
         np.multiply(roots[i] / math.sqrt(scale), e, out=kraus[i])
     return Channel(n, n, kraus)
-
-
-_OUT_OF_RANGE = "noise: its weight on the code space is zero or out of floating-point range"
 
 
 @dataclass(frozen=True)
@@ -323,11 +342,7 @@ def _compressed_map(recovery: Recovery, noise, probs) -> np.ndarray:
             raise DimensionError("noise must act on the physical space")
         images = noise.kraus @ w
     else:
-        errors = _imaged(w, noise)
-        roots, scale = _noise_scale(errors.traces, n, probs)
-        if not _in_range(scale):  # the list as given cannot be normalized
-            raise DomainError(_OUT_OF_RANGE)
-        images = errors.images * (roots / math.sqrt(scale))[:, None, None]
+        images = _normalized_images(w, noise, probs)
     # sum_b ||K_b W||_F^2, k for a trace-preserving noise, bounds every
     # entry of J_c; out of range, J_c under- or overflows.
     if not _in_range(float(np.vdot(images, images).real)):
@@ -369,10 +384,12 @@ def verify_recovery(recovery: Recovery, noise, samples: int = 50,
     sum_b p_b E_b rho E_b^dag / c with c = Tr[sum_b p_b E_b^dag E_b] / n,
     the normalization ``kl_check`` applies: a channel's own Kraus
     operators, or unitaries with probabilities p_b / sum p. Only the
-    sqrt(p_b / c) E_b W are formed. Raises DomainError for samples < 1,
-    where nothing would be sampled, for probs given with a Channel, and
-    for a noise whose weight sum_b ||K_b W||_F^2 on the code space, or an
-    error list whose c, is zero or out of floating-point range, where the
+    sqrt(p_b / c) E_b W are formed (``_normalized_images``), so the scale
+    of the list does not matter. Raises DomainError for samples < 1,
+    where nothing would be sampled, for probs given with a Channel, for
+    an error list of zero operators only, or whose probs weigh only zero
+    operators, and for a noise whose weight sum_b ||K_b W||_F^2 on the
+    code space is zero or out of floating-point range, where the
     deviations would under- or overflow.
     """
     if samples < 1:

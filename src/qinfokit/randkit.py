@@ -115,6 +115,22 @@ def random_channel(din: int, dout: int, kraus_count: int, rng) -> chan.Channel:
 # ---------------------------------------------------------------------------
 
 
+def _weighted_stack(mats, weights, member: str) -> tuple[np.ndarray, np.ndarray]:
+    """A nonempty family of d x d matrices as one complex stack
+    (``matkit.asstack``) and its weights as a probability vector with one
+    entry per member."""
+    if not len(mats):
+        raise DimensionError(f"need at least one {member}")
+    d = len(matkit.asmatrix(mats[0]))
+    stack = matkit.asstack(mats, (d, d), member + " {} != ({}, {})")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(stack),):
+        raise ProbabilityError(f"need one weight per {member}, got {w.shape}")
+    if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
+        raise ProbabilityError("weights must be a probability vector")
+    return stack, w
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixDistribution:
     """I.i.d. source of Hermitian samples X with 0 <= X <= I.
@@ -123,7 +139,8 @@ class MatrixDistribution:
     with probability p = mu * dim / rank, else 0; mean mu * I.
     kind 'random_psd_bounded': uniform spectrum on a clipped interval
     around mu in a fresh Haar basis; mean mu * I.
-    kind 'custom': finite support with weights; mean whatever it is.
+    kind 'custom': finite support, one (count, dim, dim) stack, with
+    weights; mean whatever it is.
     A drawn support matrix is rebuilt from the eigendecomposition of
     its Hermitian part, so it matches the input to rounding.
     """
@@ -132,7 +149,7 @@ class MatrixDistribution:
     dim: int
     mu: float = 0.0
     rank: int = 0
-    support: tuple = field(default_factory=tuple, repr=False)
+    support: np.ndarray | None = field(default=None, repr=False)
     weights: tuple = field(default_factory=tuple)
 
     @staticmethod
@@ -156,24 +173,17 @@ class MatrixDistribution:
 
     @staticmethod
     def custom(matrices, weights) -> "MatrixDistribution":
-        mats = tuple(matkit.asmatrix(m) for m in matrices)
-        w = np.asarray(weights, dtype=float)
-        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
-            raise ProbabilityError("weights must be a probability vector")
-        dim = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (dim, dim):
-                raise DimensionError("support matrices must share one shape")
-            vals = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-            if vals.min() < -PSD_DECISION_TOL or vals.max() > 1.0 + PSD_DECISION_TOL:
-                raise DomainError("support matrices must satisfy 0 <= X <= I")
-        mean = sum(wi * mi for wi, mi in zip(w, mats))
-        mu = float(np.real(np.trace(mean))) / dim
-        return MatrixDistribution("custom", dim, mu, 0, mats, tuple(w))
+        support, w = _weighted_stack(matrices, weights, "support matrix")
+        vals = np.linalg.eigvalsh((support + dagger(support)) / 2.0)
+        if vals.min() < -PSD_DECISION_TOL or vals.max() > 1.0 + PSD_DECISION_TOL:
+            raise DomainError("support matrices must satisfy 0 <= X <= I")
+        dim = support.shape[1]
+        mu = float(np.real(np.trace(np.tensordot(w, support, axes=1)))) / dim
+        return MatrixDistribution("custom", dim, mu, 0, support, tuple(w.tolist()))
 
     def mean(self) -> np.ndarray:
         if self.kind == "custom":
-            return sum(w * m for w, m in zip(self.weights, self.support))
+            return np.tensordot(self.weights, self.support, axes=1)
         return self.mu * np.eye(self.dim, dtype=complex)
 
     def is_isotropic(self, tol: float = 1e-10) -> bool:
@@ -202,8 +212,7 @@ class MatrixDistribution:
             return haar_unitary_batch(d, count, rng), weights
         if self.kind == "custom":
             idx = rng.choice(len(self.support), size=count, p=self.weights)
-            sup = np.stack(self.support)
-            vals, vecs = np.linalg.eigh((sup + np.conj(np.swapaxes(sup, -1, -2))) / 2.0)
+            vals, vecs = np.linalg.eigh((self.support + dagger(self.support)) / 2.0)
             return vecs[idx], vals[idx]
         raise ValueError(f"unknown distribution kind {self.kind!r}")
 
@@ -217,9 +226,6 @@ class MatrixDistribution:
             out[:, idx, idx] = weights
             return out
         return (frames * weights[:, None, :]) @ np.conj(np.swapaxes(frames, -1, -2))
-
-    def sample(self, rng) -> np.ndarray:
-        return self.sample_batch(1, rng)[0]
 
 
 def _not_leq(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -355,20 +361,18 @@ def golden_thompson_check(a, b) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class RandomizingFamily:
-    """Weighted unitaries acting on the first factor of a bipartite state."""
+    """Weighted unitaries acting on the first factor of a bipartite state,
+    held as one complex (count, d, d) stack."""
 
     probs: tuple
-    unitaries: tuple = field(repr=False)
+    unitaries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
-            raise ProbabilityError("probabilities must sum to 1")
-        us = tuple(matkit.asmatrix(u) for u in self.unitaries)
-        for u in us:
-            if np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])) > 1e-10:
-                raise DimensionError("family members must be unitary")
-        object.__setattr__(self, "probs", tuple(float(x) for x in p))
+        us, p = _weighted_stack(self.unitaries, self.probs, "unitary")
+        gap = np.linalg.norm(dagger(us) @ us - np.eye(us.shape[1]), axis=(1, 2))
+        if gap.max() > 1e-10:
+            raise DimensionError("family members must be unitary")
+        object.__setattr__(self, "probs", tuple(p.tolist()))
         object.__setattr__(self, "unitaries", us)
 
     def __len__(self) -> int:
@@ -381,22 +385,20 @@ def epsilon_randomizing_deviation(rho_ab: State, fam: RandomizingFamily) -> floa
 
         || sum_i p_i (U_i x I) rho (U_i x I)^dag  -  rho_tilde_A x rho_B ||_1
 
-    with rho_tilde_A the same average applied to the A marginal.
+    with rho_tilde_A the same average applied to the A marginal: the A
+    marginal of the average, one contraction on rho as (dA, dB, dA, dB).
     """
     if len(rho_ab.dims) != 2:
         raise DimensionError("need a bipartite state")
     da, db = rho_ab.dims
-    if fam.unitaries[0].shape != (da, da):
+    us = fam.unitaries
+    if us.shape[1:] != (da, da):
         raise DimensionError("unitaries must act on the A factor")
-    eye_b = np.eye(db)
-    mixed = np.zeros((da * db, da * db), dtype=complex)
-    rho_a = matkit.partial_trace(rho_ab.rho, rho_ab.dims, {0})
+    rho = rho_ab.rho.reshape(da, db, da, db)
+    mixed = np.einsum("k,kai,ibjc,kej->abec", fam.probs, us, rho, us.conj(),
+                      optimize=True).reshape(da * db, da * db)
+    rho_a_twirl = matkit.partial_trace(mixed, rho_ab.dims, {0})
     rho_b = matkit.partial_trace(rho_ab.rho, rho_ab.dims, {1})
-    rho_a_twirl = np.zeros((da, da), dtype=complex)
-    for p, u in zip(fam.probs, fam.unitaries):
-        big = np.kron(u, eye_b)
-        mixed += p * (big @ rho_ab.rho @ dagger(big))
-        rho_a_twirl += p * (u @ rho_a @ dagger(u))
     return matkit.norm(mixed - np.kron(rho_a_twirl, rho_b), "trace")
 
 
@@ -422,8 +424,8 @@ def sample_randomizing_family(rho_ab: State, n_unitaries: int, rng,
             idx = rng.permutation(len(basis))[:n_unitaries]
         else:
             idx = rng.integers(0, len(basis), size=n_unitaries)
-        us = [basis[i] for i in idx]
+        us = basis[idx]
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
-    fam = RandomizingFamily(tuple([1.0 / n_unitaries] * n_unitaries), tuple(us))
+    fam = RandomizingFamily(tuple([1.0 / n_unitaries] * n_unitaries), us)
     return fam, epsilon_randomizing_deviation(rho_ab, fam)

@@ -287,8 +287,9 @@ def schmidt_number_lower_bound(rho: State, restarts: int = 20,
     return k + 1
 
 
-def unitary_error_basis(d: int) -> list[np.ndarray]:
-    """Weyl basis U_a V_b: d^2 unitaries with Tr[W_a^dag W_b] = d delta_ab.
+def unitary_error_basis(d: int) -> np.ndarray:
+    """Weyl basis U_a V_b as one (d^2, d, d) stack, element a d + b: d^2
+    unitaries with Tr[W_a^dag W_b] = d delta_ab.
 
     U_a shifts the computational basis by a; V_b multiplies entry x by
     exp(2 pi i b x / d).
@@ -296,15 +297,11 @@ def unitary_error_basis(d: int) -> list[np.ndarray]:
     if d < 2:
         raise DimensionError("unitary_error_basis needs d >= 2")
     omega = np.exp(2j * np.pi / d)
-    basis = []
-    for a in range(d):
-        shift = np.zeros((d, d), dtype=complex)
-        for x in range(d):
-            shift[(x + a) % d, x] = 1.0
-        for b in range(d):
-            phase = np.diag(omega ** (b * np.arange(d)))
-            basis.append(shift @ phase)
-    return basis
+    x = np.arange(d)
+    shifts = ((x[:, None] - x) % d == x[:, None, None]).astype(complex)
+    phases = np.zeros((d, d, d), dtype=complex)
+    phases[:, x, x] = omega ** np.multiply.outer(x, x)
+    return (shifts[:, None] @ phases).reshape(d * d, d, d)
 
 
 def epr_basis(d: int) -> list[PureState]:

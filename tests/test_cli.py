@@ -765,6 +765,18 @@ def test_qec_recover_without_samples_exits_1(tmp_path, capsys, samples):
     }
 
 
+def test_qec_recover_reads_probabilities_whose_sum_overflows_as_weights(tmp_path, capsys):
+    reports = []
+    for probs in ([1e308] * 2, [1, 1]):
+        cpath, epath = bit_flip_docs(tmp_path, probs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "--json", "qec", "recover", cpath, epath)
+        assert code == 0 and err == ""
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1] and reports[0]["recovered"] is True
+
+
 @pytest.mark.parametrize("probs, reason", [
     ([0, 0], "probabilities must have a positive finite sum"),
     ([1, -0.5], "probabilities must be nonnegative"),
@@ -877,11 +889,15 @@ ALL_ZERO = "errors: every error operator is zero"
 OUT_OF_RANGE = "noise: its weight on the code space is zero or out of floating-point range"
 
 
+# |001><001|, which misses the code space.
+MISSES = [np.diag(np.eye(8)[1])]
+
+
 @pytest.mark.parametrize("command, scale, errors, error, reason", [
     ("recover", 1e200, IZ, "KLViolated", KL_VIOLATED),
     ("recover", 1e-200, IZ, "KLViolated", KL_VIOLATED),
-    ("recover", 1e200, IXXX, "DomainError", OUT_OF_RANGE),
-    ("recover", 1e-200, IXXX[:1], "DomainError", OUT_OF_RANGE),
+    ("recover", 1e200, MISSES, "DomainError", OUT_OF_RANGE),
+    ("recover", 1e-200, MISSES, "DomainError", OUT_OF_RANGE),
     ("check", 0.0, IXXX[:1], "DomainError", ALL_ZERO),
     ("recover", 0.0, IXXX[:1], "DomainError", ALL_ZERO),
     ("check", 0.0, IZ, "DomainError", ALL_ZERO),
@@ -889,11 +905,31 @@ OUT_OF_RANGE = "noise: its weight on the code space is zero or out of floating-p
 ])
 def test_qec_on_scaled_errors_exits_1_with_a_reason(tmp_path, capsys, command,
                                                     scale, errors, error, reason):
-    # qec recover also refuses noise whose deviation it cannot represent.
+    # qec recover also refuses noise with no weight on the code space.
     paths = bit_flip_code_with(tmp_path, [scale * e for e in errors])
     code, out, err = run_cli(capsys, "--json", "qec", command, *paths)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": error, "reason": reason}
+
+
+@pytest.mark.parametrize("errors, unscaled", [
+    ([1e200 * e for e in IXXX], IXXX),
+    ([1e-200 * e for e in IXXX], IXXX),
+    ([1e-200 * IXXX[0]], IXXX[:1]),
+    ([1e200 * IXXX[0], 1e-200 * IXXX[1]], [IXXX[0], 0 * IXXX[1]]),
+])
+def test_qec_recover_reads_scaled_errors_as_the_unscaled_list(tmp_path, capsys,
+                                                             errors, unscaled):
+    # An error list stands for its normalized noise, whatever its scale.
+    reports = []
+    for ops in (errors, unscaled):
+        code, out, err = run_cli(capsys, "--json", "qec", "recover",
+                                 *bit_flip_code_with(tmp_path, ops))
+        assert code == 0 and err == ""
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["recovered"] is True
+    assert reports[0]["max_deviation"] == reports[0]["certified_deviation"] == 0
 
 
 @pytest.mark.parametrize("kind, reason", [

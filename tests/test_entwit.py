@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qinfokit import entwit, matkit, states
-from qinfokit.errors import EigsNotDistinct, KOutOfRange
+from qinfokit.errors import DimensionError, EigsNotDistinct, KOutOfRange
 from qinfokit.randkit import random_pure, random_state
 from qinfokit.states import PureState, State
 
@@ -148,6 +148,22 @@ def test_verify_min_rank_detects_pollution():
     observed, passes = entwit.verify_min_rank(polluted, 1, samples=300, seed=2)
     assert observed == 1
     assert not passes
+
+
+def test_a_subspace_keeps_its_complex_stack_and_refuses_other_shapes():
+    s = entwit.min_rank_subspace(3, 4, 1)
+    assert isinstance(s.basis, np.ndarray) and s.basis.shape == (6, 3, 4)
+    assert entwit.MatrixSubspace((3, 4), s.basis).basis is s.basis
+    coeffs = np.arange(6) + 1j
+    assert np.abs(s.element(coeffs)
+                  - sum(c * b for c, b in zip(coeffs, s.basis))).max() <= 1e-14
+    with pytest.raises(DimensionError, match=r"basis element \(4, 3\) != \(3, 4\)"):
+        entwit.MatrixSubspace((3, 4), [s.basis[0], s.basis[1].T])
+
+
+def test_rank2_subspace_needs_n_at_least_2():
+    with pytest.raises(DimensionError):
+        entwit.rank2_subspace(1)
 
 
 # --- Schmidt rank vs matrix rank ------------------------------------------------------

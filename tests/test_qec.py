@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -97,9 +98,10 @@ def test_build_recovery_rejects_uncorrectable():
 SCALES = [1e200, -1e200, 1e-200, -1e-200, 1e-320]
 
 
-@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("scale", SCALES + [4e153])
 def test_kl_verdict_does_not_depend_on_the_scale_of_the_errors(scale):
-    # Tr E^dag E of the scaled families over- or underflows.
+    # Tr E^dag E of the scaled families over- or underflows; at 4e153 each
+    # one is finite and only their sum overflows.
     code = repetition_code()
     uncorrectable = [np.eye(8), qec.pauli_on(3, 0, "Z")]
     for errors, passes in ((uncorrectable, False), (bit_flips(), True)):
@@ -129,11 +131,63 @@ def test_all_zero_errors_raise_domain_error(errors):
 
 @pytest.mark.parametrize("scale", SCALES + [0.0])
 def test_verify_recovery_refuses_noise_out_of_range(scale):
-    # The deviation of noise scaled by 1e200 is near 1e400, and noise
-    # scaled by 1e-200 underflows to the zero map.
+    # A Channel is taken as given: scaled by 1e200 its deviation is near
+    # 1e400, and scaled by 1e-200 it underflows to the zero map. An error
+    # list stands for its normalized noise, which no nonzero scale changes.
     rec = qec.build_recovery(repetition_code(), bit_flips())
+    noise = bit_flips() + [qec.pauli_on(3, 0, "Z")]
+    scaled = [scale * e for e in noise]
     with pytest.raises(DomainError, match="out of floating-point range"):
-        qec.verify_recovery(rec, [scale * e for e in bit_flips()])
+        qec.verify_recovery(rec, Channel(8, 8, scaled))
+    if scale == 0.0:
+        with pytest.raises(DomainError, match="every error operator is zero"):
+            qec.verify_recovery(rec, scaled)
+        return
+    want = qec.verify_recovery(rec, noise, samples=5)
+    got = qec.verify_recovery(rec, scaled, samples=5)
+    assert want.max_deviation > 0.1
+    assert got.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
+    assert got.certified_deviation == pytest.approx(want.certified_deviation, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_noise_channel_of_a_scaled_list_is_the_channel_of_the_list(scale):
+    noise = bit_flips() + [qec.pauli_on(3, 0, "Z")]
+    want = qec.noise_channel(noise, [0.4, 0.3, 0.1, 0.1, 0.1]).kraus
+    got = qec.noise_channel([scale * e for e in noise], [0.4, 0.3, 0.1, 0.1, 0.1]).kraus
+    assert np.abs(np.sign(scale) * got - want).max() <= 1e-15
+
+
+def test_noise_channel_of_errors_of_mixed_scales():
+    # 1e-200 X against 1e200 I weighs 1e-400 in the normalized noise.
+    ch = qec.noise_channel([1e200 * np.eye(8), 1e-200 * qec.pauli_on(3, 0, "X")])
+    assert np.array_equal(ch.kraus, np.stack([np.eye(8), np.zeros((8, 8))]))
+
+
+@pytest.mark.parametrize("errors, probs, message", [
+    ([np.zeros((8, 8))] * 2, None, "every error operator is zero"),
+    ([np.zeros((8, 8)), np.eye(8)], [1.0, 0.0], "is zero or out of floating-point range"),
+    ([np.zeros((8, 8)), 1e200 * np.eye(8)], [1.0, 0.0],
+     "is zero or out of floating-point range"),
+])
+def test_noise_channel_refuses_a_list_with_no_weight(errors, probs, message):
+    with pytest.raises(DomainError, match=message):
+        qec.noise_channel(errors, probs)
+
+
+def test_probabilities_whose_sum_overflows_are_relative_weights():
+    rec = qec.build_recovery(repetition_code(), bit_flips())
+    noise = [np.eye(8), qec.pauli_on(3, 0, "Z"), qec.pauli_on(3, 1, "X"),
+             qec.pauli_on(3, 2, "Y")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = qec.verify_recovery(rec, noise, samples=5, probs=[1.0] * 4)
+        got = qec.verify_recovery(rec, noise, samples=5, probs=[1e308] * 4)
+        channel = qec.noise_channel(noise, [1e308] * 4)
+    assert want.max_deviation > 0.1
+    assert (got.max_deviation, got.certified_deviation) == (
+        want.max_deviation, want.certified_deviation)
+    assert np.array_equal(channel.kraus, qec.noise_channel(noise, [1.0] * 4).kraus)
 
 
 def test_a_channel_given_as_an_error_list_is_verified_as_the_channel():

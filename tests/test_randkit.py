@@ -10,6 +10,7 @@ from qinfokit.errors import (
     DomainError,
     MeanNotIsotropic,
     NotHermitian,
+    ProbabilityError,
     SingularA,
 )
 from qinfokit.states import State
@@ -353,6 +354,58 @@ def test_two_haar_unitaries_insufficient():
     rng = np.random.default_rng(138)
     _, eps = randkit.sample_randomizing_family(bell_state(), 2, rng, "haar")
     assert eps > 0.2
+
+
+def test_deviation_matches_the_kron_formula():
+    # dA != dB and unequal weights pin every index of the contraction.
+    rng = np.random.default_rng(139)
+    rho = randkit.random_state((3, 2), rng)
+    us = [randkit.haar_unitary(3, rng) for _ in range(5)]
+    probs = (0.1, 0.3, 0.2, 0.25, 0.15)
+    big = [np.kron(u, np.eye(2)) for u in us]
+    mixed = sum(p * b @ rho.rho @ b.conj().T for p, b in zip(probs, big))
+    rho_a = sum(p * u @ rho.marginal([0]).rho @ u.conj().T for p, u in zip(probs, us))
+    want = np.abs(np.linalg.eigvalsh(mixed - np.kron(rho_a, rho.marginal([1]).rho))).sum()
+    got = randkit.epsilon_randomizing_deviation(rho, randkit.RandomizingFamily(probs, us))
+    assert want > 0.1 and got == pytest.approx(want, abs=1e-13)
+
+
+def test_families_keep_a_complex_stack_without_a_copy():
+    weyl = states.unitary_error_basis(2)
+    assert randkit.RandomizingFamily((0.25,) * 4, weyl).unitaries is weyl
+    support = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2]).astype(complex)
+    dist = randkit.MatrixDistribution.custom(support, [0.5, 0.5])
+    assert dist.support is support
+    assert np.abs(dist.mean() - np.diag([0.75, 0.25])).max() <= 1e-15
+    fam, _ = randkit.sample_randomizing_family(bell_state(), 3, np.random.default_rng(0),
+                                               sampler="weyl")
+    assert fam.unitaries.shape == (3, 2, 2)
+
+
+Z = np.diag([1.0, -1.0])
+
+
+@pytest.mark.parametrize("probs, unitaries, error", [
+    ((1.0,), (np.eye(2), Z), ProbabilityError),
+    ((0.5, 0.5), (np.eye(2),), ProbabilityError),
+    ((0.5, 0.5), (np.eye(2), np.eye(3)), DimensionError),
+    ((1.0,), (np.eye(2)[:, :1],), DimensionError),
+    ((), (), DimensionError),
+])
+def test_family_refuses_members_that_do_not_fit(probs, unitaries, error):
+    with pytest.raises(error):
+        randkit.RandomizingFamily(probs, unitaries)
+
+
+@pytest.mark.parametrize("matrices, weights, error", [
+    ([np.eye(2), np.zeros((2, 2))], [0.5, 0.25, 0.25], ProbabilityError),
+    ([np.eye(2), np.zeros((2, 2))], [1.0], ProbabilityError),
+    ([np.eye(2), np.zeros((3, 3))], [0.5, 0.5], DimensionError),
+    ([], [], DimensionError),
+])
+def test_custom_refuses_a_support_that_does_not_fit(matrices, weights, error):
+    with pytest.raises(error):
+        randkit.MatrixDistribution.custom(matrices, weights)
 
 
 def test_small_families_never_beat_epsilon():

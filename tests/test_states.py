@@ -301,6 +301,21 @@ def test_weyl_orthogonality_gram():
         assert np.linalg.norm(gram - d * np.eye(d * d)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", range(2, 8))
+def test_weyl_basis_element_a_d_plus_b_is_shift_a_times_phase_b(d):
+    # U_a e_x = e_{(x+a) mod d} and V_b = diag(omega^{b x}); the entries
+    # are exact, as omega is raised to integer powers.
+    basis = states.unitary_error_basis(d)
+    omega = np.exp(2j * np.pi / d)
+    assert len(basis) == d * d
+    for a in range(d):
+        shift = np.zeros((d, d), dtype=complex)
+        shift[(np.arange(d) + a) % d, np.arange(d)] = 1.0
+        for b in range(d):
+            phase = np.diag(omega ** (b * np.arange(d)))
+            assert np.array_equal(basis[a * d + b], shift @ phase)
+
+
 def test_epr_basis_gram_and_marginals():
     d = 3
     basis = states.epr_basis(d)
