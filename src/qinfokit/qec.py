@@ -14,6 +14,7 @@ deviation map. Its dense Kraus operators are written out only on request.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,16 +66,19 @@ class KLReport:
     max_residual: float
 
 
-def _error_list(errors) -> list[np.ndarray]:
-    """The error operators E_b as complex arrays, not yet checked: each is
-    checked in the one pass over it that takes its trace (``_traces``)."""
-    ops = [np.asarray(e, dtype=complex) for e in errors]
-    if not ops:
+def _error_list(errors) -> Sequence:
+    """The error operators E_b as given, not yet converted or checked: a
+    sequence (a list, a stacked array, or the lazy list a document reader
+    returns) is kept, and any other iterable is read into a list. Each
+    operator is converted to a complex array, and checked, each time a
+    pass reads it (``_traces``), so a pass holds one at a time."""
+    ops = errors if isinstance(errors, (Sequence, np.ndarray)) else list(errors)
+    if not len(ops):
         raise DimensionError("need at least one error operator")
     return ops
 
 
-def _refuse(ops: list, n: int):
+def _refuse(ops: Sequence, n: int):
     """Raise the DimensionError for ``ops``, a list a pass found at fault,
     that checking each operator with ``asmatrix`` in list order, then each
     one's shape against n x n, raises first: a non-finite entry anywhere
@@ -83,20 +87,22 @@ def _refuse(ops: list, n: int):
     for e in ops:
         matkit.asmatrix(e)
     for e in ops:
-        if e.shape != (n, n):
-            raise DimensionError(f"error operator {e.shape} != ({n}, {n})")
+        if np.shape(e) != (n, n):
+            raise DimensionError(f"error operator {np.shape(e)} != ({n}, {n})")
 
 
-def _traces(ops: list, n: int, image=None) -> np.ndarray:
+def _traces(ops: Sequence, n: int, image=None) -> np.ndarray:
     """Tr E_b^dag E_b of the n x n operators E_b of ``ops``, in one pass in
-    list order that checks each E_b and then, if given, hands it to
-    ``image(b, E_b)`` while it is still in cache. A finite trace proves
-    finite entries; only a non-finite one (from a NaN or inf entry, or
-    from finite entries whose squares overflow, which
-    ``_normalized_images`` scales) looks at the entries. Raises as
-    ``_refuse`` for a list with a wrong shape or a non-finite entry."""
+    list order that converts each E_b to a complex array, checks it and
+    then, if given, hands it to ``image(b, E_b)`` while it is still in
+    cache; no E_b is kept. A finite trace proves finite entries; only a
+    non-finite one (from a NaN or inf entry, or from finite entries whose
+    squares overflow, which ``_normalized_images`` scales) looks at the
+    entries. Raises as ``_refuse`` for a list with a wrong shape or a
+    non-finite entry."""
     traces = np.empty(len(ops))
-    for b, e in enumerate(ops):
+    for b, op in enumerate(ops):
+        e = np.asarray(op, dtype=complex)
         if e.shape != (n, n):
             _refuse(ops, n)
         traces[b] = np.vdot(e, e).real
@@ -142,7 +148,7 @@ def _in_range(scale: float) -> bool:
     return np.finfo(float).tiny <= scale < math.inf
 
 
-def _code_images(w: np.ndarray, ops: list) -> tuple[np.ndarray, np.ndarray]:
+def _code_images(w: np.ndarray, ops: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """E_b W, stacked as m x n x k, and the traces Tr E_b^dag E_b of the
     operators ``ops`` (``_error_list``), each checked, traced and imaged in
     turn in one pass (``_traces``)."""
@@ -152,53 +158,91 @@ def _code_images(w: np.ndarray, ops: list) -> tuple[np.ndarray, np.ndarray]:
     return images, traces
 
 
-class _ImagedErrors(list):
+class _ImagedErrors:
     """A checked error list with its traces Tr E_b^dag E_b and its images
     E_b W under one isometry W, which ``build_recovery`` and
     ``verify_recovery`` take for that W without checking or imaging the
-    errors again. The list is read once (``_error_list``) and each
-    operator passed over once (``_code_images``)."""
+    errors again. The list is kept as given (``_error_list``) and each
+    operator converted and passed over once (``_code_images``); no
+    operator is kept. Only a list whose scale is out of range is read
+    again, once for each set of members that weights make count
+    (``rescaled``)."""
 
     def __init__(self, w: np.ndarray, errors):
-        ops = _error_list(errors)
-        self.images, self.traces = _code_images(w, ops)
-        super().__init__(ops)
+        self.errors = _error_list(errors)
+        self.images, self.traces = _code_images(w, self.errors)
         self.isometry = w
+        self._rescaled = {}
+
+    def rescaled(self, weighted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(images, traces) of the list divided by the peak of its members
+        that ``weighted`` marks (``_peak_scaled``), made on first use."""
+        key = tuple(weighted.tolist())
+        if key not in self._rescaled:
+            self._rescaled[key] = _code_images(
+                self.isometry, _peak_scaled(self.errors, weighted))
+        return self._rescaled[key]
 
 
 def _imaged(w: np.ndarray, errors) -> _ImagedErrors:
-    if isinstance(errors, _ImagedErrors) and errors.isometry is w:
-        return errors
+    if isinstance(errors, _ImagedErrors):
+        if errors.isometry is w:
+            return errors
+        errors = errors.errors
     return _ImagedErrors(w, errors)
 
 
-def _peak_scaled(ops: list) -> list:
-    """``ops`` divided by their largest real or imaginary part, which
-    leaves the noise they stand for as it is; the parts are divided one by
-    one, as a complex division by a subnormal peak overflows. Raises
-    DomainError when every error operator is zero."""
-    peak = max(max(np.abs(e.real).max(), np.abs(e.imag).max()) for e in ops)
-    if peak == 0:
+def _peak_scaled(ops: Sequence, weighted: np.ndarray) -> _Divided:
+    """``ops`` divided by the largest real or imaginary part of the members
+    that ``weighted`` marks, which leaves the noise they stand for as it
+    is (``_Divided``); the peak is found in one pass that converts one
+    operator at a time. Raises DomainError when every error operator is
+    zero."""
+    peaks = np.array([max(np.abs(e.real).max(), np.abs(e.imag).max())
+                      for e in (np.asarray(op, dtype=complex) for op in ops)])
+    if not peaks.any():
         raise DomainError("errors: every error operator is zero")
-    return [e.real / peak + 1j * (e.imag / peak) for e in ops]
+    return _Divided(ops, peaks[weighted].max(), weighted)
+
+
+class _Divided(Sequence):
+    """The operators of ``ops`` divided by ``peak`` as each is read; the
+    parts are divided one by one, as a complex division by a subnormal
+    peak overflows. The members ``weighted`` does not mark, which weigh
+    nothing in the noise and may overflow when divided, read as zeros, as
+    every member does when the peak is zero."""
+
+    def __init__(self, ops: Sequence, peak: float, weighted: np.ndarray):
+        self.ops, self.peak, self.weighted = ops, peak, weighted
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def __getitem__(self, b):
+        e = np.asarray(self.ops[b], dtype=complex)
+        if not (self.weighted[b] and self.peak):
+            return np.zeros_like(e)
+        return e.real / self.peak + 1j * (e.imag / self.peak)
 
 
 def _normalized_images(w: np.ndarray, errors, probs=None) -> np.ndarray:
     """E_b W sqrt(p_b / c) for the error family normalized as in
     ``_noise_scale``, as a new m x n x k array. When c under- or
-    overflows, the family is divided by its peak first (``_peak_scaled``).
-    Raises DomainError when every error operator is zero, or when c is
-    still zero or out of range: the probs weigh only zero operators."""
+    overflows, the family is divided by the peak of its members of
+    positive weight first (``_peak_scaled``). Raises DomainError when
+    every error operator is zero, or when c is still zero or out of range:
+    the probs weigh only zero operators."""
     imaged = _imaged(w, errors)
-    roots, scale = _noise_scale(imaged.traces, len(w), probs)
+    images, traces = imaged.images, imaged.traces
+    roots, scale = _noise_scale(traces, len(w), probs)
     if not _in_range(scale):
-        imaged = _ImagedErrors(w, _peak_scaled(imaged))
-        roots, scale = _noise_scale(imaged.traces, len(w), probs)
+        images, traces = imaged.rescaled(roots > 0)
+        roots, scale = _noise_scale(traces, len(w), probs)
         if not _in_range(scale):
             raise DomainError(_OUT_OF_RANGE)
     if probs is None:
-        return imaged.images / math.sqrt(scale)
-    return imaged.images * (roots / math.sqrt(scale))[:, None, None]
+        return images / math.sqrt(scale)
+    return images * (roots / math.sqrt(scale))[:, None, None]
 
 
 def _kl_report(ews: np.ndarray, tol: float) -> KLReport:
@@ -296,15 +340,16 @@ def noise_channel(errors, probs=None) -> Channel:
     c = Tr[sum_b p_b E_b^dag E_b] / n and p_b = 1 when ``probs`` is None
     (``_noise_scale``): a channel's own Kraus operators, or unitaries with
     probabilities p_b / sum p. It does not depend on the scale of the list:
-    when c under- or overflows, the list is divided by its peak first
-    (``_peak_scaled``). Raises DomainError when every error operator is
-    zero, or when c is still zero or out of range, as when the probs weigh
-    only zero operators."""
+    when c under- or overflows, the list is divided by the peak of its
+    members of positive weight first (``_peak_scaled``). Raises DomainError
+    when every error operator is zero, or when c is still zero or out of
+    range, as when the probs weigh only zero operators."""
     ops = _error_list(errors)
-    n = len(ops[0]) if ops[0].ndim else 0  # _traces refuses a 0-d first operator
+    first = np.asarray(ops[0], dtype=complex)
+    n = len(first) if first.ndim else 0  # _traces refuses a 0-d first operator
     roots, scale = _noise_scale(_traces(ops, n), n, probs)
     if not _in_range(scale):
-        ops = _peak_scaled(ops)
+        ops = _peak_scaled(ops, roots > 0)
         roots, scale = _noise_scale(_traces(ops, n), n, probs)
         if not _in_range(scale):
             raise DomainError("noise: Tr[sum_b p_b E_b^dag E_b] / n is zero or out "
@@ -416,10 +461,10 @@ def span_correction_check(code: Code, base_errors, new_errors,
     operators, normalized as in ``verify_recovery``, are the noise for the
     recovery simulation.
     """
-    base = [matkit.asmatrix(e) for e in _error_list(base_errors)]
-    new = [matkit.asmatrix(e) for e in _error_list(new_errors)]
-    basis = np.stack([e.reshape(-1) for e in base], axis=1)
-    for e in new:
+    base, new = _error_list(base_errors), _error_list(new_errors)
+    basis = np.stack([matkit.asmatrix(e).reshape(-1) for e in base], axis=1)
+    for op in new:
+        e = matkit.asmatrix(op)
         coeff, _, _, _ = np.linalg.lstsq(basis, e.reshape(-1), rcond=None)
         resid = np.linalg.norm(basis @ coeff - e.reshape(-1))
         if resid > tol * max(1.0, np.linalg.norm(e)):

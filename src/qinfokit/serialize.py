@@ -31,12 +31,19 @@ Any other chunk passes when its brackets and commas are the layout's: a
 numpy scan of its bytes checks its numbers' JSON grammar, and
 ``np.loadtxt`` converts them. ``json.loads`` reads the rest of the text.
 A vector lands in the tree as an (n, 2) array and a matrix as an (rows,
-cols, 2) array, which ``vector_from_doc`` and ``matrix_from_doc`` view
-as complex without a copy; every array level above a matrix stays a
-Python list. A run takes this route when its brackets are laid out as a
-rectangular array's, every number is a finite JSON number that
-``json.loads`` reads to the same float, and whitespace only sits next to
-brackets and commas, as in canonical and ``json.dump`` output. An
+cols, 2) array, of int8 for a chunk in the fixed byte layout (one-digit
+integers, which int8 holds exactly) and of float64 for any other; a
+vector or matrix run whose chunks mix the two is float64. Every array
+level above a matrix stays a Python list. ``vector_from_doc`` and
+``matrix_from_doc`` view a float64 array as complex without a copy and
+convert an int8 one to a new complex array, so no reader returns an
+int8 array. ``error_list_from_doc`` converts each such matrix when its
+list is indexed, so a reader that takes one error at a time (``qec``)
+holds one complex matrix beside the tree. A run takes this route when
+its brackets are laid out as a rectangular array's, every number is a
+finite JSON number that ``json.loads`` reads to the same float, and
+whitespace only sits next to brackets and commas, as in canonical and
+``json.dump`` output. An
 integer ``-0``, which ``json.loads`` reads as +0.0, is read so in the
 fixed byte layout and sends any other chunk off the route. A vector or
 matrix run falls back to ``json.loads`` whole on the first chunk that
@@ -66,7 +73,7 @@ import math
 import mmap
 import os
 import re
-from collections.abc import Sized
+from collections.abc import Sequence, Sized
 from contextlib import contextmanager
 
 import numpy as np
@@ -95,9 +102,9 @@ def _nested_text(cells: np.ndarray) -> str:
 
 
 def _array_text(a: np.ndarray) -> str:
-    """Canonical text of a real or complex array: that of its nested-list
-    form, with each complex entry as [re, im]. Each distinct entry is
-    formatted once."""
+    """Canonical text of a real, complex or int8 array: that of its
+    nested-list form of reals, with each complex entry as [re, im]. Each
+    distinct entry is formatted once."""
     distinct, inverse = np.unique(a.reshape(-1), return_inverse=True)
     if a.dtype.kind == "c":
         texts = [f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]"
@@ -116,7 +123,10 @@ def canonical_dumps(doc) -> str:
     ``isinstance`` checks. A real or complex array is written as its
     nested-list form, a complex entry as [re, im], with each distinct
     entry formatted once, which matters for dense matrices with few
-    distinct entries (Paulis, projectors).
+    distinct entries (Paulis, projectors). An int8 array, as the reader
+    holds a run of one-digit integers, is written as the real array of
+    its values; other integer arrays, whose values a double may not hold,
+    are refused.
     """
 
     def render(obj) -> str:
@@ -136,7 +146,8 @@ def canonical_dumps(doc) -> str:
             return "{" + ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items) + "}"
         if isinstance(obj, (list, tuple)):
             return "[" + ",".join(map(render, obj)) + "]"
-        if isinstance(obj, np.ndarray) and obj.dtype.kind in "fc" and obj.ndim:
+        if isinstance(obj, np.ndarray) and obj.ndim and (obj.dtype.kind in "fc"
+                                                         or obj.dtype == np.int8):
             return _array_text(obj)
         if isinstance(obj, (int, np.integer)):
             return str(int(obj))
@@ -200,19 +211,27 @@ def _pair_to_complex(obj, where: str) -> complex:
     raise FormatError(f"{where}: complex scalar must be [re, im]")
 
 
+def _bulk(obj, ndim: int) -> bool:
+    """Whether ``obj`` is a bulk-read array of [re, im] pairs with ``ndim``
+    axes: float64, or int8 for a run of one-digit integers."""
+    return (isinstance(obj, np.ndarray) and obj.dtype in (np.float64, np.int8)
+            and obj.ndim == ndim and obj.shape[-1] == 2)
+
+
 def _from_bulk(obj, ndim: int):
-    """``obj`` as a reader takes it: a bulk-read float64 array of [re, im]
-    pairs with ``ndim`` axes as a complex view without the last axis; any
-    other array, or a list that holds one (as a list ``_nest`` split one
-    into does), as the nested lists json.loads reads from its text, for
-    the per-entry walk; any other value as it is."""
+    """``obj`` as a reader takes it: a bulk array (``_bulk``) with
+    ``ndim`` axes as complex without the last axis, a view of a float64
+    one and a fresh array for an int8 one; any other array, or a list that
+    holds one (as a list ``_nest`` split one into does), as the nested
+    lists json.loads reads from its text, for the per-entry walk; any
+    other value as it is."""
     if isinstance(obj, list) and any(isinstance(x, np.ndarray) for x in obj):
         return [x.tolist() if isinstance(x, np.ndarray) else x for x in obj]
     if not isinstance(obj, np.ndarray):
         return obj
-    if obj.dtype != np.float64 or obj.ndim != ndim or obj.shape[-1] != 2:
+    if not _bulk(obj, ndim):
         return obj.tolist()
-    return np.ascontiguousarray(obj).view(complex)[..., 0]
+    return np.ascontiguousarray(obj, dtype=np.float64).view(complex)[..., 0]
 
 
 def matrix_from_doc(obj, where: str) -> np.ndarray:
@@ -286,14 +305,39 @@ def channel_to_doc(ch: Channel, probs=None) -> dict:
     return doc
 
 
+class _Matrices(Sequence):
+    """The matrices of a non-empty array field, named ``where.key[i]``.
+
+    An entry read in bulk is converted by ``matrix_from_doc`` each time it
+    is indexed, and not kept, so a reader that takes one matrix at a time
+    holds one complex matrix beside the tree's arrays. Any other entry is
+    read here, so every FormatError is raised when the sequence is made.
+    """
+
+    def __init__(self, doc: dict, key: str, where: str):
+        value = _need(doc, key, where)
+        # A bulk array here (a vector, or one matrix) is read row by row.
+        if not isinstance(value, (list, np.ndarray)) or not len(value):
+            raise FormatError(f"{where}: {key} must be a non-empty array")
+        self._where = f"{where}.{key}"
+        self._entries = [m if _bulk(m, 3) else matrix_from_doc(m, f"{self._where}[{i}]")
+                         for i, m in enumerate(value)]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        entry = self._entries[i]
+        if not _bulk(entry, 3):
+            return entry
+        return matrix_from_doc(entry, f"{self._where}[{i}]")
+
+
 def _matrix_list(doc: dict, key: str, where: str) -> list:
     """The matrices of a non-empty array field, named ``where.key[i]``."""
-    value = _need(doc, key, where)
-    # A bulk array here (a vector, or one matrix) is read row by row.
-    if not isinstance(value, (list, np.ndarray)) or not len(value):
-        raise FormatError(f"{where}: {key} must be a non-empty array")
-    return [matrix_from_doc(m, f"{where}.{key}[{i}]")
-            for i, m in enumerate(value)]
+    return list(_Matrices(doc, key, where))
 
 
 def channel_from_doc(doc: dict, where: str = "channel") -> Channel:
@@ -336,8 +380,10 @@ def code_from_doc(doc: dict, where: str = "code") -> Code:
 def error_list_from_doc(doc: dict, where: str = "errors"):
     """Kraus-style error list; probabilities optional.
 
-    ``probs`` is checked before any matrix is read: its checks need only
-    the number of Kraus operators.
+    The list is a sequence that converts each bulk-read matrix when it is
+    indexed (``_Matrices``): it has a length, and its entries are complex
+    matrices. ``probs`` is checked before any matrix is read: its checks
+    need only the number of Kraus operators.
     """
     kraus = _need(doc, "kraus", where)
     if not isinstance(kraus, (list, np.ndarray)):
@@ -355,7 +401,7 @@ def error_list_from_doc(doc: dict, where: str = "errors"):
             finite = False
         if not finite:
             raise FormatError(f"{where}: probs out of range")
-    return _matrix_list(doc, "kraus", where), probs
+    return _Matrices(doc, "kraus", where), probs
 
 
 def graph_from_edge_list(text: str) -> Graph:
@@ -558,11 +604,11 @@ def _blocks(lead: tuple, row: int):
 
 
 def _one_digit(chunk: bytes, element: tuple):
-    """The digits of ``chunk`` as an array of its elements, when it holds
-    whole elements of shape ``element`` with one digit per number, each
-    after at most one '-', laid out as canonical and ``json.dump`` text lay
-    them out; ``_scan_chunk`` applies the signs. None for any other chunk,
-    which goes on to the skeleton comparison.
+    """The digits of ``chunk`` as an int8 array of its elements, when it
+    holds whole elements of shape ``element`` with one digit per number,
+    each after at most one '-', laid out as canonical and ``json.dump``
+    text lay them out; ``_scan_chunk`` applies the signs. None for any
+    other chunk, which goes on to the skeleton comparison.
 
     The chunk without its '-' bytes is checked against the layout. Each
     array above the rows of pairs has its brackets and commas read through
@@ -592,7 +638,7 @@ def _one_digit(chunk: bytes, element: tuple):
             return None
     rows = as_strided(a[k - 1:], shape[:k - 1] + (6 * shape[k - 1] - 1,),
                       (*slots[:k - 1], 1))
-    values = np.empty(shape)
+    values = np.empty(shape, np.int8)
     width, step = rows.shape[-1], max(6, _BLOCK - _BLOCK % 6)  # whole pairs
     count = min(width, step) // 6 + 1
     template = np.frombuffer(b"[0,0]," * count, np.uint8)
@@ -669,7 +715,7 @@ def _signed(chunk: bytes, out: np.ndarray) -> bool:
     if not ok.all():
         return False
     flat = out.reshape(-1)
-    flat[index] = 0.0 - flat[index]  # 0.0 - 0.0 is +0.0
+    flat[index] = -flat[index]  # an int8 0 has no sign: it reads as +0.0
     return True
 
 

@@ -152,6 +152,14 @@ def test_canonical_dumps_arrays_match_reference_renderer(shape, data):
         _reference_dumps, {"a": z.real.tolist()})
 
 
+def test_canonical_dumps_writes_an_int8_array_as_the_float_array_of_its_values():
+    # The reader holds a run of one-digit integers as int8 [re, im] pairs.
+    pairs = np.array([[[0, -9], [1, 0]], [[-1, 9], [0, 0]]], dtype=np.int8)
+    assert (serialize.canonical_dumps({"a": pairs})
+            == serialize.canonical_dumps({"a": pairs.astype(float)})
+            == _reference_dumps({"a": pairs.tolist()}))
+
+
 def test_canonical_dumps_rejects_other_arrays():
     for a in (np.arange(3), np.array(1.5 + 0j), np.array([True])):
         with pytest.raises(FormatError, match="cannot serialize ndarray"):
@@ -856,14 +864,16 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert "argument --seed: must be >= 0, got -1" in err
 
 
-def bit_flip_code_with(tmp_path, errors):
+def bit_flip_code_with(tmp_path, errors, probs=None):
     """Documents of the 3-qubit bit-flip code and of an error list."""
     w = np.zeros((8, 2))
     w[0, 0] = w[7, 1] = 1.0
     cpath = write_doc(tmp_path / "code.json", serialize.code_to_doc(qec.Code(8, 2, w)))
-    return cpath, write_doc(tmp_path / "err.json", {
-        "kind": "channel", "din": 8, "dout": 8,
-        "kraus": [np.asarray(e, dtype=complex) for e in errors]})
+    doc = {"kind": "channel", "din": 8, "dout": 8,
+           "kraus": [np.asarray(e, dtype=complex) for e in errors]}
+    if probs is not None:
+        doc["probs"] = probs
+    return cpath, write_doc(tmp_path / "err.json", doc)
 
 
 IZ = [np.eye(8), qec.pauli_on(3, 0, "Z")]
@@ -930,6 +940,36 @@ def test_qec_recover_reads_scaled_errors_as_the_unscaled_list(tmp_path, capsys,
     assert reports[0] == reports[1]
     assert reports[0]["recovered"] is True
     assert reports[0]["max_deviation"] == reports[0]["certified_deviation"] == 0
+
+
+def test_qec_recover_reads_operators_of_zero_weight_without_their_peak(tmp_path,
+                                                                      capsys):
+    # {1e-200 I, 1e200 X_0} with probs [1, 0] is the identity noise: the
+    # list is rescaled by the peak of the weighted I alone.
+    paths = bit_flip_code_with(tmp_path, [1e-200 * IXXX[0], 1e200 * IXXX[1]], [1.0, 0.0])
+    code, out, err = run_cli(capsys, "--json", "qec", "recover", *paths)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["recovered"] is True
+    assert report["max_deviation"] == report["certified_deviation"] == 0
+
+
+def test_qec_recover_rescales_and_images_a_scaled_list_once(tmp_path, capsys,
+                                                            monkeypatch):
+    # A list whose c overflows is imaged as given, which finds its scale,
+    # and once more divided by its peak; recovery synthesis and
+    # verification share that second imaging.
+    calls = {"_error_list": 0, "_code_images": 0, "_peak_scaled": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(qec, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(qec, name, counted)
+    paths = bit_flip_code_with(tmp_path, [1e200 * e for e in IXXX])
+    code, out, err = run_cli(capsys, "--json", "qec", "recover", *paths)
+    assert code == 0 and err == "" and json.loads(out)["recovered"]
+    assert calls == {"_error_list": 1, "_code_images": 2, "_peak_scaled": 1}
 
 
 @pytest.mark.parametrize("kind, reason", [

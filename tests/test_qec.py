@@ -175,6 +175,21 @@ def test_noise_channel_refuses_a_list_with_no_weight(errors, probs, message):
         qec.noise_channel(errors, probs)
 
 
+def test_operators_of_zero_weight_do_not_set_the_peak():
+    # {1e-200 I, 1e200 X_0} with probs [1, 0] stands for the identity
+    # noise. Its c underflows, and the list is divided by the peak of the
+    # weighted I, not by 1e200, which would underflow I to zero.
+    errors = [1e-200 * np.eye(8), 1e200 * qec.pauli_on(3, 0, "X")]
+    rec = qec.build_recovery(repetition_code(), errors)
+    check = qec.verify_recovery(rec, errors, probs=[1.0, 0.0])
+    assert check.max_deviation == check.certified_deviation == 0
+    kraus = qec.noise_channel(errors, [1.0, 0.0]).kraus
+    assert np.array_equal(kraus, np.stack([np.eye(8), np.zeros((8, 8))]))
+    # Probs that weigh only zero operators are still refused.
+    with pytest.raises(DomainError, match="is zero or out of floating-point range"):
+        qec.verify_recovery(rec, [np.zeros((8, 8)), 1e200 * np.eye(8)], probs=[1.0, 0.0])
+
+
 def test_probabilities_whose_sum_overflows_are_relative_weights():
     rec = qec.build_recovery(repetition_code(), bit_flips())
     noise = [np.eye(8), qec.pauli_on(3, 0, "Z"), qec.pauli_on(3, 1, "X"),

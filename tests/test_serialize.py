@@ -372,9 +372,11 @@ _LAYOUT_BREAKERS = ["-0", "--1", "-", "", "1-", "01", "10", "-[", ":"]
 
 def _floats(tree):
     """A JSON tree with every number as a float and every bulk array as
-    its nested lists, so that json.dumps shows the sign of a zero."""
+    its nested lists of floats, so that json.dumps shows the sign of a
+    zero: an int8 array of one-digit integers reads as the integers
+    json.loads gives, a float64 array with the signs of its zeros."""
     if isinstance(tree, np.ndarray):
-        return tree.tolist()
+        return _floats(tree.tolist())
     if isinstance(tree, dict):
         return {k: _floats(v) for k, v in tree.items()}
     if isinstance(tree, list):
@@ -416,9 +418,9 @@ def _one_digit_documents(draw):
 @given(text=_one_digit_documents(), chunk=st.integers(1, 64), block=st.integers(1, 24))
 def test_one_digit_runs_match_reference_route(tmp_path, text, chunk, block):
     # Small chunks and blocks cut the rows of pairs that are compared with
-    # the template at every offset. The arrays' bytes hold the signs of
-    # their zeros, and the whole tree, which holds a run of five axes, is
-    # compared as JSON text of floats, which also shows them. A document of
+    # the template at every offset. The readers' arrays are compared by
+    # bytes, which hold the signs of their zeros, and the whole tree, which
+    # holds a run of five axes, by value as JSON text of floats. A document of
     # at least one chunk is mapped, so this is also a test of the mapped read.
     path = tmp_path / "doc.json"
     path.write_text(text)
@@ -512,9 +514,27 @@ def test_one_digit_documents_need_no_number_parser(tmp_path, monkeypatch, shor_e
     assert len(tree["kraus"]) == 28
     assert all(isinstance(k, np.ndarray) for k in tree["kraus"])
     ops, _ = serialize.error_list_from_doc(tree)
-    # The canonical text of what was read is the document itself.
-    assert (serialize.canonical_dumps({**tree, "kraus": np.stack(ops)})
-            == shor_errors.read_text())
+    # The canonical text of what was read, of the tree's int8 arrays as of
+    # the reader's complex ones, is the document itself.
+    text = shor_errors.read_text()
+    assert serialize.canonical_dumps(tree) == text
+    assert serialize.canonical_dumps({**tree, "kraus": np.stack(ops)}) == text
+
+
+def test_qec_holds_one_dense_error_at_a_time(shor_errors):
+    # The tree holds the 28 errors as int8 (14.7 MB), and qec converts,
+    # checks, traces and images one 4 MiB complex matrix at a time: the
+    # float64 tree with every error held as complex peaked at 120 MB.
+    w = qec.shor_code().isometry
+    tracemalloc.start()
+    try:
+        errors, _ = serialize.error_list_from_doc(serialize.load_document(str(shor_errors)))
+        imaged = qec._ImagedErrors(w, errors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(imaged.traces) == 28 and (imaged.traces == 512).all()
+    assert peak <= 32 * 2 ** 20
 
 
 def test_a_string_before_the_errors_leaves_them_to_the_bulk_route(tmp_path, shor_errors):
@@ -748,7 +768,10 @@ def test_load_document_peak_for_matrices_longer_than_a_chunk(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(np.stack(doc["kraus"]).view(complex)[..., 0], kraus)
+    # One-digit integers, held as int8 and converted by the reader.
+    assert all(k.dtype == np.int8 for k in doc["kraus"])
+    ops, _ = serialize.error_list_from_doc(doc)
+    assert np.array_equal(np.stack(ops), kraus)
     assert peak <= kraus.nbytes + path.stat().st_size + 8 * 2 ** 20
 
 
@@ -912,25 +935,35 @@ def test_bulk_arrays_keep_the_sign_of_zero(tmp_path):
 
 # --- canonical documents take the bulk route ------------------------------------
 
+def _error_list(doc):
+    """Every matrix of an error list, each converted as it is indexed."""
+    ops, _ = serialize.error_list_from_doc(doc)
+    return [ops[i] for i in range(len(ops))]
+
+
 def _canonical_documents():
+    """(document, its reader, the dtype of its bulk arrays): int8 for one-
+    digit integers, float64 for any other numbers."""
     rng = np.random.default_rng(150)
     w = np.zeros((8, 2))
     w[0, 0] = w[7, 1] = 1.0
     return [
-        (serialize.state_to_doc(random_state((2, 3), rng)), serialize.state_from_doc),
-        (serialize.state_to_doc(random_pure((2, 2), rng)), serialize.state_from_doc),
+        (serialize.state_to_doc(random_state((2, 3), rng)), serialize.state_from_doc,
+         np.float64),
+        (serialize.state_to_doc(random_pure((2, 2), rng)), serialize.state_from_doc,
+         np.float64),
         (serialize.channel_to_doc(random_channel(2, 3, 2, rng), [0.5, 0.5]),
-         serialize.channel_from_doc),
+         serialize.channel_from_doc, np.float64),
         ({"kind": "channel", "din": 8, "dout": 8,
           "kraus": [1j * qec.pauli_on(3, 1, "Y"), -qec.pauli_on(3, 2, "Z")]},
-         serialize.error_list_from_doc),
+         _error_list, np.int8),
         # Exponents, with leading zeros and signs, and subnormals.
         ({"kraus": [np.array([[1e-05 - 3e-07j, 1e300], [5e-324, -2.5e-320j]]),
                     np.array([[0.5, -1e-100], [1e17, -0.0]], dtype=complex)]},
-         serialize.error_list_from_doc),
-        (serialize.code_to_doc(qec.Code(8, 2, w)), serialize.code_from_doc),
+         _error_list, np.float64),
+        (serialize.code_to_doc(qec.Code(8, 2, w)), serialize.code_from_doc, np.int8),
         ({"dim": 2, "basis": [np.eye(2, dtype=complex), qec.pauli_on(1, 0, "X")]},
-         serialize.system_from_doc),
+         serialize.system_from_doc, np.int8),
     ]
 
 
@@ -945,7 +978,7 @@ def test_canonical_documents_never_enter_the_diagnostic_route(tmp_path, monkeypa
 
     monkeypatch.setattr(serialize, "_pair_to_complex", walk)
     monkeypatch.setattr(serialize, "_json_loads", whole_text)
-    for i, (doc, reader) in enumerate(_canonical_documents()):
+    for i, (doc, reader, dtype) in enumerate(_canonical_documents()):
         text = serialize.canonical_dumps(doc)
         if layout == "spaced":
             text = json.dumps(json.loads(text))
@@ -957,7 +990,7 @@ def test_canonical_documents_never_enter_the_diagnostic_route(tmp_path, monkeypa
         leaves = [v for v in tree.values() if isinstance(v, np.ndarray)]
         leaves += [x for v in tree.values() if isinstance(v, list)
                    for x in v if isinstance(x, np.ndarray)]
-        assert leaves and all(a.dtype == np.float64 for a in leaves)
+        assert leaves and all(a.dtype == dtype for a in leaves)
         reader(tree)
 
 
@@ -995,17 +1028,22 @@ def test_wrong_shapes_for_the_readers_match_reference_route(tmp_path, reader, fi
 
 
 def test_bulk_tree_keeps_lists_above_matrices(tmp_path):
-    doc = {"kind": "channel", "din": 2, "dout": 2,
-           "kraus": [np.eye(2, dtype=complex)] * 2, "probs": [0.5, 0.5]}
-    path = tmp_path / "c.json"
-    path.write_text(serialize.canonical_dumps(doc))
-    tree = serialize.load_document(str(path))
-    assert type(tree["kraus"]) is list and type(tree["probs"]) is list
-    assert [k.shape for k in tree["kraus"]] == [(2, 2, 2), (2, 2, 2)]
-    ops, probs = serialize.error_list_from_doc(tree)
-    assert probs == [0.5, 0.5]
-    # A complex view of the parsed numbers, not a copy.
-    assert all(np.shares_memory(op, k) for op, k in zip(ops, tree["kraus"]))
+    for scale, dtype in ((0.5, np.float64), (1, np.int8)):
+        doc = {"kind": "channel", "din": 2, "dout": 2,
+               "kraus": [scale * np.eye(2, dtype=complex)] * 2, "probs": [0.5, 0.5]}
+        path = tmp_path / f"c{scale}.json"
+        path.write_text(serialize.canonical_dumps(doc))
+        tree = serialize.load_document(str(path))
+        assert type(tree["kraus"]) is list and type(tree["probs"]) is list
+        assert [(k.shape, k.dtype) for k in tree["kraus"]] == [((2, 2, 2), dtype)] * 2
+        ops, probs = serialize.error_list_from_doc(tree)
+        assert probs == [0.5, 0.5]
+        want = [_reference_matrix(k, "k") for k in _reference_load(str(path))["kraus"]]
+        for op, k, w in zip(ops, tree["kraus"], want):
+            assert op.dtype == complex and op.tobytes() == w.tobytes()
+            # Decimals: a complex view of the parsed numbers, not a copy.
+            # One-digit integers: a fresh complex array.
+            assert np.shares_memory(op, k) is (dtype == np.float64)
 
 
 @pytest.mark.parametrize("read, value", [
