@@ -9,6 +9,8 @@ way, as W and the n x k images V_i W of its branches (``Recovery``), and
 verified without forming an n x n matrix: the sampled deviations and
 their sample-free certificate are read off one small Choi matrix of the
 deviation map. Its dense Kraus operators are written out only on request.
+An error list is read once, each operator at its own scale (``_traces``),
+and normalized on m scalars alone (``_noise_factors``).
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ class Code:
             raise DimensionError("isometry columns are not orthonormal")
         object.__setattr__(self, "isometry", w)
 
-    def projector(self) -> np.ndarray:
-        w = self.isometry
-        return w @ dagger(w)
-
 
 @dataclass(frozen=True, eq=False)
 class KLReport:
@@ -69,9 +67,8 @@ class KLReport:
 def _error_list(errors) -> Sequence:
     """The error operators E_b as given, not yet converted or checked: a
     sequence (a list, a stacked array, or the lazy list a document reader
-    returns) is kept, and any other iterable is read into a list. Each
-    operator is converted to a complex array, and checked, each time a
-    pass reads it (``_traces``), so a pass holds one at a time."""
+    returns) is kept, and any other iterable is read into a list; the one
+    pass over it (``_traces``) holds one converted operator at a time."""
     ops = errors if isinstance(errors, (Sequence, np.ndarray)) else list(errors)
     if not len(ops):
         raise DimensionError("need at least one error operator")
@@ -91,37 +88,53 @@ def _refuse(ops: Sequence, n: int):
             raise DimensionError(f"error operator {np.shape(e)} != ({n}, {n})")
 
 
-def _traces(ops: Sequence, n: int, image=None) -> np.ndarray:
-    """Tr E_b^dag E_b of the n x n operators E_b of ``ops``, in one pass in
-    list order that converts each E_b to a complex array, checks it and
-    then, if given, hands it to ``image(b, E_b)`` while it is still in
-    cache; no E_b is kept. A finite trace proves finite entries; only a
-    non-finite one (from a NaN or inf entry, or from finite entries whose
-    squares overflow, which ``_normalized_images`` scales) looks at the
-    entries. Raises as ``_refuse`` for a list with a wrong shape or a
-    non-finite entry."""
-    traces = np.empty(len(ops))
+def _traces(ops: Sequence, n: int | None, image) -> tuple[np.ndarray, np.ndarray]:
+    """(Tr F_b^dag F_b, s_b) of F_b = E_b / s_b for the n x n operators
+    E_b of ``ops`` (n is the first one's when None), in the one pass over
+    the list: each E_b is converted, checked, scaled and traced in turn,
+    and handed to ``image(b, F_b)`` while still in cache. s_b is 1 when
+    Tr E_b^dag E_b lies in [n tiny, max / m], and otherwise the largest
+    real or imaginary part of E_b (0 for a zero operator), divided part
+    by part, as a complex division by a subnormal s_b overflows. Only a
+    non-finite trace looks at the entries. Raises as ``_refuse``."""
+    traces, scales = np.empty(len(ops)), np.ones(len(ops))
+    tiny, high = np.finfo(float).tiny, np.finfo(float).max / len(ops)
     for b, op in enumerate(ops):
         e = np.asarray(op, dtype=complex)
+        if n is None:
+            n = len(e) if e.ndim else 0  # a 0-d operator is refused below
         if e.shape != (n, n):
             _refuse(ops, n)
-        traces[b] = np.vdot(e, e).real
-        if not math.isfinite(traces[b]) and not np.isfinite(e).all():
-            _refuse(ops, n)
-        if image is not None:
-            image(b, e)
-    return traces
+        trace = np.vdot(e, e).real
+        if not n * tiny <= trace <= high:
+            if not (math.isfinite(trace) or np.isfinite(e).all()):
+                _refuse(ops, n)
+            scales[b] = max(np.abs(e.real).max(), np.abs(e.imag).max())
+            if scales[b]:
+                e = e.real / scales[b] + 1j * (e.imag / scales[b])
+                trace = np.vdot(e, e).real
+        traces[b] = trace
+        image(b, e)
+    return traces, scales
 
 
-def _noise_scale(traces: np.ndarray, n: int, probs) -> tuple[np.ndarray, float]:
-    """(sqrt(p_b), c) for an error list E_b whose traces Tr E_b^dag E_b are
-    ``traces``, which stands for the noise sum_b p_b E_b rho E_b^dag / c
-    with c = Tr[sum_b p_b E_b^dag E_b] / n and p_b = 1 when ``probs`` is
-    None. c is 1 for the Kraus operators of a channel and sum_b p_b for
-    unitaries, so either reads as a trace-preserving noise; the p_b are
-    divided by their largest first, which leaves the noise as it is.
-    Raises DimensionError or ProbabilityError for probabilities that do not
-    fit the list."""
+_OUT_OF_RANGE = "noise: its weight on the code space is zero or out of floating-point range"
+
+
+def _noise_factors(traces: np.ndarray, scales: np.ndarray, n: int,
+                   probs) -> tuple[np.ndarray, float]:
+    """(a_b, c) for an error list E_b read by ``_traces``, with weights p_b
+    (1 each when ``probs`` is None). Its noise
+    sum_b p_b E_b rho E_b^dag / c0, c0 = Tr[sum_b p_b E_b^dag E_b] / n (1
+    for a channel's Kraus operators, sum p for unitaries), is
+    sum_b a_b^2 F_b rho F_b^dag / c with c = Tr[sum_b a_b^2 F_b^dag F_b] / n
+    and a_b = sqrt(p_b / p_max) (s_b / s_max) / 2^k, s_max the largest s_b
+    of positive weight. Ratios of mantissas and differences of integer
+    exponents neither under- nor overflow, and give 1 for equal values;
+    2^k changes no digit and brings the largest a_b^2 Tr F_b^dag F_b near
+    1. Raises ProbabilityError or DimensionError for probs that do not fit
+    the list, and DomainError when no operator of positive weight is
+    nonzero."""
     m = len(traces)
     if probs is None:
         p = np.ones(m)
@@ -131,118 +144,55 @@ def _noise_scale(traces: np.ndarray, n: int, probs) -> tuple[np.ndarray, float]:
             raise DimensionError("probabilities must match the error list")
         if np.any(p < 0):
             raise ProbabilityError("probabilities must be nonnegative")
-        # Relative weights: divided by the largest before they are summed.
         if not (np.isfinite(p).all() and p.max() > 0):
             raise ProbabilityError("probabilities must have a positive finite sum")
-        p = p / p.max()
-    # For a list too large to square, c overflows or reads NaN (0 * inf);
-    # out of range, the caller divides the list by its peak.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(p), float(p @ traces) / n
+    if not scales.any():
+        raise DomainError("errors: every error operator is zero")
+    weighted = (p > 0) & (scales > 0)
+    if not weighted.any():
+        raise DomainError(_OUT_OF_RANGE)
+    pf, pe = np.frexp(p)
+    sf, se = np.frexp(scales)
+    top_p, top_s = np.argmax(p), np.argmax(np.where(weighted, scales, 0.0))
+    # sqrt(p_b / p_max): an odd exponent moves one factor 2 into the mantissa.
+    pe = pe - pe[top_p]
+    root = np.sqrt(np.ldexp(pf / pf[top_p], pe % 2))
+    mantissas = root * (sf / sf[top_s])
+    exponents = pe // 2 + se - se[top_s]
+    k = (2 * exponents + np.frexp(traces)[1])[weighted].max() // 2
+    # Members of zero weight have a zero mantissa, whatever their scale.
+    amps = np.ldexp(mantissas, exponents - k)
+    # a_b Tr F_b^dag F_b first: a_b^2 alone may underflow for a member
+    # whose small amplitude comes with a large trace.
+    return amps, float((amps * traces) @ amps) / n
 
 
-_OUT_OF_RANGE = "noise: its weight on the code space is zero or out of floating-point range"
-
-
-def _in_range(scale: float) -> bool:
-    return np.finfo(float).tiny <= scale < math.inf
-
-
-def _code_images(w: np.ndarray, ops: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """E_b W, stacked as m x n x k, and the traces Tr E_b^dag E_b of the
-    operators ``ops`` (``_error_list``), each checked, traced and imaged in
-    turn in one pass (``_traces``)."""
+def _code_images(w: np.ndarray, ops: Sequence) -> tuple[np.ndarray, ...]:
+    """F_b W, stacked as m x n x k, with ``_traces`` of ``ops``."""
     n, k = w.shape
     images = np.empty((len(ops), n, k), dtype=complex)
-    traces = _traces(ops, n, lambda b, e: np.matmul(e, w, out=images[b]))
-    return images, traces
+    traces, scales = _traces(ops, n, lambda b, e: np.matmul(e, w, out=images[b]))
+    return images, traces, scales
 
 
 class _ImagedErrors:
-    """A checked error list with its traces Tr E_b^dag E_b and its images
-    E_b W under one isometry W, which ``build_recovery`` and
-    ``verify_recovery`` take for that W without checking or imaging the
-    errors again. The list is kept as given (``_error_list``) and each
-    operator converted and passed over once (``_code_images``); no
-    operator is kept. Only a list whose scale is out of range is read
-    again, once for each set of members that weights make count
-    (``rescaled``)."""
+    """An error list read once under one isometry W: the F_b W with
+    ``_traces``, which ``build_recovery`` and ``verify_recovery`` take for
+    that W without reading the list again."""
 
     def __init__(self, w: np.ndarray, errors):
-        self.errors = _error_list(errors)
-        self.images, self.traces = _code_images(w, self.errors)
         self.isometry = w
-        self._rescaled = {}
-
-    def rescaled(self, weighted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(images, traces) of the list divided by the peak of its members
-        that ``weighted`` marks (``_peak_scaled``), made on first use."""
-        key = tuple(weighted.tolist())
-        if key not in self._rescaled:
-            self._rescaled[key] = _code_images(
-                self.isometry, _peak_scaled(self.errors, weighted))
-        return self._rescaled[key]
-
-
-def _imaged(w: np.ndarray, errors) -> _ImagedErrors:
-    if isinstance(errors, _ImagedErrors):
-        if errors.isometry is w:
-            return errors
-        errors = errors.errors
-    return _ImagedErrors(w, errors)
-
-
-def _peak_scaled(ops: Sequence, weighted: np.ndarray) -> _Divided:
-    """``ops`` divided by the largest real or imaginary part of the members
-    that ``weighted`` marks, which leaves the noise they stand for as it
-    is (``_Divided``); the peak is found in one pass that converts one
-    operator at a time. Raises DomainError when every error operator is
-    zero."""
-    peaks = np.array([max(np.abs(e.real).max(), np.abs(e.imag).max())
-                      for e in (np.asarray(op, dtype=complex) for op in ops)])
-    if not peaks.any():
-        raise DomainError("errors: every error operator is zero")
-    return _Divided(ops, peaks[weighted].max(), weighted)
-
-
-class _Divided(Sequence):
-    """The operators of ``ops`` divided by ``peak`` as each is read; the
-    parts are divided one by one, as a complex division by a subnormal
-    peak overflows. The members ``weighted`` does not mark, which weigh
-    nothing in the noise and may overflow when divided, read as zeros, as
-    every member does when the peak is zero."""
-
-    def __init__(self, ops: Sequence, peak: float, weighted: np.ndarray):
-        self.ops, self.peak, self.weighted = ops, peak, weighted
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __getitem__(self, b):
-        e = np.asarray(self.ops[b], dtype=complex)
-        if not (self.weighted[b] and self.peak):
-            return np.zeros_like(e)
-        return e.real / self.peak + 1j * (e.imag / self.peak)
+        self.images, self.traces, self.scales = _code_images(w, _error_list(errors))
 
 
 def _normalized_images(w: np.ndarray, errors, probs=None) -> np.ndarray:
-    """E_b W sqrt(p_b / c) for the error family normalized as in
-    ``_noise_scale``, as a new m x n x k array. When c under- or
-    overflows, the family is divided by the peak of its members of
-    positive weight first (``_peak_scaled``). Raises DomainError when
-    every error operator is zero, or when c is still zero or out of range:
-    the probs weigh only zero operators."""
-    imaged = _imaged(w, errors)
-    images, traces = imaged.images, imaged.traces
-    roots, scale = _noise_scale(traces, len(w), probs)
-    if not _in_range(scale):
-        images, traces = imaged.rescaled(roots > 0)
-        roots, scale = _noise_scale(traces, len(w), probs)
-        if not _in_range(scale):
-            raise DomainError(_OUT_OF_RANGE)
-    if probs is None:
-        return images / math.sqrt(scale)
-    return images * (roots / math.sqrt(scale))[:, None, None]
+    """E_b W sqrt(p_b / c0) (``_noise_factors``) as a new m x n x k array,
+    for a list or an ``_ImagedErrors`` read under ``w``."""
+    imaged = errors if isinstance(errors, _ImagedErrors) else _ImagedErrors(w, errors)
+    amps, scale = _noise_factors(imaged.traces, imaged.scales, len(w), probs)
+    ews = imaged.images / math.sqrt(scale)
+    ews *= amps[:, None, None]
+    return ews
 
 
 def _kl_report(ews: np.ndarray, tol: float) -> KLReport:
@@ -265,7 +215,7 @@ def kl_check(code: Code, errors, tol: float = 1e-8) -> KLReport:
     is normalized into a trace-preserving family, divided by
     sqrt(Tr[sum E_b^dag E_b] / n) as in ``verify_recovery`` (raw unitary
     lists get uniform weights), so the verdict does not depend on the
-    scale of the list; the residual is
+    scale of any operator (``_traces``); the residual is
     max_ij || W^dag E_i^dag E_j W - alpha_ij I ||. Raises DomainError when
     every error operator is zero.
     """
@@ -338,26 +288,24 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Recovery:
 def noise_channel(errors, probs=None) -> Channel:
     """The CPTP noise sum_b p_b E_b X E_b^dag / c of an error list, with
     c = Tr[sum_b p_b E_b^dag E_b] / n and p_b = 1 when ``probs`` is None
-    (``_noise_scale``): a channel's own Kraus operators, or unitaries with
-    probabilities p_b / sum p. It does not depend on the scale of the list:
-    when c under- or overflows, the list is divided by the peak of its
-    members of positive weight first (``_peak_scaled``). Raises DomainError
-    when every error operator is zero, or when c is still zero or out of
-    range, as when the probs weigh only zero operators."""
+    (``_noise_factors``): a channel's own Kraus operators, or unitaries
+    with probabilities p_b / sum p, each operator at its own scale, read
+    once (``_traces``) into the Kraus stack. Raises DomainError when every
+    error operator is zero, or when the probs weigh only zero operators."""
     ops = _error_list(errors)
-    first = np.asarray(ops[0], dtype=complex)
-    n = len(first) if first.ndim else 0  # _traces refuses a 0-d first operator
-    roots, scale = _noise_scale(_traces(ops, n), n, probs)
-    if not _in_range(scale):
-        ops = _peak_scaled(ops, roots > 0)
-        roots, scale = _noise_scale(_traces(ops, n), n, probs)
-        if not _in_range(scale):
-            raise DomainError("noise: Tr[sum_b p_b E_b^dag E_b] / n is zero or out "
-                              "of floating-point range")
-    # Written in place: an error list can be hundreds of megabytes.
-    kraus = np.empty((len(ops), n, n), dtype=complex)
-    for i, e in enumerate(ops):
-        np.multiply(roots[i] / math.sqrt(scale), e, out=kraus[i])
+    kraus = None  # made when the first operator read gives n
+
+    def keep(b, e):
+        nonlocal kraus
+        if kraus is None:
+            # Written in place: an error list can be hundreds of megabytes.
+            kraus = np.empty((len(ops), *e.shape), dtype=complex)
+        kraus[b] = e
+
+    traces, scales = _traces(ops, None, keep)
+    n = kraus.shape[1]
+    amps, scale = _noise_factors(traces, scales, n, probs)
+    kraus *= (amps / math.sqrt(scale))[:, None, None]
     return Channel(n, n, kraus)
 
 
@@ -390,7 +338,7 @@ def _compressed_map(recovery: Recovery, noise, probs) -> np.ndarray:
         images = _normalized_images(w, noise, probs)
     # sum_b ||K_b W||_F^2, k for a trace-preserving noise, bounds every
     # entry of J_c; out of range, J_c under- or overflows.
-    if not _in_range(float(np.vdot(images, images).real)):
+    if not np.finfo(float).tiny <= np.vdot(images, images).real < math.inf:
         raise DomainError(_OUT_OF_RANGE)
 
     ew = images.swapaxes(0, 1).reshape(n, -1)  # [E_b W], n x mk
@@ -429,8 +377,9 @@ def verify_recovery(recovery: Recovery, noise, samples: int = 50,
     sum_b p_b E_b rho E_b^dag / c with c = Tr[sum_b p_b E_b^dag E_b] / n,
     the normalization ``kl_check`` applies: a channel's own Kraus
     operators, or unitaries with probabilities p_b / sum p. Only the
-    sqrt(p_b / c) E_b W are formed (``_normalized_images``), so the scale
-    of the list does not matter. Raises DomainError for samples < 1,
+    sqrt(p_b / c) E_b W are formed (``_normalized_images``), each
+    operator at its own scale, so no scale of an operator or of the probs
+    matters. Raises DomainError for samples < 1,
     where nothing would be sampled, for probs given with a Channel, for
     an error list of zero operators only, or whose probs weigh only zero
     operators, and for a noise whose weight sum_b ||K_b W||_F^2 on the

@@ -954,12 +954,23 @@ def test_qec_recover_reads_operators_of_zero_weight_without_their_peak(tmp_path,
     assert report["max_deviation"] == report["certified_deviation"] == 0
 
 
+def test_qec_recover_reads_each_operator_at_its_own_scale(tmp_path, capsys):
+    # {I, 1e200 X_0} with probs [1, 1e-320] is the noise X_0 with I at about
+    # 1e-40 of its amplitude: neither c nor p_b / p_max is in range.
+    paths = bit_flip_code_with(tmp_path, [IXXX[0], 1e200 * IXXX[1]], [1.0, 1e-320])
+    code, out, err = run_cli(capsys, "--json", "qec", "recover", *paths)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["recovered"] is True
+    assert report["max_deviation"] == report["certified_deviation"] == 0
+
+
 def test_qec_recover_rescales_and_images_a_scaled_list_once(tmp_path, capsys,
                                                             monkeypatch):
-    # A list whose c overflows is imaged as given, which finds its scale,
-    # and once more divided by its peak; recovery synthesis and
-    # verification share that second imaging.
-    calls = {"_error_list": 0, "_code_images": 0, "_peak_scaled": 0}
+    # A list whose traces overflow is read once, each operator divided by
+    # its own peak as it is imaged; recovery synthesis and verification
+    # share that one imaging.
+    calls = {"_error_list": 0, "_code_images": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(qec, name)):
             calls[_name] += 1
@@ -969,7 +980,8 @@ def test_qec_recover_rescales_and_images_a_scaled_list_once(tmp_path, capsys,
     paths = bit_flip_code_with(tmp_path, [1e200 * e for e in IXXX])
     code, out, err = run_cli(capsys, "--json", "qec", "recover", *paths)
     assert code == 0 and err == "" and json.loads(out)["recovered"]
-    assert calls == {"_error_list": 1, "_code_images": 2, "_peak_scaled": 1}
+    assert calls == {"_error_list": 1, "_code_images": 1}
+    assert not hasattr(qec, "_peak_scaled")
 
 
 @pytest.mark.parametrize("kind, reason", [

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -80,7 +81,7 @@ def test_recovery_partial_isometry_relations():
     code = repetition_code()
     errors = bit_flips()
     rec = qec.build_recovery(code, errors)
-    proj = code.projector()
+    proj = code.isometry @ dagger(code.isometry)
     vs = [dagger(k) for k in rec.channel().kraus[:-1]]  # V_i^dag, then Q
     for i, vi in enumerate(vs):
         for j, vj in enumerate(vs):
@@ -188,6 +189,74 @@ def test_operators_of_zero_weight_do_not_set_the_peak():
     # Probs that weigh only zero operators are still refused.
     with pytest.raises(DomainError, match="is zero or out of floating-point range"):
         qec.verify_recovery(rec, [np.zeros((8, 8)), 1e200 * np.eye(8)], probs=[1.0, 0.0])
+
+
+def test_an_operator_far_below_the_others_is_read_at_its_own_scale():
+    # {I, 1e200 X_0} with probs [1, 1e-320] stands for the noise X_0 with I
+    # at about 1e-40 of its amplitude (1e-320 is subnormal, so the ratio is
+    # 1e-40 to six digits only). Its c and the p_b / p_max are out of range,
+    # but each operator is read at its own scale.
+    rec = qec.build_recovery(repetition_code(), [np.eye(8)])
+    errors = [np.eye(8), 1e200 * qec.pauli_on(3, 0, "X")]
+    want = qec.verify_recovery(rec, errors[1:])
+    assert want.max_deviation > 1
+    assert qec.verify_recovery(rec, errors, probs=[1.0, 1e-320]) == want
+    kraus = qec.noise_channel(errors, [1.0, 1e-320]).kraus
+    assert np.abs(kraus).max(axis=(1, 2)) == pytest.approx(
+        [1 / (1e200 * math.sqrt(1e-320)), 1.0], rel=1e-12)
+
+
+@st.composite
+def rescaled_lists(draw):
+    """Weights p_b and operators E_b on the repetition code's space (a
+    Gaussian, a Pauli or zero), and the same list with each E_b scaled by
+    lambda_b = 10^k, |k| <= 150, and p_b divided by lambda_b^2, which
+    stands for the same noise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lists = ([], [], [], [])
+    for _ in range(draw(st.integers(1, 4))):
+        e = draw(st.sampled_from([
+            lambda: rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
+            lambda: qec.pauli_on(3, int(rng.integers(3)), "XYZ"[rng.integers(3)]),
+            lambda: np.zeros((8, 8)),
+        ]))()
+        p = draw(st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(1e-3, 1.0))
+        k = draw(st.integers(-150, 150))
+        if 0 < p < np.finfo(float).tiny:
+            k = -abs(k)  # a subnormal weight is only scaled up, so it stays positive
+        scale = 10.0 ** k
+        for out, item in zip(lists, (e, p, scale * e, p / scale ** 2)):
+            out.append(item)
+    return lists
+
+
+def _outcome(read):
+    try:
+        return read()
+    except (DomainError, ProbabilityError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lists=rescaled_lists())
+def test_each_operator_may_have_its_own_scale(lists):
+    # lambda_b E_b with weight p_b / lambda_b^2 is the noise of E_b with
+    # weight p_b: both lists give the same channel and deviations, or the
+    # same error.
+    errors, probs, scaled, scaled_probs = lists
+    rec = qec.build_recovery(repetition_code(), bit_flips())
+
+    def deviations(ops, p):
+        check = qec.verify_recovery(rec, ops, samples=4, probs=p)
+        return np.array([check.max_deviation, check.certified_deviation])
+
+    for read in (lambda ops, p: qec.noise_channel(ops, p).kraus, deviations):
+        want = _outcome(lambda: read(errors, probs))
+        got = _outcome(lambda: read(scaled, scaled_probs))
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want
+        else:
+            assert np.abs(got - want).max() <= 1e-12
 
 
 def test_probabilities_whose_sum_overflows_are_relative_weights():
@@ -360,7 +429,7 @@ def test_recovery_basis_independence():
         np.hstack([w, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))])
     )
     u = q @ _block_diag(haar_unitary(2, rng), haar_unitary(6, rng)) @ dagger(q)
-    proj = code.projector()
+    proj = code.isometry @ dagger(code.isometry)
     assert np.linalg.norm(u @ proj - proj @ u) <= 1e-10
     conj_errors = [u @ e @ dagger(u) for e in errors]
     alpha0 = qec.kl_check(code, errors).alpha
@@ -703,11 +772,12 @@ def test_a_non_finite_entry_is_reported_before_a_shape_mismatch(reader):
 
 
 def test_errors_whose_traces_overflow_keep_their_verdict_and_deviations():
-    # Entries near 1e200 are finite, but their squares overflow: the traces
-    # are inf, and the family is scaled by its peak, not refused.
+    # Entries near 1e200 are finite, but their squares overflow: each
+    # operator is divided by its own peak as it is read, not refused.
     code, scale = repetition_code(), 1e200
     errors = bit_flips() + [qec.pauli_on(3, 0, "Z")]
-    assert np.isinf(qec._ImagedErrors(code.isometry, [scale * e for e in errors]).traces).all()
+    imaged = qec._ImagedErrors(code.isometry, [scale * e for e in errors])
+    assert (imaged.scales == scale).all() and (imaged.traces == 8).all()
     for family, passes in ((bit_flips(), True), (errors, False)):
         want = qec.kl_check(code, family)
         got = qec.kl_check(code, [scale * e for e in family])
@@ -731,13 +801,24 @@ def test_one_pass_images_and_traces_are_bit_identical(data, n, k, m):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     k = min(k, n)
     w = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
-    scale = 10.0 ** data.draw(st.integers(-150, 150))
+    scale = 10.0 ** data.draw(st.integers(-160, 160))
     ops = []
     for _ in range(m):
         e = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         form = data.draw(st.sampled_from(["c", "f", "t", "real"]))
         ops.append({"c": e, "f": np.asfortranarray(e), "t": e.T, "real": e.real}[form])
-    images, traces = qec._code_images(w, qec._error_list(ops))
-    want = [np.asarray(e, dtype=complex) for e in ops]
+    images, traces, scales = qec._code_images(w, qec._error_list(ops))
+    want = []
+    tiny, high = np.finfo(float).tiny, np.finfo(float).max / m
+    for e, s in zip(ops, scales):
+        e = np.asarray(e, dtype=complex)
+        # A member whose trace is out of range is read as E_b / s_b, with
+        # s_b its largest real or imaginary part; any other has s_b = 1.
+        if n * tiny <= np.vdot(e, e).real <= high:
+            assert s == 1
+        else:
+            assert s == max(np.abs(e.real).max(), np.abs(e.imag).max())
+            e = e.real / s + 1j * (e.imag / s)
+        want.append(e)
     assert images.tobytes() == np.stack([e @ w for e in want]).tobytes()
     assert traces.tobytes() == np.array([np.vdot(e, e).real for e in want]).tobytes()
