@@ -77,12 +77,14 @@ def _error_list(errors) -> Sequence:
 
 def _refuse(ops: Sequence, n: int):
     """Raise the DimensionError for ``ops``, a list a pass found at fault,
-    that checking each operator with ``asmatrix`` in list order, then each
-    one's shape against n x n, raises first: a non-finite entry anywhere
-    is reported before a shape mismatch. Only this error path scans the
-    list again."""
+    that checking each operator with ``asmatrix`` in list order, then
+    n >= 1, then each one's shape against n x n, raises first: a
+    non-finite entry anywhere is reported before a shape mismatch. Only
+    this error path scans the list again."""
     for e in ops:
         matkit.asmatrix(e)
+    if not n:
+        raise DimensionError("error operators must be n x n with n >= 1")
     for e in ops:
         if np.shape(e) != (n, n):
             raise DimensionError(f"error operator {np.shape(e)} != ({n}, {n})")
@@ -102,8 +104,8 @@ def _traces(ops: Sequence, n: int | None, image) -> tuple[np.ndarray, np.ndarray
     for b, op in enumerate(ops):
         e = np.asarray(op, dtype=complex)
         if n is None:
-            n = len(e) if e.ndim else 0  # a 0-d operator is refused below
-        if e.shape != (n, n):
+            n = len(e) if e.ndim else 0  # n = 0 is refused below
+        if e.shape != (n, n) or not n:
             _refuse(ops, n)
         trace = np.vdot(e, e).real
         if not n * tiny <= trace <= high:

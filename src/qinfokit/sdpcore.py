@@ -15,19 +15,21 @@ so weak duality reads primal <= dual. The algorithm is primal-dual
 path-following with Nesterov-Todd scaling and a predictor-corrector step
 (the corrector recentres at sigma * mu without a second-order term).
 
-An ``SDPProblem`` holds C, the (m, n, n) stack of the A_i and the
-vector b. The problem is iterated as complex Hermitian matrices when its
-data has an imaginary part, else as real symmetric ones; it decides this
-once and stores its data as complex128 or float64, with the constraints
-packed once for ``solve`` and ``value_enclosure``
-(``SDPProblem.packed``). The Schur complement is
-formed in packed Hermitian coordinates (where the trace inner product is
-the dot product) and factored once per iteration: by Cholesky when its
-pivots put it inside SCHUR_COND_LIMIT, else by a symmetric eigensolve
-that drops eigen-directions below 1e-14 of the largest, so redundant
-constraints need no special handling and conditioning alone never stops
-a solve. A solve either ends optimal or raises. Only the SDPA export
-embeds a complex problem as a real one of twice the size (``_embed``).
+An ``SDPProblem`` holds C, the (m, n, n) stack of the A_i and b, as
+complex128 (iterated as Hermitian matrices) when its data has an
+imaginary part, else as float64. A(H) and A^T(y) read all n^2 entries
+through a float view of the stack (``SDPProblem.flat``), with no copy;
+``solve`` carries A^T(y) of its iterate along with the steps of y.
+Packed Hermitian coordinates, in which the trace inner product is the dot
+product of n^2 reals, remain where they halve the work: the Schur Gram
+product, m^2 n^2 per iteration, and ``value_enclosure``. Each iterate is
+factored once: a stacked Cholesky of [X, Z] and a stacked inverse of the
+factors give Z^-1 = L_Z^-H L_Z^-1 and, from L^-1 [dX, dZ] L^-H, both step
+lengths. The Schur complement is factored by Cholesky when its pivots put
+it inside SCHUR_COND_LIMIT, else by a symmetric eigensolve that drops
+eigen-directions below 1e-14 of the largest, so redundant constraints
+need no special handling and conditioning alone never stops a solve.
+Only the SDPA export embeds a complex problem as a real one.
 
 ``value_enclosure`` turns one solve's primal and dual iterates into an
 interval [lower, upper] that holds the optimal value, for problems whose
@@ -110,9 +112,10 @@ class SDPProblem:
         return len(self.rhs)
 
     @functools.cached_property
-    def packed(self) -> np.ndarray:
-        """The constraints in packed coordinates, one row per A_i."""
-        return _pack(self.constraints, np.iscomplexobj(self.constraints))
+    def flat(self) -> np.ndarray:
+        """The constraints as an (m, n^2) float view, (m, 2 n^2) if complex."""
+        width = self.objective.view(float).size
+        return self.constraints.view(float).reshape(self.m, width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,40 +175,49 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _upper(n: int) -> tuple:
-    return np.triu_indices(n, 1)
+def _packing(n: int, cplx: bool) -> tuple:
+    """(index, weight): the packed coordinates of h[..., n, n] are its float
+    view's entries at index, times weight (sqrt(2) off the diagonal)."""
+    i, j = np.triu_indices(n, 1)
+    diag, upper = (n + 1) * np.arange(n), n * i + j
+    # Complex: the real, then the imaginary float of each upper entry.
+    index = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1] if cplx else [diag, upper])
+    return index, np.concatenate([np.ones(n), np.full(len(index) - n, math.sqrt(2.0))])
 
 
 def _pack(h: np.ndarray, cplx: bool) -> np.ndarray:
     """Real coordinates of Hermitian matrices h[..., n, n] in which the
     trace inner product is the dot product: the diagonal, then sqrt(2) Re
     and (complex problems only) sqrt(2) Im of the strict upper triangle."""
-    i, j = _upper(h.shape[-1])
-    upper = math.sqrt(2.0) * h[..., i, j]
-    parts = [np.diagonal(h, axis1=-2, axis2=-1).real, upper.real]
-    return np.concatenate(parts + [upper.imag] if cplx else parts, axis=-1)
+    index, weight = _packing(h.shape[-1], cplx)
+    v = np.ascontiguousarray(h if cplx else h.real, complex if cplx else float).view(float)
+    out = v.reshape(*v.shape[:-2], v.shape[-2] * v.shape[-1])[..., index]
+    out *= weight
+    return out
 
 
 def _unpack(v: np.ndarray, n: int, cplx: bool) -> np.ndarray:
     """The Hermitian n x n matrix whose packed coordinates are v."""
-    i, j = _upper(n)
-    upper = (v[n:n + len(i)] + 1j * v[n + len(i):] if cplx else v[n:]) / math.sqrt(2.0)
-    h = np.zeros((n, n), dtype=upper.dtype)
-    h[i, j] = upper
-    h[j, i] = h[i, j].conj()
-    h[np.arange(n), np.arange(n)] = v[:n]
-    return h
+    index, weight = _packing(n, cplx)
+    h = np.zeros((n, n), complex if cplx else float)
+    h.view(float).reshape(-1)[index] = v / weight
+    return h + np.triu(h, 1).conj().T
+
+
+def _apply_a(problem: SDPProblem, h: np.ndarray) -> np.ndarray:
+    """A(H) = (<A_i, H>)_i over all n^2 entries (so H is read as its Hermitian
+    part), for H of the problem's dtype; (m, k) for a stack of k matrices."""
+    return problem.flat @ h.view(float).reshape(*h.shape[:-2], -1).T
+
+
+def _apply_at(problem: SDPProblem, y: np.ndarray) -> np.ndarray:
+    """A^T(y) = sum_i y_i A_i, of the problem's dtype; (k, n, n) for (k, m) y."""
+    return (y @ problem.flat).view(problem.objective.dtype).reshape(
+        *y.shape[:-1], problem.n, problem.n)
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
-
-
-def _chol(x: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(x)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"iterate lost positivity: {exc}") from exc
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _nt_scaling(lx: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -216,14 +228,11 @@ def _nt_scaling(lx: np.ndarray, z: np.ndarray) -> np.ndarray:
     return lx @ (vecs / np.clip(vals, 1e-300, None) ** 0.25)
 
 
-def _max_step(lx: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha dx >= 0 (inf if dx >= 0), x = lx lx^H."""
-    s = np.linalg.solve(lx, dx)                 # L^-1 dX
-    s = np.linalg.solve(lx, s.conj().T)         # L^-1 dX L^-H
-    lam = float(np.linalg.eigvalsh(_herm(s))[0])
-    if lam >= -1e-14:
-        return math.inf
-    return -1.0 / lam
+def _step_lengths(l_inv: np.ndarray, d: np.ndarray) -> list:
+    """[largest alpha with l_k l_k^H + alpha d_k >= 0] over the stacks
+    l_inv = [l_k^-1] and d: -1 / lambda_min(l_k^-1 d_k l_k^-H), inf if d_k >= 0."""
+    lam = np.linalg.eigvalsh(_herm(l_inv @ d @ l_inv.conj().swapaxes(-1, -2)))
+    return [math.inf if v >= -1e-14 else -1.0 / v for v in lam[:, 0]]
 
 
 def _triangular_solve(t: np.ndarray, r: np.ndarray, lower: bool) -> np.ndarray:
@@ -238,25 +247,28 @@ def _triangular_solve(t: np.ndarray, r: np.ndarray, lower: bool) -> np.ndarray:
 
 
 def _schur_solver(schur: np.ndarray):
-    """(solve, path) for the Schur system M dy = rhs (rhs columns).
+    """(solve, path, ratio) for the Schur system M dy = rhs (rhs columns).
 
     Cholesky when its pivots put M inside SCHUR_COND_LIMIT; otherwise a
     truncated eigendecomposition that drops the eigen-directions below
     1/SCHUR_COND_LIMIT of the largest (a redundant constraint makes M
     singular, and Cholesky may still succeed on it with a tiny pivot).
+    ratio is (min/max pivot)^2, or min/max of the kept eigenvalues.
     """
     try:
         chol = np.linalg.cholesky(schur)
         piv = np.diag(chol)
-        if not piv.size or (piv.min() / piv.max()) ** 2 > 1.0 / SCHUR_COND_LIMIT:
+        ratio = float((piv.min() / piv.max()) ** 2) if piv.size else 1.0
+        if ratio > 1.0 / SCHUR_COND_LIMIT:
             return (lambda rhs: _triangular_solve(
-                chol.T, _triangular_solve(chol, rhs, True), False)), "cholesky"
+                chol.T, _triangular_solve(chol, rhs, True), False)), "cholesky", ratio
     except np.linalg.LinAlgError:
         pass
     vals, vecs = np.linalg.eigh(schur)
     keep = vals > vals[-1] / SCHUR_COND_LIMIT
     vals, vecs = vals[keep], vecs[:, keep]
-    return (lambda rhs: vecs @ ((vecs.T @ rhs) / vals[:, None])), "eig"
+    ratio = float(vals[0] / vals[-1]) if vals.size else 0.0
+    return (lambda rhs: vecs @ ((vecs.T @ rhs) / vals[:, None])), "eig", ratio
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -267,36 +279,31 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
     Complex problems are iterated natively (see the module docstring). The
     predictor and corrector directions share one factorization of the
     Schur complement per iteration. Each ``history`` record holds the
-    residuals, mu, sigma, the step lengths and the Schur path
-    (``"cholesky"`` or ``"eig"``; None on the final record, which takes no
-    step). Deterministic: identical inputs produce identical
-    iterates. Returns only an optimal solution. Raises
-    Infeasible when the primal residual stalls above 1e-6 for 30
-    consecutive iterations (or the iterates diverge with the residual
-    stuck), NumericalBreakdown when an iterate loses positivity or the
-    iterates diverge otherwise, and SolverFailure carrying the last
+    residuals, mu, sigma, the step lengths, the Schur path (``"cholesky"``
+    or ``"eig"``) and ``schur_ratio`` (``_schur_solver``); the last five
+    are None on the final record, which takes no step. Deterministic:
+    identical inputs produce identical iterates. Returns only an optimal
+    solution. Raises Infeasible when the primal residual stalls above 1e-6
+    for 30 consecutive iterations (or the iterates diverge with the
+    residual stuck), NumericalBreakdown when an iterate loses positivity
+    or the iterates diverge otherwise, and SolverFailure carrying the last
     iterate as ``.solution`` when ``max_iter`` runs out first. Non-finite
     iterates are checked for explicitly, so numpy's transient overflow
     warnings are silenced here.
     """
     n, m, cplx = problem.n, problem.m, np.iscomplexobj(problem.objective)
-    b, c, a_packed = problem.rhs, problem.objective, problem.packed
-
-    def apply_a(h):
-        # W Rd W is Hermitian only up to rounding of order |W|^2; one
-        # triangle of it alone stalled tight solves, so symmetrize first.
-        return a_packed @ _pack(_herm(h), cplx)
-
-    def apply_at(y):
-        return _unpack(y @ a_packed, n, cplx)
+    b, c = problem.rhs, problem.objective
 
     eta = max(10.0, float(np.max(np.abs(b))) if m else 0.0, float(np.linalg.norm(c)))
     x = eta * np.eye(n, dtype=c.dtype)
     z = x.copy()
-    y = np.zeros(m)
+    y, at_y = np.zeros(m), np.zeros_like(x)  # at_y = A^T(y), kept by its steps
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(c))
 
+    # The Schur build's work space: fresh (m, n, n) temporaries would be
+    # mapped and faulted in anew every iteration.
+    left, right = np.empty((2, m, n, n), c.dtype)
     history = []
     status = "max_iter"
     best_pinf = math.inf
@@ -305,17 +312,15 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
     for it in range(1, max_iter + 1):
         pval = np.vdot(c, x).real
         dval = float(b @ y)
-        rp = b - apply_a(x)
-        rd = c - apply_at(y) + z
+        rp = b - _apply_a(problem, x)
+        rd = c - at_y + z
         mu = np.vdot(x, z).real / n
         pinf = float(np.linalg.norm(rp)) / bnorm
         dinf = float(np.linalg.norm(rd)) / cnorm
         relgap = abs(dval - pval) / (1.0 + abs(pval) + abs(dval))
-        record = {
-            "iter": it, "primal": float(pval), "dual": dval,
-            "pinf": pinf, "dinf": dinf, "mu": float(mu), "sigma": None,
-            "step_primal": None, "step_dual": None, "schur": None,
-        }
+        record = {"iter": it, "primal": float(pval), "dual": dval, "pinf": pinf,
+                  "dinf": dinf, "mu": float(mu), **dict.fromkeys(
+                      ("sigma", "step_primal", "step_dual", "schur", "schur_ratio"))}
         history.append(record)
         if pinf <= tol and dinf <= tol and relgap <= tol:
             status = "optimal"
@@ -324,67 +329,62 @@ def solve(problem: SDPProblem, tol: float = 1e-7, max_iter: int = 200
             # Divergence while the primal residual never came down is the
             # usual numerical signature of an infeasible problem.
             if best_pinf > STALL_RESIDUAL:
-                raise Infeasible(
-                    f"iterates diverged with primal residual stuck at "
-                    f"{best_pinf:.3e} after {it} iterations"
-                )
+                raise Infeasible(f"iterates diverged with primal residual stuck at "
+                                 f"{best_pinf:.3e} after {it} iterations")
             raise NumericalBreakdown(f"iterates diverged at iteration {it}")
         stalled = pinf > STALL_RESIDUAL and pinf >= best_pinf * (1.0 - 1e-3)
         stall = stall + 1 if stalled else 0
         best_pinf = min(best_pinf, pinf)
         if stall >= STALL_LIMIT:
-            raise Infeasible(
-                f"primal residual stalled at {pinf:.3e} after {it} iterations"
-            )
+            raise Infeasible(f"primal residual stalled at {pinf:.3e} after {it} iterations")
 
-        lx, lz = _chol(x), _chol(z)
-        r = _nt_scaling(lx, z)
+        try:  # the one factorization of the iterate, [L_X, L_Z]
+            lxz = np.linalg.cholesky(np.array([x, z]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdown(f"iterate lost positivity: {exc}") from exc
+        l_inv = np.linalg.inv(lxz)
+        r = _nt_scaling(lxz[0], z)
         w = _herm(r @ r.conj().T)
-        vals, vecs = np.linalg.eigh(z)
-        z_inv = (vecs / np.clip(vals, 1e-300, None)) @ vecs.conj().T
+        z_inv = l_inv[1].conj().T @ l_inv[1]
 
         # Schur complement M_ij = <A_i, W A_j W> = <B_i, B_j> with
         # B_j = R^H A_j R: one Gram product over the packed coordinates.
-        rar = _pack(r.conj().T @ problem.constraints @ r, cplx)
-        schur_solve, path = _schur_solver(rar @ rar.T)
+        np.matmul(r.conj().T, problem.constraints, out=left)
+        rar = _pack(np.matmul(left, r, out=right), cplx)
+        schur_solve, path, ratio = _schur_solver(rar @ rar.T)
 
-        # The corrector's right-hand side is the predictor's plus
-        # sigma mu A(Z^-1), so one solve with two columns serves both.
-        rhs_aff = apply_a(w @ rd @ w - x) - rp
-        dy_aff, dy_cen = schur_solve(np.stack([rhs_aff, apply_a(z_inv)], axis=1)).T
+        # The corrector's right-hand side is the predictor's plus sigma mu
+        # A(Z^-1): one pass of A, one solve and one pass of A^T serve both.
+        # A reads W Rd W, Hermitian only up to rounding, as its Hermitian part.
+        rhs = _apply_a(problem, np.array([w @ rd @ w - x, z_inv]))
+        rhs[:, 0] -= rp
+        dy_aff, dy_cen = schur_solve(rhs).T
+        at_aff, at_cen = _apply_at(problem, np.array([dy_aff, dy_cen]))
 
-        def direction(rc, dy):
-            dz = _herm(apply_at(dy) - rd)
-            return _herm(rc - w @ dz @ w), dz
-
-        def max_steps(dx, dz):
-            return _max_step(lx, dx), _max_step(lz, dz)
+        def direction(rc, at_dy):  # the stack [dX, dZ]
+            dz = _herm(at_dy - rd)
+            return np.array([_herm(rc - w @ dz @ w), dz])
 
         # Predictor (affine scaling).
-        dx_a, dz_a = direction(-x, dy_aff)
-        ap, ad = (min(1.0, step) for step in max_steps(dx_a, dz_a))
+        dx_a, dz_a = d = direction(-x, at_aff)
+        ap, ad = (min(1.0, step) for step in _step_lengths(l_inv, d))
         mu_aff = np.vdot(x + ap * dx_a, z + ad * dz_a).real / n
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-8)) if mu > 0 else 0.1
 
         # Corrector: recentre at sigma * mu.
-        dy = dy_aff + sigma * mu * dy_cen
-        dx, dz = direction(sigma * mu * z_inv - x, dy)
-        step_x, step_z = max_steps(dx, dz)
-        ap, ad = min(1.0, 0.98 * step_x), min(1.0, 0.98 * step_z)
-        x = x + ap * dx
-        z = z + ad * dz
-        y = y + ad * dy
+        dy, at_dy = dy_aff + sigma * mu * dy_cen, at_aff + sigma * mu * at_cen
+        dx, dz = d = direction(sigma * mu * z_inv - x, at_dy)
+        ap, ad = (min(1.0, 0.98 * step) for step in _step_lengths(l_inv, d))
+        x, z, y, at_y = x + ap * dx, z + ad * dz, y + ad * dy, at_y + ad * at_dy
         record.update(sigma=float(sigma), step_primal=float(ap),
-                      step_dual=float(ad), schur=path)
+                      step_dual=float(ad), schur=path, schur_ratio=ratio)
 
     pval = np.vdot(c, x).real
     dval = float(b @ y)
+    # y is rebound, never written in place, so the solution may hold it.
     sol = SDPSolution(
-        primal=float(pval), dual=dval,
-        x=x.astype(complex), y=y.copy(), z=z.astype(complex),
-        gap=dval - float(pval), iterations=it, status=status,
-        history=tuple(history),
-    )
+        primal=float(pval), dual=dval, x=x.astype(complex), y=y, z=z.astype(complex),
+        gap=dval - float(pval), iterations=it, status=status, history=tuple(history))
     if status != "optimal":
         raise SolverFailure(
             f"status {status} after {it} iterations at tol {tol:g} "
@@ -417,10 +417,10 @@ def value_enclosure(problem: SDPProblem, solution: SDPSolution) -> tuple:
     """
     n, m, cplx = problem.n, problem.m, np.iscomplexobj(problem.objective)
     eps = np.finfo(float).eps
-    a, b = problem.packed, problem.rhs
+    a, b = _pack(problem.constraints, cplx), problem.rhs
     c = _pack(_herm(problem.objective), cplx)
     eye = _pack(np.eye(n), cplx)
-    gram_solve, _ = _schur_solver(a @ a.T)
+    gram_solve = _schur_solver(a @ a.T)[0]
 
     def least_squares(v):  # coefficients of the A_i closest to v
         return gram_solve(v[:, None])[:, 0]

@@ -771,6 +771,24 @@ def test_a_non_finite_entry_is_reported_before_a_shape_mismatch(reader):
         _readers()[reader](errors)
 
 
+@pytest.mark.parametrize("errors, probs", [
+    ([np.zeros((0, 0))], None),
+    (np.zeros((1, 0, 0)), None),
+    ([np.zeros((0, 0))], [1.0]),
+])
+def test_operators_of_size_zero_are_refused_by_every_reader(errors, probs):
+    # n = 0 would divide by zero in the normalization c = Tr[...] / n.
+    code = repetition_code()
+    rec = qec.build_recovery(code, bit_flips())
+    with pytest.raises(DimensionError, match=r"^error operators must be n x n with n >= 1$"):
+        qec.noise_channel(errors, probs)
+    # Under a code, n is the code's, and the shape is at fault.
+    with pytest.raises(DimensionError, match=r"^error operator \(0, 0\) != \(8, 8\)$"):
+        qec.kl_check(code, errors)
+    with pytest.raises(DimensionError, match=r"^error operator \(0, 0\) != \(8, 8\)$"):
+        qec.verify_recovery(rec, errors, samples=2, probs=probs)
+
+
 def test_errors_whose_traces_overflow_keep_their_verdict_and_deviations():
     # Entries near 1e200 are finite, but their squares overflow: each
     # operator is divided by its own peak as it is read, not refused.

@@ -168,6 +168,20 @@ def test_native_complex_solve_matches_real_embedding(seed, n, k):
             assert rec["primal"] <= rec["dual"] + 1e-8 * scale
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+       k=st.integers(0, 4))
+def test_carried_dual_residual_matches_a_fresh_one(seed, n, k):
+    # solve updates A^T(y) with each step of y instead of applying A^T to
+    # y again; the final record's dinf must be that of the returned y, Z.
+    c, ops, rhs = random_feasible_complex_sdp(seed, n, k)
+    sol = sdpcore.solve(sdpcore.SDPProblem(c, ops, rhs), tol=1e-9)
+    fresh = c - np.einsum("i,ijk->jk", sol.y, ops) + sol.z
+    cnorm = 1.0 + np.linalg.norm(c)
+    scale = 1.0 + np.linalg.norm(sol.y) * np.linalg.norm(ops) / cnorm
+    assert abs(sol.history[-1]["dinf"] - np.linalg.norm(fresh) / cnorm) <= 1e-12 * scale
+
+
 def test_solve_complex_rank_one_objective():
     # max <vv*, X> s.t. Tr X = 1 equals |v|^2 with X the unit projector.
     v = np.array([1.0, 1.0j, 0.5 - 0.5j])
@@ -283,6 +297,8 @@ def test_redundant_constraints():
     # pivot test sends every iteration to the eigensolve.
     assert [rec["schur"] for rec in sol.history[:-1]] == \
         ["eig"] * (sol.iterations - 1)
+    # One eigenvalue is dropped, so the kept spectrum is the other one.
+    assert all(rec["schur_ratio"] == 1.0 for rec in sol.history[:-1])
     # Inconsistent duplicates (Tr X = 1 and Tr X = 2) admit no X.
     clash = sdpcore.SDPProblem(np.eye(2), np.stack([np.eye(2)] * 2), [1.0, 2.0])
     with pytest.raises(Infeasible):
@@ -298,9 +314,98 @@ def test_history_records_each_step():
         assert 0.0 < rec["sigma"] <= 1.0
         assert 0.0 < rec["step_primal"] <= 1.0
         assert 0.0 < rec["step_dual"] <= 1.0
+        # The Cholesky path is taken only inside the conditioning limit.
+        assert 1.0 / sdpcore.SCHUR_COND_LIMIT < rec["schur_ratio"] <= 1.0
+    # The Schur complement grows worse conditioned as mu falls.
+    assert steps[-1]["schur_ratio"] < steps[0]["schur_ratio"]
     # The final record is the convergence check: no step is taken.
     assert (last["sigma"], last["step_primal"], last["step_dual"],
-            last["schur"]) == (None, None, None, None)
+            last["schur"], last["schur_ratio"]) == (None,) * 5
+    # Every record has the same keys, in this order.
+    assert list(last) == ["iter", "primal", "dual", "pinf", "dinf", "mu", "sigma",
+                          "step_primal", "step_dual", "schur", "schur_ratio"]
+
+
+def random_matrix(rng, n, cplx):
+    g = rng.standard_normal((n, n))
+    return g + 1j * rng.standard_normal((n, n)) if cplx else g
+
+
+# Eigenvalues of a direction: zero, or at least 0.01 away from it, so
+# that a negative one bounds the step well inside double range.
+direction_eigenvalues = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.01, 3.0), st.floats(-3.0, -0.01)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), cplx=st.booleans(),
+       eigs=direction_eigenvalues)
+def test_step_lengths_reach_the_boundary(seed, cplx, eigs):
+    rng = np.random.default_rng(seed)
+    n = len(eigs)
+    g = random_matrix(rng, n, cplx)
+    x = np.eye(n) + g @ g.conj().T / n
+    u, _ = np.linalg.qr(random_matrix(rng, n, cplx))
+    dx = (u * eigs) @ u.conj().T
+    dx = (dx + dx.conj().T) / 2.0
+    # The same pair twice, as solve stacks [X, Z].
+    l_inv = np.linalg.inv(np.linalg.cholesky(np.stack([x, x])))
+    steps = sdpcore._step_lengths(l_inv, np.stack([dx, dx]))
+    assert steps[0] == steps[1]
+    alpha = steps[0]
+
+    def least(a):
+        return np.linalg.eigvalsh(x + a * dx)[0]
+
+    if min(eigs) >= 0.0:
+        assert alpha == math.inf
+        return
+    scale = np.linalg.norm(x, 2)
+    assert math.isfinite(alpha) and alpha > 0.0
+    assert least(alpha) >= -1e-10 * scale
+    # Largest: a little further leaves the cone.
+    assert least(alpha * (1.0 + 1e-3)) < -1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5),
+       m=st.integers(0, 6), cplx=st.booleans())
+def test_unpacked_operators_are_adjoint_and_match_packed(seed, n, m, cplx):
+    rng = np.random.default_rng(seed)
+    cplx = cplx and n > 1  # a 1 x 1 Hermitian matrix is real
+
+    def herm():
+        g = random_matrix(rng, n, cplx)
+        return (g + g.conj().T) / 2.0
+
+    stack = np.stack([herm() for _ in range(m)]) if m else np.zeros((0, n, n))
+    prob = sdpcore.SDPProblem(herm(), stack, rng.standard_normal(m))
+    assert prob.constraints.dtype == (complex if cplx else float)
+    assert not m or np.shares_memory(prob.flat, prob.constraints)
+    h, y = herm(), rng.standard_normal(m)
+    a_h, at_y = sdpcore._apply_a(prob, h), sdpcore._apply_at(prob, y)
+    assert at_y.dtype == prob.constraints.dtype and at_y.shape == (n, n)
+    scale = 1.0 + np.linalg.norm(h) * np.linalg.norm(stack) * (1.0 + np.linalg.norm(y))
+    assert abs(a_h @ y - np.vdot(h, at_y).real) <= 1e-12 * scale
+    packed = sdpcore._pack(prob.constraints, cplx)
+    assert np.allclose(a_h, packed @ sdpcore._pack(h, cplx), rtol=0, atol=1e-12 * scale)
+    assert np.allclose(at_y, sdpcore._unpack(y @ packed, n, cplx), rtol=0,
+                       atol=1e-12 * scale)
+    assert np.allclose(sdpcore._unpack(sdpcore._pack(h, cplx), n, cplx), h, rtol=0,
+                       atol=1e-15 * (1.0 + np.linalg.norm(h)))
+    # A non-Hermitian H is read as its Hermitian part.
+    k = random_matrix(rng, n, cplx)
+    assert np.allclose(sdpcore._apply_a(prob, k),
+                       sdpcore._apply_a(prob, (k + k.conj().T) / 2.0),
+                       rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(k) * np.linalg.norm(stack)))
+    # A stack is read in one pass, one column or matrix per member.
+    assert np.allclose(sdpcore._apply_a(prob, np.array([h, k])).T,
+                       [a_h, sdpcore._apply_a(prob, k)], rtol=0,
+                       atol=1e-12 * (1.0 + np.linalg.norm(k) * np.linalg.norm(stack)))
+    y2 = rng.standard_normal(m)
+    assert np.allclose(sdpcore._apply_at(prob, np.array([y, y2])),
+                       [at_y, sdpcore._apply_at(prob, y2)], rtol=0, atol=1e-12 * scale)
 
 
 def test_max_iter_raises_solver_failure():
