@@ -217,10 +217,12 @@ def _cmd_randomize(args) -> dict:
 
 
 def _cmd_tailbound(args) -> dict:
+    if args.rank is not None and args.dist != "projector":
+        raise FormatError(f"--rank applies only to --dist projector, not {args.dist}")
     if args.dist == "bernoulli":
         dist = randkit.MatrixDistribution.bernoulli_projector(args.d, args.mu)
     elif args.dist == "projector":
-        rank = args.rank if args.rank else max(1, round(args.mu * args.d))
+        rank = max(1, round(args.mu * args.d)) if args.rank is None else args.rank
         dist = randkit.MatrixDistribution.bernoulli_projector(args.d, args.mu, rank)
     elif args.dist == "psd":
         dist = randkit.MatrixDistribution.random_psd_bounded(args.d, args.mu)
@@ -319,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--rank", type=int, default=0)
+    p.add_argument("--rank", type=int, default=None,
+                   help="projector rank (default round(mu * d), at least 1)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)

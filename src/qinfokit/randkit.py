@@ -30,6 +30,11 @@ from .states import PureState, State, unitary_error_basis
 # "X not <= A" is decided by: min eigenvalue of (A - X) < -PSD_DECISION_TOL.
 PSD_DECISION_TOL = 1e-10
 
+# The sampling experiments draw whole trials in blocks of about this many
+# complex matrix entries (1 MiB), so a block's frames, products and means
+# stay in cache and memory does not grow with the trial count.
+_BLOCK_ENTRIES = 1 << 16
+
 
 def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-random unitary via complex Ginibre + QR.
@@ -225,7 +230,20 @@ class MatrixDistribution:
             idx = np.arange(self.dim)
             out[:, idx, idx] = weights
             return out
-        return (frames * weights[:, None, :]) @ np.conj(np.swapaxes(frames, -1, -2))
+        # conj(F) diag(w) F^T is the conjugate of F diag(w) F^dag; forming it
+        # reads F^T as a view, so no conjugated copy of the frames is alive
+        # beside the product and the result.
+        out = (np.conj(frames) * weights[:, None, :]) @ np.swapaxes(frames, -1, -2)
+        return np.conj(out, out=out)
+
+
+def _blocks(trials: int, entries: int):
+    """Trial counts of consecutive blocks that cover ``trials``: each holds
+    as many whole trials of ``entries`` matrix entries as fit in
+    ``_BLOCK_ENTRIES``, and at least one; only the last may hold fewer."""
+    per_block = max(1, _BLOCK_ENTRIES // entries)
+    for done in range(0, trials, per_block):
+        yield min(per_block, trials - done)
 
 
 def _not_leq(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -238,7 +256,10 @@ def matrix_markov_check(dist: MatrixDistribution, a: np.ndarray,
                         trials: int, rng) -> tuple[float, float]:
     """Empirical frequency of {X not <= A} against the bound Tr[M A^{-1}].
 
-    A must be positive definite; M is the distribution mean.
+    A must be positive definite; M is the distribution mean. Trials run in
+    blocks of max(1, _BLOCK_ENTRIES // d^2), the last block holding the
+    rest; each block is one ``sample_batch`` call, decided before the next
+    is drawn.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -248,9 +269,9 @@ def matrix_markov_check(dist: MatrixDistribution, a: np.ndarray,
         raise SingularA("threshold matrix must be positive definite")
     m = dist.mean()
     bound = float(np.real(np.trace(m @ np.linalg.inv(a))))
-    xs = dist.sample_batch(trials, rng)
-    empirical = float(np.mean(_not_leq(xs, a)))
-    return empirical, bound
+    hits = sum(int(np.sum(_not_leq(dist.sample_batch(take, rng), a)))
+               for take in _blocks(trials, dist.dim ** 2))
+    return hits / trials, bound
 
 
 def binary_divergence(alpha: float, mu: float) -> float:
@@ -307,6 +328,12 @@ def tail_bound_experiment(dist: MatrixDistribution, n: int, alpha: float,
     For alpha > mu the monitored event is (1/n) sum X_i not <= alpha I;
     for alpha < mu it is the lower-tail event (not >=). Both are bounded
     by d * exp(-n * D(alpha || mu)). Requires E[X] = mu * I.
+
+    Trials run in blocks of max(1, _BLOCK_ENTRIES // (n d^2)) whole trials,
+    the last block holding the rest, so memory does not grow with
+    ``trials``. Each block of ``take`` trials draws its ``take * n``
+    samples with one ``sample_factors`` call, in the order of
+    ``sample_batch(take * n, rng)``: trial t is samples t n .. (t + 1) n - 1.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -320,15 +347,10 @@ def tail_bound_experiment(dist: MatrixDistribution, n: int, alpha: float,
     d = dist.dim
     bound = d * math.exp(-n * binary_divergence(alpha, mu))
     hits = 0
-    # Sample in chunks to keep memory under control at large trial counts.
-    chunk = max(1, min(trials, 200_000 // n))
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
+    for take in _blocks(trials, n * d * d):
         vals = _trial_spectra(dist, n, take, rng)
         gaps = alpha - vals if alpha > mu else vals - alpha
         hits += int(np.sum(gaps.min(axis=1) < -PSD_DECISION_TOL))
-        done += take
     return {
         "empirical_prob": hits / trials,
         "aw_bound": bound,

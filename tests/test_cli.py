@@ -822,6 +822,31 @@ def test_tailbound_domain_errors_exit_1(capsys, option, value, reason):
     assert json.loads(err) == {"error": "DomainError", "reason": reason}
 
 
+TAILBOUND = ["--json", "tailbound", "--d", "4", "--mu", "0.5", "--n", "5",
+             "--alpha", "0.7", "--trials", "10"]
+
+
+@pytest.mark.parametrize("rank", ["0", "-1", "5"])
+def test_tailbound_projector_rank_out_of_range_exits_1(capsys, rank):
+    code, out, err = run_cli(capsys, *TAILBOUND, "--dist", "projector", "--rank", rank)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "DimensionError",
+                               "reason": "projector rank must be in [1, dim]"}
+
+
+@pytest.mark.parametrize("dist", ["bernoulli", "psd"])
+def test_tailbound_rank_without_projector_exits_2(capsys, dist):
+    code, out, err = run_cli(capsys, *TAILBOUND, "--dist", dist, "--rank", "2")
+    assert code == 2 and out == ""
+    assert err == f"input error: --rank applies only to --dist projector, not {dist}\n"
+
+
+def test_tailbound_projector_rank_defaults_to_mu_d(capsys):
+    reports = [run_cli(capsys, "--seed", "3", *TAILBOUND, "--dist", "projector", *rank)
+               for rank in ([], ["--rank", "2"])]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
 @pytest.mark.parametrize("sampler", ["haar", "weyl"])
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_randomize_without_unitaries_exits_1(tmp_path, capsys, sampler, count):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,85 @@ def test_fused_trial_means_match_explicit_means(name):
     spectra = randkit._trial_spectra(dist, n, take, np.random.default_rng(150))
     want = np.linalg.eigvalsh(explicit)
     assert np.abs(np.sort(spectra, axis=1) - want).max() <= 1e-13
+
+
+_PSD3 = randkit.MatrixDistribution.random_psd_bounded(3, 0.5)
+_PROJ4 = randkit.MatrixDistribution.bernoulli_projector(4, 0.4, rank=2)
+
+
+def _explicit_tail_frequency(dist, n, alpha, trials, per_block, rng):
+    """The tail experiment as an explicit loop: each block of trials draws
+    its samples with one sample_batch call and decides on eigvalsh of the
+    trial means."""
+    d, hits = dist.dim, 0
+    for start in range(0, trials, per_block):
+        take = min(per_block, trials - start)
+        xs = dist.sample_batch(take * n, rng).reshape(take, n, d, d)
+        vals = np.linalg.eigvalsh(xs.mean(axis=1))
+        gaps = alpha - vals if alpha > dist.mu else vals - alpha
+        hits += int(np.sum(gaps.min(axis=1) < -randkit.PSD_DECISION_TOL))
+    return hits / trials
+
+
+@pytest.mark.parametrize("dist, n, alpha, budget, per_block", [
+    # A trial of 2 samples is 18 entries at d = 3: 23 trials in blocks of 5,
+    # the last of 3.
+    (_PSD3, 2, 0.75, 100, 5),
+    (_PSD3, 2, 0.25, 100, 5),
+    # 32 entries at d = 4: blocks of 3, the last of 2.
+    (_PROJ4, 2, 0.9, 100, 3),
+    # n above the budget: each trial is a block of its own.
+    (_PSD3, 20, 0.6, 16, 1),
+    (_PROJ4, 20, 0.55, 16, 1),
+], ids=["psd-upper", "psd-lower", "projector", "psd-trial-per-block",
+        "projector-trial-per-block"])
+def test_tail_bound_blocks_match_an_explicit_loop(monkeypatch, dist, n, alpha,
+                                                  budget, per_block):
+    trials = 23
+    assert math.ceil(trials / per_block) >= 3
+    monkeypatch.setattr(randkit, "_BLOCK_ENTRIES", budget)
+    rng, oracle_rng = np.random.default_rng(160), np.random.default_rng(160)
+    got = randkit.tail_bound_experiment(dist, n, alpha, trials, rng)
+    want = _explicit_tail_frequency(dist, n, alpha, trials, per_block, oracle_rng)
+    assert got["empirical_prob"] == want and 0 < want < 1
+    assert rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("budget, per_block", [(40, 4), (8, 1)])
+def test_matrix_markov_blocks_match_an_explicit_loop(monkeypatch, budget, per_block):
+    trials, a = 23, 0.75 * np.eye(3)
+    monkeypatch.setattr(randkit, "_BLOCK_ENTRIES", budget)
+    rng, oracle_rng = np.random.default_rng(161), np.random.default_rng(161)
+    got, bound = randkit.matrix_markov_check(_PSD3, a, trials, rng)
+    hits = 0
+    for start in range(0, trials, per_block):
+        xs = _PSD3.sample_batch(min(per_block, trials - start), oracle_rng)
+        hits += int(np.sum(np.linalg.eigvalsh(a - xs)[:, 0] < -randkit.PSD_DECISION_TOL))
+    assert got == hits / trials and 0 < hits < trials
+    assert bound == pytest.approx(2.0)
+    assert rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("experiment", ["tail", "markov"])
+def test_sampling_experiments_hold_one_block(experiment):
+    # Drawing every trial at once peaked at 22 MB (tail, 50 000 samples) and
+    # 101 MB (Markov, 100 000 samples); a block is about 1 MiB of entries.
+    dist = randkit.MatrixDistribution.random_psd_bounded(4, 0.5)
+    runs = {
+        "tail": lambda trials, rng: randkit.tail_bound_experiment(
+            dist, 100, 0.6, trials, rng),
+        "markov": lambda trials, rng: randkit.matrix_markov_check(
+            dist, np.eye(4), 200 * trials, rng),
+    }
+    # The first call sets up what it uses; keep that out of the peak.
+    runs[experiment](1, np.random.default_rng(162))
+    tracemalloc.start()
+    try:
+        runs[experiment](500, np.random.default_rng(162))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
