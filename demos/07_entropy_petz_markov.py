@@ -3,7 +3,7 @@
 import numpy as np
 
 from qinfokit import entropy, matkit
-from qinfokit.randkit import random_channel, random_state
+from qinfokit.randkit import haar_unitary, random_channel, random_state
 
 rng = np.random.default_rng(3)
 
@@ -44,8 +44,7 @@ print("\n=== Fixed points of a mixed-unitary channel ===")
 units = []
 for _ in range(2):
     u = np.zeros((3, 3), dtype=complex)
-    u[:2, :2] = np.linalg.qr(rng.standard_normal((2, 2))
-                             + 1j * rng.standard_normal((2, 2)))[0]
+    u[:2, :2] = haar_unitary(2, rng)
     u[2, 2] = 1.0
     units.append(u / np.sqrt(2))
 comm = entropy.kraus_commutant(units)

@@ -37,22 +37,8 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def haar_unitary(d: int, rng) -> np.ndarray:
-    """Haar-random unitary via complex Ginibre + QR.
-
-    The columns of Q are multiplied by the phases of R's diagonal, which
-    corrects the non-uniformity of plain QR (Mezzadri, Notices AMS 2007).
-    ``haar_unitary_batch`` computes the same unitary for many draws at
-    once by Gram-Schmidt; a single matrix stays on LAPACK QR, which is
-    faster at batch size one.
-    """
-    if d < 1:
-        raise DimensionError("haar_unitary needs d >= 1")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return q
+    """Haar-random d x d unitary: one draw of ``haar_unitary_batch``."""
+    return haar_unitary_batch(d, 1, rng)[0]
 
 
 def haar_unitary_batch(d: int, count: int, rng, cols: int | None = None
@@ -60,17 +46,21 @@ def haar_unitary_batch(d: int, count: int, rng, cols: int | None = None
     """Stacked Haar unitaries of shape (count, d, d), or with ``cols=r``
     Haar isometries of shape (count, d, r): the first r columns of one.
 
-    Same recipe as ``haar_unitary``, computed over the whole batch by
-    classical Gram-Schmidt applied twice ("twice is enough"). Its R factor
-    has a real positive diagonal, so by uniqueness of that QR factor the
-    result is the phase-corrected Q of LAPACK QR on the same Ginibre draws
-    (real parts drawn first, then imaginary, each as (count, d, cols)).
-    Columns are laid out (cols, d, count), so every step is one array
-    operation over the batch; the result is a transposed view of that.
+    Each is the Q factor of a complex Ginibre draw (real parts drawn first,
+    then imaginary, each as (count, d, cols)) whose R factor has a real
+    positive diagonal; that phase choice makes Q Haar-distributed
+    (Mezzadri, "How to generate random matrices from the classical compact
+    groups", Notices AMS 54, 2007). Q is computed over the whole batch by
+    classical Gram-Schmidt applied twice ("twice is enough"). Columns are
+    laid out (cols, d, count), so every step is one array operation over
+    the batch; the result is a transposed view of that.
     """
-    cols = d if cols is None else int(cols)
-    if d < 1 or not 1 <= cols <= d:
-        raise DimensionError("haar_unitary_batch needs d >= 1 and 1 <= cols <= d")
+    cols = d if cols is None else cols
+    if (not all(isinstance(n, (int, np.integer)) for n in (d, cols, count))
+            or not 1 <= cols <= d or count < 0):
+        raise DimensionError(
+            "haar_unitary_batch needs integers d >= cols >= 1 and count >= 0,"
+            f" got d={d!r}, cols={cols!r}, count={count!r}")
     shape = (count, d, cols)
     z = np.empty((cols, d, count), dtype=complex)
     z.real = rng.standard_normal(shape).transpose(2, 1, 0)
@@ -103,13 +93,9 @@ def random_state(dims, rng, rank: int | None = None) -> State:
 
 
 def random_channel(din: int, dout: int, kraus_count: int, rng) -> chan.Channel:
-    """Trace-preserving channel from a Haar-random Stinespring isometry."""
-    big = dout * kraus_count
-    if big < din:
-        raise DimensionError("dout * kraus_count must be >= din")
-    g = rng.standard_normal((big, din)) + 1j * rng.standard_normal((big, din))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
+    """Trace-preserving channel from a Haar-random Stinespring isometry;
+    needs 1 <= din <= dout * kraus_count."""
+    q = haar_unitary_batch(dout * kraus_count, 1, rng, cols=din)[0]
     # Row a * kraus_count + i of the isometry is row a of Kraus operator i.
     kraus = q.reshape(dout, kraus_count, din).swapaxes(0, 1)
     return chan.Channel(din, dout, kraus)
@@ -429,9 +415,10 @@ def sample_randomizing_family(rho_ab: State, n_unitaries: int, rng,
                               ) -> tuple[RandomizingFamily, float]:
     """Uniform family of sampled unitaries and its achieved deviation.
 
-    sampler 'haar' draws i.i.d. Haar unitaries; 'weyl' draws distinct
-    elements of the Weyl basis (all d^2 of them when n_unitaries = d^2,
-    which randomizes exactly).
+    sampler 'haar' draws i.i.d. Haar unitaries, the whole family in one
+    ``haar_unitary_batch`` call; 'weyl' draws distinct elements of the
+    Weyl basis (all d^2 of them when n_unitaries = d^2, which randomizes
+    exactly).
     """
     if n_unitaries < 1:
         raise DomainError("n_unitaries must be >= 1")
@@ -439,7 +426,7 @@ def sample_randomizing_family(rho_ab: State, n_unitaries: int, rng,
         raise DimensionError("need a bipartite state")
     da = rho_ab.dims[0]
     if sampler == "haar":
-        us = [haar_unitary(da, rng) for _ in range(n_unitaries)]
+        us = haar_unitary_batch(da, n_unitaries, rng)
     elif sampler == "weyl":
         basis = unitary_error_basis(da)
         if n_unitaries <= len(basis):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from qinfokit import randkit, states
+from qinfokit import channels, randkit, states
 from qinfokit.errors import (
     DimensionError,
     DomainError,
@@ -52,6 +52,12 @@ def test_haar_batch_matches_lapack_qr(d):
         assert np.abs(got - want).max() <= 1e-12
     full = randkit.haar_unitary_batch(d, 50, np.random.default_rng(7))
     assert np.abs(full - _lapack_haar(d, 50, np.random.default_rng(7), d)).max() <= 1e-12
+    one = randkit.haar_unitary(d, np.random.default_rng(8))
+    assert np.abs(one - _lapack_haar(d, 1, np.random.default_rng(8), d)[0]).max() <= 1e-12
+    for din, dout, k in ((3, 3, 2), (2, 3, 2), (8, 8, 4)):
+        ch = randkit.random_channel(din, dout, k, np.random.default_rng(d))
+        want = _lapack_haar(dout * k, 1, np.random.default_rng(d), din)[0]
+        assert np.abs(channels.stinespring_isometry(ch) - want).max() <= 1e-12
 
 
 def test_haar_batch_orthonormal_at_scale():
@@ -62,9 +68,30 @@ def test_haar_batch_orthonormal_at_scale():
 
 def test_haar_batch_rejects_bad_columns():
     rng = np.random.default_rng(0)
-    for d, cols in ((0, None), (3, 0), (3, 4)):
+    for d, cols in ((0, None), (3, 0), (3, 4), (3, 2.5), (2.5, None)):
         with pytest.raises(DimensionError):
             randkit.haar_unitary_batch(d, 5, rng, cols=cols)
+
+
+@pytest.mark.parametrize("count", [-1, 2.0, 2.5, "3", None])
+def test_haar_batch_rejects_bad_count(count):
+    with pytest.raises(DimensionError, match="count"):
+        randkit.haar_unitary_batch(3, count, np.random.default_rng(0))
+
+
+def test_haar_batch_of_none_is_empty():
+    us = randkit.haar_unitary_batch(3, 0, np.random.default_rng(0), cols=2)
+    assert us.shape == (0, 3, 2)
+
+
+def test_samplers_reject_empty_dimensions():
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionError):
+        randkit.haar_unitary(0, rng)
+    with pytest.raises(DimensionError):
+        randkit.random_channel(0, 1, 2, rng)
+    with pytest.raises(DimensionError):
+        randkit.random_channel(3, 1, 2, rng)
 
 
 def test_haar_mean_projector_depolarizes():
@@ -428,6 +455,14 @@ def test_weyl_sampler_full_group_randomizes_bell():
     )
     assert len(fam) == 4
     assert eps <= 1e-12
+
+
+def test_haar_family_is_one_batch_draw():
+    rho = randkit.random_state((3, 2), np.random.default_rng(0))
+    fam, _ = randkit.sample_randomizing_family(rho, 6, np.random.default_rng(140), "haar")
+    want = randkit.haar_unitary_batch(3, 6, np.random.default_rng(140))
+    assert np.array_equal(fam.unitaries, want)
+    assert fam.probs == (1 / 6,) * 6
 
 
 def test_two_haar_unitaries_insufficient():
