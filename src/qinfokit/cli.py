@@ -224,10 +224,8 @@ def _cmd_tailbound(args) -> dict:
     elif args.dist == "projector":
         rank = max(1, round(args.mu * args.d)) if args.rank is None else args.rank
         dist = randkit.MatrixDistribution.bernoulli_projector(args.d, args.mu, rank)
-    elif args.dist == "psd":
+    else:  # psd, the last of the parser's --dist choices
         dist = randkit.MatrixDistribution.random_psd_bounded(args.d, args.mu)
-    else:
-        raise FormatError(f"unknown distribution {args.dist!r}")
     rng = stream(args.seed, f"tailbound/{args.dist}")
     report = randkit.tail_bound_experiment(dist, args.n, args.alpha,
                                            args.trials, rng)

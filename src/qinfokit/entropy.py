@@ -196,8 +196,7 @@ def is_markov(rho_abc: State, tol: float = 1e-7) -> bool:
     both at ``tol``."""
     if len(rho_abc.dims) != 3:
         raise DimensionError("is_markov needs exactly three factors")
-    rho_b = rho_abc.marginal({1}).rho
-    vals = np.linalg.eigvalsh(rho_b)
+    vals = rho_abc.marginal({1}).spectrum
     support = vals[vals > matkit.SUPPORT_RTOL * vals.max()]
     if support.size and support.max() / support.min() > COND_GUARD:
         raise IllConditioned("B marginal too ill-conditioned on its support")

@@ -9,8 +9,12 @@ way, as W and the n x k images V_i W of its branches (``Recovery``), and
 verified without forming an n x n matrix: the sampled deviations and
 their sample-free certificate are read off one small Choi matrix of the
 deviation map. Its dense Kraus operators are written out only on request.
-An error list is read once, each operator at its own scale (``_traces``),
-and normalized on m scalars alone (``_noise_factors``).
+
+A noise has one form, an error list E_b with optional weights p_b; a
+Channel is passed as its Kraus stack ``ch.kraus``, which stands for the
+channel itself when it is trace preserving. The list is read once, each
+operator at its own scale (``_traces``), and normalized on m scalars
+alone (``_noise_factors``).
 """
 
 from __future__ import annotations
@@ -68,8 +72,12 @@ def _error_list(errors) -> Sequence:
     """The error operators E_b as given, not yet converted or checked: a
     sequence (a list, a stacked array, or the lazy list a document reader
     returns) is kept, and any other iterable is read into a list; the one
-    pass over it (``_traces``) holds one converted operator at a time."""
-    ops = errors if isinstance(errors, (Sequence, np.ndarray)) else list(errors)
+    pass over it (``_traces``) holds one converted operator at a time.
+    Anything else, a Channel included, raises DimensionError."""
+    try:
+        ops = errors if isinstance(errors, (Sequence, np.ndarray)) else list(errors)
+    except TypeError:
+        raise DimensionError("errors must be a sequence of matrices") from None
     if not len(ops):
         raise DimensionError("need at least one error operator")
     return ops
@@ -169,22 +177,17 @@ def _noise_factors(traces: np.ndarray, scales: np.ndarray, n: int,
     return amps, float((amps * traces) @ amps) / n
 
 
-def _code_images(w: np.ndarray, ops: Sequence) -> tuple[np.ndarray, ...]:
-    """F_b W, stacked as m x n x k, with ``_traces`` of ``ops``."""
-    n, k = w.shape
-    images = np.empty((len(ops), n, k), dtype=complex)
-    traces, scales = _traces(ops, n, lambda b, e: np.matmul(e, w, out=images[b]))
-    return images, traces, scales
-
-
 class _ImagedErrors:
-    """An error list read once under one isometry W: the F_b W with
-    ``_traces``, which ``build_recovery`` and ``verify_recovery`` take for
-    that W without reading the list again."""
+    """An error list read once under one isometry W: the F_b W, stacked as
+    m x n x k, with ``_traces``, which ``build_recovery`` and
+    ``verify_recovery`` take for that W without reading the list again."""
 
     def __init__(self, w: np.ndarray, errors):
+        ops = _error_list(errors)
         self.isometry = w
-        self.images, self.traces, self.scales = _code_images(w, _error_list(errors))
+        self.images = np.empty((len(ops), *w.shape), dtype=complex)
+        self.traces, self.scales = _traces(
+            ops, len(w), lambda b, e: np.matmul(e, w, out=self.images[b]))
 
 
 def _normalized_images(w: np.ndarray, errors, probs=None) -> np.ndarray:
@@ -274,10 +277,8 @@ def build_recovery(code: Code, errors, tol: float = 1e-8) -> Recovery:
     vals, vecs = np.linalg.eigh((report.alpha + dagger(report.alpha)) / 2.0)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    for c in range(vecs.shape[1]):
-        pivot = np.argmax(np.abs(vecs[:, c]))
-        if np.abs(vecs[pivot, c]) > 0:
-            vecs[:, c] *= np.abs(vecs[pivot, c]) / vecs[pivot, c]
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
+    vecs *= np.abs(pivots) / pivots
     u = dagger(vecs)  # rows satisfy U alpha U^dag = diag(vals)
     keep = vals > BRANCH_CUTOFF
     # F_i W / sqrt(d_ii) = V_i W on every kept branch, m' x n x k.
@@ -330,14 +331,7 @@ def _compressed_map(recovery: Recovery, noise, probs) -> np.ndarray:
     """
     w, c = recovery.isometry, recovery.branch_images
     n, k = w.shape
-    if isinstance(noise, Channel):
-        if probs is not None:
-            raise DomainError("probs weight an error list, not a Channel")
-        if noise.din != n or noise.dout != n:
-            raise DimensionError("noise must act on the physical space")
-        images = noise.kraus @ w
-    else:
-        images = _normalized_images(w, noise, probs)
+    images = _normalized_images(w, noise, probs)
     # sum_b ||K_b W||_F^2, k for a trace-preserving noise, bounds every
     # entry of J_c; out of range, J_c under- or overflows.
     if not np.finfo(float).tiny <= np.vdot(images, images).real < math.inf:
@@ -374,33 +368,40 @@ def verify_recovery(recovery: Recovery, noise, samples: int = 50,
     factored recovery with no n x n matrix; for a correcting recovery
     that subspace is the code space itself (r = k).
 
-    ``noise`` is a Channel, taken as given, or an error list E_b with
-    weights p_b (``probs``, 1 each by default) that stands for the noise
-    sum_b p_b E_b rho E_b^dag / c with c = Tr[sum_b p_b E_b^dag E_b] / n,
-    the normalization ``kl_check`` applies: a channel's own Kraus
-    operators, or unitaries with probabilities p_b / sum p. Only the
+    ``noise`` is an error list E_b with weights p_b (``probs``, 1 each by
+    default) that stands for the noise sum_b p_b E_b rho E_b^dag / c with
+    c = Tr[sum_b p_b E_b^dag E_b] / n, the normalization ``kl_check``
+    applies: a channel's own Kraus operators, or unitaries with
+    probabilities p_b / sum p. A Channel is passed as its Kraus stack
+    ``ch.kraus``; for a trace-preserving one c = 1. Only the
     sqrt(p_b / c) E_b W are formed (``_normalized_images``), each
     operator at its own scale, so no scale of an operator or of the probs
-    matters. Raises DomainError for samples < 1,
-    where nothing would be sampled, for probs given with a Channel, for
-    an error list of zero operators only, or whose probs weigh only zero
-    operators, and for a noise whose weight sum_b ||K_b W||_F^2 on the
-    code space is zero or out of floating-point range, where the
-    deviations would under- or overflow.
+    matters. Raises DomainError for samples < 1, where nothing would be
+    sampled, for an error list of zero operators only, or whose probs
+    weigh only zero operators, and for a noise whose weight
+    sum_b ||K_b W||_F^2 on the code space is zero or out of
+    floating-point range, where the deviations would under- or overflow.
     """
     if samples < 1:
         raise DomainError(f"verification needs samples >= 1, got {samples}")
     j = _compressed_map(recovery, noise, probs)
     k, r = j.shape[:2]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        rho = g @ dagger(g)
-        rho /= np.real(np.trace(rho))
-        delta = np.tensordot(rho, j, axes=([0, 1], [0, 2]))
-        worst = max(worst, matkit.norm(delta, "trace"))
-    return RecoveryCheck(worst, matkit.norm(j.reshape(k * r, k * r), "trace"))
+    # Each sample draws its real parts, then its imaginary parts.
+    g = np.random.default_rng(seed).standard_normal((samples, 2, k, k))
+    g = g[:, 0] + 1j * g[:, 1]
+    rho = g @ dagger(g)
+    rho /= np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
+    # One 1 x k^2 row per sample against J as k^2 x r^2: the product one
+    # sample's tensordot forms, so every deviation keeps its bits.
+    deltas = rho.reshape(samples, 1, k * k) @ j.transpose(0, 2, 1, 3).reshape(k * k, -1)
+    singulars = np.linalg.svd(deltas.reshape(samples, r, r), compute_uv=False)
+    return RecoveryCheck(float(singulars.sum(axis=1).max()), _certificate(j))
+
+
+def _certificate(j: np.ndarray) -> float:
+    """``certified_deviation`` of the J of ``_compressed_map``."""
+    k, r = j.shape[:2]
+    return matkit.norm(j.reshape(k * r, k * r), "trace")
 
 
 def span_correction_check(code: Code, base_errors, new_errors,
@@ -408,20 +409,19 @@ def span_correction_check(code: Code, base_errors, new_errors,
     """True when every new error lies in span{base errors} and the
     recovery built from the base set still corrects the new noise.
 
-    Membership is decided by least-squares projection residual; the new
-    operators, normalized as in ``verify_recovery``, are the noise for the
-    recovery simulation.
+    Membership is decided by least-squares projection residual, for all
+    new errors in one solve; the new operators, normalized as in
+    ``verify_recovery``, are the noise whose deviation map must have a
+    certificate (``_certificate``) of at most 1e-7. Nothing is sampled.
     """
     base, new = _error_list(base_errors), _error_list(new_errors)
     basis = np.stack([matkit.asmatrix(e).reshape(-1) for e in base], axis=1)
-    for op in new:
-        e = matkit.asmatrix(op)
-        coeff, _, _, _ = np.linalg.lstsq(basis, e.reshape(-1), rcond=None)
-        resid = np.linalg.norm(basis @ coeff - e.reshape(-1))
-        if resid > tol * max(1.0, np.linalg.norm(e)):
-            return False
-    check = verify_recovery(build_recovery(code, base), new, samples=16)
-    return check.max_deviation <= 1e-7
+    targets = np.stack([matkit.asmatrix(e).reshape(-1) for e in new], axis=1)
+    coeff = np.linalg.lstsq(basis, targets, rcond=None)[0]
+    resid = np.linalg.norm(basis @ coeff - targets, axis=0)
+    if (resid > tol * np.maximum(1.0, np.linalg.norm(targets, axis=0))).any():
+        return False
+    return _certificate(_compressed_map(build_recovery(code, base), new, None)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,9 @@ def random_state(dims, rng, rank: int | None = None) -> State:
 def random_channel(din: int, dout: int, kraus_count: int, rng) -> chan.Channel:
     """Trace-preserving channel from a Haar-random Stinespring isometry;
     needs 1 <= din <= dout * kraus_count."""
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (dout, kraus_count)):
+        raise DimensionError("random_channel needs integers dout >= 1 and kraus_count >= 1,"
+                             f" got dout={dout!r}, kraus_count={kraus_count!r}")
     q = haar_unitary_batch(dout * kraus_count, 1, rng, cols=din)[0]
     # Row a * kraus_count + i of the isometry is row a of Kraus operator i.
     kraus = q.reshape(dout, kraus_count, din).swapaxes(0, 1)

@@ -156,19 +156,11 @@ def purify(rho: State) -> PureState:
     eig = matkit.herm_eig(rho.rho)
     vals = np.clip(eig.values, 0.0, None)
     cutoff = matkit.SUPPORT_RTOL * (vals.max() if vals.size else 0.0)
-    idx = np.where(vals > cutoff)[0]
-    r = len(idx)
-    d = rho.dim
-    v = np.zeros(d * r, dtype=complex)
-    for a, i in enumerate(idx):
-        v += math.sqrt(vals[i]) * np.kron(eig.vectors[:, i], _basis_vec(r, a))
-    return PureState((d, r), v)
-
-
-def _basis_vec(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
+    idx = np.flatnonzero(vals > cutoff)
+    # sum_a sqrt(lambda_a) |v_a> (x) |a>: row i of the d x r array is the
+    # auxiliary part of system index i.
+    v = (eig.vectors[:, idx] * np.sqrt(vals[idx])).reshape(-1)
+    return PureState((rho.dim, len(idx)), v)
 
 
 def max_entangled(d: int) -> PureState:

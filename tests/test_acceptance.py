@@ -67,10 +67,25 @@ def test_criterion_03_shor_code():
     paulis = qec.one_paulis(9)
     ok = qec.kl_check(code, paulis).passes
     recovery = qec.build_recovery(code, paulis)
-    deviation = qec.verify_recovery(
-        recovery, qec.noise_channel(paulis), samples=50, seed=0
-    ).max_deviation
+    deviation = qec.verify_recovery(recovery, paulis, samples=50, seed=0).max_deviation
     ok &= deviation <= 1e-8
+    # Dense reference: the noise channel, then the recovery channel, on the
+    # first sampled state, and the Choi matrix of {K_r E_b W} minus {W}.
+    w = code.isometry
+    noise, dense = qec.noise_channel(paulis), recovery.channel()
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    sigma = w @ (g @ matkit.dagger(g)) @ matkit.dagger(w)
+    sigma /= np.real(np.trace(sigma))
+    want = matkit.norm(dense(noise(sigma)) - sigma, "trace")
+    vecs = (dense.kraus[:, None] @ (noise.kraus @ w)[None]).reshape(-1, 512, 2)
+    vecs = vecs.swapaxes(1, 2).reshape(len(vecs), -1)
+    choi_w = w.T.reshape(-1, 1)
+    choi = vecs.T @ vecs.conj() - choi_w @ choi_w.conj().T
+    want_cert = float(np.abs(np.linalg.eigvalsh(choi)).sum())
+    check = qec.verify_recovery(recovery, paulis, samples=1, seed=0)
+    ok &= abs(check.max_deviation - want) <= 1e-12 and want <= 1e-8
+    ok &= abs(check.certified_deviation - want_cert) <= 1e-12
     theta = 0.3
     rot = (math.cos(theta) * np.eye(512)
            + 1j * math.sin(theta) * qec.pauli_on(9, 4, "X"))

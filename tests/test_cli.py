@@ -750,7 +750,7 @@ def test_qec_recover_checks_and_images_the_errors_once(tmp_path, capsys,
                                                        monkeypatch):
     # Recovery synthesis and verification share one checked error list
     # and its images E_b W.
-    calls = {"_error_list": 0, "_code_images": 0}
+    calls = {"_error_list": 0, "_traces": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(qec, name)):
             calls[_name] += 1
@@ -760,7 +760,7 @@ def test_qec_recover_checks_and_images_the_errors_once(tmp_path, capsys,
     cpath, epath = bit_flip_docs(tmp_path, [3.0, 1.0])
     code, out, _ = run_cli(capsys, "--json", "qec", "recover", cpath, epath)
     assert code == 0 and json.loads(out)["recovered"]
-    assert calls == {"_error_list": 1, "_code_images": 1}
+    assert calls == {"_error_list": 1, "_traces": 1}
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -997,7 +997,7 @@ def test_qec_recover_rescales_and_images_a_scaled_list_once(tmp_path, capsys,
     # A list whose traces overflow is read once, each operator divided by
     # its own peak as it is imaged; recovery synthesis and verification
     # share that one imaging.
-    calls = {"_error_list": 0, "_code_images": 0}
+    calls = {"_error_list": 0, "_traces": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(qec, name)):
             calls[_name] += 1
@@ -1007,7 +1007,7 @@ def test_qec_recover_rescales_and_images_a_scaled_list_once(tmp_path, capsys,
     paths = bit_flip_code_with(tmp_path, [1e200 * e for e in IXXX])
     code, out, err = run_cli(capsys, "--json", "qec", "recover", *paths)
     assert code == 0 and err == "" and json.loads(out)["recovered"]
-    assert calls == {"_error_list": 1, "_code_images": 1}
+    assert calls == {"_error_list": 1, "_traces": 1}
     assert not hasattr(qec, "_peak_scaled")
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinfokit import qec
+from qinfokit import matkit, qec
 from qinfokit.channels import Channel, is_tp
 from qinfokit.errors import DimensionError, DomainError, KLViolated, ProbabilityError
 from qinfokit.matkit import dagger
@@ -25,6 +25,34 @@ def bit_flips():
     return [np.eye(8, dtype=complex)] + [
         qec.pauli_on(3, i, "X") for i in range(3)
     ]
+
+
+def dense_check(rec, noise_kraus, samples, seed):
+    """(max_deviation, certified_deviation) of ``verify_recovery`` from
+    dense n x n channels: the noise with Kraus operators ``noise_kraus``,
+    then ``rec.channel()``, applied to the same sampled logical states,
+    and the trace norm of the Choi matrix (input x output) of {K_r E_b W}
+    minus that of {W}."""
+    w = rec.isometry
+    n, k = w.shape
+    noise, dense = Channel(n, n, noise_kraus), rec.channel()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        rho = g @ dagger(g)
+        rho /= np.real(np.trace(rho))
+        sigma = w @ rho @ dagger(w)
+        diff = dense(noise(sigma)) - sigma
+        worst = max(worst, float(np.abs(np.linalg.eigvalsh(diff)).sum()))
+
+    def choi(ops):  # sum_x |vec K_x^T><vec K_x^T|, block (i, j) is K_x |i><j| K_x^dag
+        vecs = ops.swapaxes(1, 2).reshape(len(ops), -1)
+        return vecs.T @ vecs.conj()
+
+    composed = (dense.kraus[:, None] @ (noise.kraus @ w)[None]).reshape(-1, n, k)
+    diff = choi(composed) - choi(w[None])
+    return worst, float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 # --- correctability checks -------------------------------------------------------
@@ -132,14 +160,11 @@ def test_all_zero_errors_raise_domain_error(errors):
 
 @pytest.mark.parametrize("scale", SCALES + [0.0])
 def test_verify_recovery_refuses_noise_out_of_range(scale):
-    # A Channel is taken as given: scaled by 1e200 its deviation is near
-    # 1e400, and scaled by 1e-200 it underflows to the zero map. An error
-    # list stands for its normalized noise, which no nonzero scale changes.
+    # An error list stands for its normalized noise, which no nonzero
+    # scale changes; a list of zero operators only is refused.
     rec = qec.build_recovery(repetition_code(), bit_flips())
     noise = bit_flips() + [qec.pauli_on(3, 0, "Z")]
     scaled = [scale * e for e in noise]
-    with pytest.raises(DomainError, match="out of floating-point range"):
-        qec.verify_recovery(rec, Channel(8, 8, scaled))
     if scale == 0.0:
         with pytest.raises(DomainError, match="every error operator is zero"):
             qec.verify_recovery(rec, scaled)
@@ -320,15 +345,15 @@ def unitary_noise(draw):
 def test_unitary_noise_verifies_as_the_weighted_mixture(case, seed):
     # A list of unitaries is the mixture with probabilities p_b / sum p,
     # uniform without probs, as it was before the normalization was shared
-    # with kl_check: the reference is that mixture given as a Channel.
+    # with kl_check: the reference is that mixture as dense channels.
     noise, probs = case
     rec = qec.build_recovery(repetition_code(), bit_flips())
     p = np.ones(len(noise)) if probs is None else probs
-    mixture = Channel(8, 8, [np.sqrt(q / p.sum()) * u for q, u in zip(p, noise)])
-    want = qec.verify_recovery(rec, mixture, samples=4, seed=seed)
+    mixture = [np.sqrt(q / p.sum()) * u for q, u in zip(p, noise)]
+    want, want_cert = dense_check(rec, mixture, samples=4, seed=seed)
     got = qec.verify_recovery(rec, noise, samples=4, seed=seed, probs=probs)
-    assert got.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
-    assert got.certified_deviation == pytest.approx(want.certified_deviation, abs=1e-12)
+    assert got.max_deviation == pytest.approx(want, abs=1e-12)
+    assert got.certified_deviation == pytest.approx(want_cert, abs=1e-12)
 
 
 def test_recovery_without_branches_verifies():
@@ -359,53 +384,87 @@ def test_verify_recovery_matches_direct_evaluation():
     xx = qec.pauli_on(3, 0, "X") @ qec.pauli_on(3, 1, "X")
     noise = qec.noise_channel([np.eye(8), xx, qec.pauli_on(3, 2, "Y")],
                               [0.5, 0.3, 0.2])
-    w = code.isometry
-    rng = np.random.default_rng(7)
-    want = 0.0
-    for _ in range(6):
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        rho = g @ dagger(g)
-        rho /= np.real(np.trace(rho))
-        sigma = w @ rho @ dagger(w)
-        diff = rec.channel()(noise(sigma)) - sigma
-        want = max(want, float(np.abs(np.linalg.eigvalsh(diff)).sum()))
-    got = qec.verify_recovery(rec, noise, samples=6, seed=7).max_deviation
+    want, want_cert = dense_check(rec, noise.kraus, samples=6, seed=7)
+    got = qec.verify_recovery(rec, noise.kraus, samples=6, seed=7)
     assert want > 0.1
-    assert got == pytest.approx(want, abs=1e-12)
+    assert got.max_deviation == pytest.approx(want, abs=1e-12)
+    assert got.certified_deviation == pytest.approx(want_cert, abs=1e-12)
 
 
 def test_verify_recovery_reads_an_error_list_without_its_channel(monkeypatch):
     # sqrt(p_b) E_b W is formed from the list directly; the deviation is
-    # that of the noise channel with Kraus operators sqrt(p_b) E_b.
+    # that of the noise channel with Kraus operators sqrt(p_b / sum p) E_b.
     code = repetition_code()
     rec = qec.build_recovery(code, bit_flips())
     errors = [np.eye(8), qec.pauli_on(3, 0, "X") @ qec.pauli_on(3, 1, "X"),
               qec.pauli_on(3, 2, "Y")]
     probs = [5.0, 3.0, 2.0]
-    want = qec.verify_recovery(rec, qec.noise_channel(errors, probs),
-                               samples=6, seed=7)
+    want, want_cert = dense_check(
+        rec, [math.sqrt(p / 10.0) * e for p, e in zip(probs, errors)], samples=6, seed=7)
 
     def no_channel(*args):
         raise AssertionError("noise_channel was built")
 
     monkeypatch.setattr(qec, "noise_channel", no_channel)
     got = qec.verify_recovery(rec, errors, samples=6, seed=7, probs=probs)
-    assert want.max_deviation > 0.1
-    assert got.max_deviation == pytest.approx(want.max_deviation, abs=1e-12)
-    assert got.certified_deviation == pytest.approx(want.certified_deviation,
-                                                    abs=1e-12)
+    assert want > 0.1
+    assert got.max_deviation == pytest.approx(want, abs=1e-12)
+    assert got.certified_deviation == pytest.approx(want_cert, abs=1e-12)
     with pytest.raises(ProbabilityError, match="nonnegative"):
         qec.verify_recovery(rec, errors, probs=[1.0, -1.0, 1.0])
     with pytest.raises(DimensionError, match=r"error operator \(4, 4\) != \(8, 8\)"):
         qec.verify_recovery(rec, [np.eye(4)])
 
 
-def test_verify_recovery_refuses_probs_with_a_channel():
-    # Probabilities weight an error list; a Channel carries its own.
-    rec = qec.build_recovery(repetition_code(), bit_flips())
-    noise = qec.noise_channel(bit_flips())
-    with pytest.raises(DomainError, match="probs"):
-        qec.verify_recovery(rec, noise, probs=[1.0] * 4)
+@pytest.mark.parametrize("errors", [Channel(8, 8, bit_flips()), 5], ids=["channel", "int"])
+def test_a_channel_or_a_non_sequence_is_refused_as_errors(errors):
+    # A noise is an error list; a Channel is passed as its Kraus stack.
+    code = repetition_code()
+    rec = qec.build_recovery(code, bit_flips())
+    for read in (lambda: qec.kl_check(code, errors),
+                 lambda: qec.build_recovery(code, errors),
+                 lambda: qec.verify_recovery(rec, errors),
+                 lambda: qec.noise_channel(errors)):
+        with pytest.raises(DimensionError, match="^errors must be a sequence of matrices$"):
+            read()
+
+
+def _per_sample_deviation(j, samples, seed):
+    """The largest sampled deviation as one sample at a time, each state's
+    deviation read off J by its own tensordot and trace norm."""
+    k = j.shape[0]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        rho = g @ dagger(g)
+        rho /= np.real(np.trace(rho))
+        delta = np.tensordot(rho, j, axes=([0, 1], [0, 2]))
+        worst = max(worst, matkit.norm(delta, "trace"))
+    return worst
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 50])
+@pytest.mark.parametrize("seed", [0, 6, 9, 123])
+def test_batched_deviations_match_the_per_sample_loop_bit_for_bit(monkeypatch,
+                                                                  samples, seed):
+    # The compressed maps of the repetition and Shor codes, and random
+    # (k, r, k, r) maps with r > k, as a noise the recovery does not
+    # correct would give.
+    rep = qec.build_recovery(repetition_code(), bit_flips())
+    shor = qec.build_recovery(qec.shor_code(), qec.one_paulis(9))
+    xx3 = qec.pauli_on(3, 0, "X") @ qec.pauli_on(3, 1, "X")
+    xx9 = qec.pauli_on(9, 0, "X") @ qec.pauli_on(9, 1, "X")
+    for rec, noise in ((rep, [xx3]), (rep, bit_flips() + [xx3]), (shor, [xx9])):
+        j = qec._compressed_map(rec, noise, None)
+        got = qec.verify_recovery(rec, noise, samples=samples, seed=seed)
+        assert got.max_deviation == _per_sample_deviation(j, samples, seed)
+    rng = np.random.default_rng(seed)
+    for k, r in ((1, 3), (2, 3), (3, 4), (4, 9)):
+        j = rng.standard_normal((k, r, k, r)) + 1j * rng.standard_normal((k, r, k, r))
+        monkeypatch.setattr(qec, "_compressed_map", lambda *args, _j=j: _j)
+        got = qec.verify_recovery(rep, bit_flips(), samples=samples, seed=seed)
+        assert got.max_deviation == _per_sample_deviation(j, samples, seed)
 
 
 def test_verify_recovery_identity_noise():
@@ -437,9 +496,12 @@ def test_recovery_basis_independence():
     assert report.passes
     assert np.linalg.norm(report.alpha - alpha0) <= 1e-9
     rec_conj = qec.build_recovery(code, conj_errors)
-    dev = qec.verify_recovery(rec_conj, qec.noise_channel(conj_errors),
-                              samples=10, seed=4).max_deviation
-    assert dev <= 1e-8
+    check = qec.verify_recovery(rec_conj, conj_errors, samples=10, seed=4)
+    want, want_cert = dense_check(rec_conj, qec.noise_channel(conj_errors).kraus,
+                                  samples=10, seed=4)
+    assert max(want, want_cert) <= 1e-8
+    assert check.max_deviation == pytest.approx(want, abs=1e-12)
+    assert check.certified_deviation == pytest.approx(want_cert, abs=1e-12)
 
 
 @st.composite
@@ -555,6 +617,19 @@ def test_span_correction_same_set():
 def test_span_correction_detects_outside():
     xx = qec.pauli_on(3, 0, "X") @ qec.pauli_on(3, 1, "X")
     assert not qec.span_correction_check(repetition_code(), bit_flips(), [xx])
+
+
+def test_span_correction_samples_nothing(monkeypatch):
+    # Membership and the certificate decide; no random state is drawn.
+    def no_rng(*args):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(qec.np.random, "default_rng", no_rng)
+    code, flips = repetition_code(), bit_flips()
+    rot = np.cos(0.3) * np.eye(8) + 1j * np.sin(0.3) * flips[2]
+    xx = flips[1] @ flips[2]
+    assert qec.span_correction_check(code, flips, [rot, flips[3]])
+    assert not qec.span_correction_check(code, flips, [rot, xx])
 
 
 # --- Shor code ------------------------------------------------------------------------
@@ -825,7 +900,8 @@ def test_one_pass_images_and_traces_are_bit_identical(data, n, k, m):
         e = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         form = data.draw(st.sampled_from(["c", "f", "t", "real"]))
         ops.append({"c": e, "f": np.asfortranarray(e), "t": e.T, "real": e.real}[form])
-    images, traces, scales = qec._code_images(w, qec._error_list(ops))
+    imaged = qec._ImagedErrors(w, ops)
+    images, traces, scales = imaged.images, imaged.traces, imaged.scales
     want = []
     tiny, high = np.finfo(float).tiny, np.finfo(float).max / m
     for e, s in zip(ops, scales):

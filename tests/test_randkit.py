@@ -94,6 +94,15 @@ def test_samplers_reject_empty_dimensions():
         randkit.random_channel(3, 1, 2, rng)
 
 
+@pytest.mark.parametrize("dout, kraus_count", [
+    (-1, -3), (0, 2), (2, 0), (-2, 1), (2.0, 1), (1, 1.5), (None, 2),
+])
+def test_random_channel_needs_positive_integer_dout_and_kraus_count(dout, kraus_count):
+    # A negative pair has a positive product, which alone passed the sampler.
+    with pytest.raises(DimensionError, match="dout >= 1 and kraus_count >= 1"):
+        randkit.random_channel(2, dout, kraus_count, np.random.default_rng(0))
+
+
 def test_haar_mean_projector_depolarizes():
     rng = np.random.default_rng(121)
     d, n = 2, 10_000
